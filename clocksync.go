@@ -33,9 +33,7 @@
 //     four-timestamp UDP query protocol (WithServeAddr, Client), and the
 //     pluggable datagram Transport it all runs over. See docs/SERVING.md.
 //
-// Deprecated spellings of older names live in deprecated.go; new code
-// should use the names below. See the examples directory for runnable
-// entry points.
+// See the examples directory for runnable entry points.
 package clocksync
 
 import (

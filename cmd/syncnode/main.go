@@ -56,7 +56,7 @@ func run() error {
 		offset   = flag.Duration("offset", 0, "simulated initial clock offset")
 		drift    = flag.Float64("drift-ppm", 0, "simulated clock drift in ppm")
 		report   = flag.Duration("report", 5*time.Second, "offset report interval (0 = quiet)")
-		status   = cliutil.AddrVar(flag.CommandLine, "status", "", "HTTP address serving GET /status (empty = off)")
+		status   = cliutil.AddrVar(flag.CommandLine, "status", "", "HTTP address serving GET /status — the same endpoint as -metrics-addr (empty = off)")
 		metrics  = cliutil.AddrVar(flag.CommandLine, "metrics-addr", "", "HTTP address serving /metrics, /status and /debug/pprof (empty = off)")
 		serve    = cliutil.AddrVar(flag.CommandLine, "serve-addr", "", "dedicated UDP address answering time-service queries (empty = answer on the sync socket only)")
 		traceOut = flag.String("trace-out", "", "append the node's observability event stream as JSON lines to this file; readable with tracestat")
@@ -172,19 +172,17 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *status != "" {
-		addr, err := node.ServeStatus(ctx, *status)
+	// -status is the older name of the same endpoint; each address given
+	// gets the full observability mux.
+	for _, listen := range []string{*status, *metrics} {
+		if listen == "" {
+			continue
+		}
+		addr, err := node.ServeMetrics(ctx, listen)
 		if err != nil {
 			return err
 		}
-		log.Printf("node %d status endpoint at http://%s/status", *id, addr)
-	}
-	if *metrics != "" {
-		addr, err := node.ServeMetrics(ctx, *metrics)
-		if err != nil {
-			return err
-		}
-		log.Printf("node %d observability endpoint at http://%s/metrics (pprof under /debug/pprof)", *id, addr)
+		log.Printf("node %d observability endpoint at http://%s/metrics (/status, pprof under /debug/pprof)", *id, addr)
 	}
 
 	if *report > 0 {

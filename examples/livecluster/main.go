@@ -13,7 +13,7 @@ import (
 )
 
 func main() {
-	cluster, err := clocksync.NewLiveCluster(clocksync.LiveClusterConfig{
+	cluster, err := clocksync.NewCluster(clocksync.ClusterConfig{
 		N:       4,
 		F:       1,
 		SyncInt: 500 * time.Millisecond,

@@ -9,6 +9,7 @@ import (
 	"clocksync/internal/analysis"
 	"clocksync/internal/livenet"
 	"clocksync/internal/simtime"
+	"clocksync/internal/trace"
 )
 
 // TestCheckLivenetChaosRun refines a real concurrent cluster against the
@@ -19,6 +20,53 @@ import (
 // attempts producing several estimate spans per peer, and orphan spans from
 // rounds cancelled at shutdown.
 func TestCheckLivenetChaosRun(t *testing.T) {
+	col, wayOff := chaosRun(t)
+	rep, err := Check(col.Events(), Config{F: 1, WayOff: wayOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Log(rep.Summary())
+	for _, v := range rep.Violations {
+		t.Errorf("live cluster failed refinement: %s", v.String())
+	}
+	if !rep.Stats.SpanMode || rep.Stats.Rounds == 0 || rep.Stats.Estimates == 0 {
+		t.Fatalf("replay covered nothing: %+v", rep.Stats)
+	}
+	if rep.Stats.Nodes != 5 {
+		t.Errorf("expected spans from all 5 nodes, got %d", rep.Stats.Nodes)
+	}
+
+	// The live round records what the simulated one does: every adjusting
+	// round span carries the branch flag the checker pins, and every one of
+	// its estimates — the self-estimate included — has a reading span.
+	rounds, readings := 0, 0
+	for _, e := range col.Events() {
+		if e.Kind != trace.KindSpan {
+			continue
+		}
+		switch e.Name {
+		case "round":
+			if _, skipped := e.Fields["skip"]; skipped {
+				continue
+			}
+			rounds++
+			if _, ok := e.Fields["wayoff"]; !ok {
+				t.Fatalf("live round span without a wayoff flag: %+v", e)
+			}
+		case "reading":
+			readings++
+		}
+	}
+	if rounds == 0 || readings != 5*rounds {
+		t.Fatalf("%d reading spans for %d adjusting rounds of 5 nodes, want %d", readings, rounds, 5*rounds)
+	}
+}
+
+// chaosRun runs the seeded 5-node chaos cluster of the live tests with the
+// collector attached, and returns the collected stream together with the
+// nodes' WayOff in the wall seconds the stream is stamped in.
+func chaosRun(t *testing.T) (*Collector, float64) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("chaos campaign needs wall time")
 	}
@@ -59,21 +107,7 @@ func TestCheckLivenetChaosRun(t *testing.T) {
 		t.Fatalf("chaos run itself violated Theorem 5: %v", verr)
 	}
 
-	// The node configs carry WayOff in wall units (virtual bound × scale);
-	// the recorded spans are in wall seconds.
-	wayOff := float64(res.Bounds.WayOff) * scale.Seconds()
-	rep, err := Check(col.Events(), Config{F: 1, WayOff: wayOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log(rep.Summary())
-	for _, v := range rep.Violations {
-		t.Errorf("live cluster failed refinement: %s", v.String())
-	}
-	if !rep.Stats.SpanMode || rep.Stats.Rounds == 0 || rep.Stats.Estimates == 0 {
-		t.Fatalf("replay covered nothing: %+v", rep.Stats)
-	}
-	if rep.Stats.Nodes != 5 {
-		t.Errorf("expected spans from all 5 nodes, got %d", rep.Stats.Nodes)
-	}
+	// The node configs carry WayOff in wall units (virtual bound × scale,
+	// truncated to the nanosecond); the recorded spans are in wall seconds.
+	return col, time.Duration(float64(res.Bounds.WayOff) * float64(scale)).Seconds()
 }

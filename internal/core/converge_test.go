@@ -210,14 +210,14 @@ func TestConvergeByzantineContainment(t *testing.T) {
 			}
 		}
 		rng.Shuffle(len(ests), func(i, j int) { ests[i], ests[j] = ests[j], ests[i] })
-		delta, ok := Converge(fv, wayOffV, ests)
+		delta, jumped, ok := ConvergeVerdict(fv, wayOffV, ests)
 		if !ok {
 			t.Fatalf("trial %d: unexpectedly unsafe", trial)
 		}
 		if math.Abs(float64(delta)) > x/2+1e-9 {
 			t.Fatalf("trial %d: |delta|=%v exceeds X/2=%v", trial, delta, x/2)
 		}
-		if wayOff(fv, wayOffV, ests) {
+		if jumped {
 			t.Fatalf("trial %d: WayOff branch taken despite honest majority in range", trial)
 		}
 	}

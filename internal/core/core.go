@@ -116,7 +116,7 @@ func (c Config) Validate() error {
 // convergeScratch holds the reusable buffers one convergence computation
 // needs: the per-estimate overestimates and underestimates in their original
 // order (span emission indexes into them after selection), and a selection
-// buffer the quickselect is free to permute. A Node owns one scratch and
+// buffer the quickselect is free to permute. A Round owns one scratch and
 // reuses it every round; the pure Converge entry point borrows one from a
 // pool. The zero value is ready to use.
 type convergeScratch struct {
@@ -184,13 +184,10 @@ func Converge(f int, wayOff simtime.Duration, ests []protocol.Estimate) (delta s
 // count these jumps (clocksync_wayoff_jumps_total) so a re-joining node is
 // observable.
 func ConvergeVerdict(f int, wayOff simtime.Duration, ests []protocol.Estimate) (delta simtime.Duration, jumped, ok bool) {
-	if len(ests) < 2*f+1 {
-		return 0, false, false // trimming f from both sides needs 2f+1 values
-	}
 	sc := scratchPool.Get().(*convergeScratch)
-	m, mm := sc.extremes(f, ests)
+	out := sc.decide(f, wayOff, ests)
 	scratchPool.Put(sc)
-	return convergeFromExtremes(m, mm, wayOff)
+	return out.Delta, out.Jumped, out.OK
 }
 
 // kthSmallest returns the k-th smallest element (1-indexed) via quickselect.
@@ -271,22 +268,19 @@ type Node struct {
 	// it draws each round's peer subset.
 	sampler *protocol.PeerSampler
 
-	// Round-tracing state: the open round span and its start instant. Only
-	// one round is in flight per node, so plain fields suffice.
+	// round is the Sync round machine (round.go); its buffers are reused
+	// every round, which keeps the tick path allocation-free. roundSpan and
+	// roundStart are the open round span and its start instant — only one
+	// round is in flight per node, so plain fields suffice.
+	round      Round
 	roundSpan  obs.SpanID
 	roundStart float64
 
-	// Per-round reusable buffers: the estimate vector including the
-	// self-estimate, and the convergence scratch. One round is in flight per
-	// node, so plain reuse is safe and keeps the tick path allocation-free.
-	all     []protocol.Estimate
-	scratch convergeScratch
-
-	// tickCB and finishCB are the tick/finish method values, bound once —
+	// tickCB and applyCB are the tick/apply method values, bound once —
 	// passing n.tick directly to ScheduleLocal would allocate a fresh
 	// closure every round.
-	tickCB   func()
-	finishCB func([]protocol.Estimate)
+	tickCB  func()
+	applyCB func([]protocol.Estimate)
 }
 
 // New builds a Sync node over the harness. peers is the list of processors
@@ -296,12 +290,13 @@ func New(h *protocol.Harness, cfg Config, peers []int) *Node {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	n := &Node{h: h, cfg: cfg, peers: append([]int(nil), peers...)}
+	n := &Node{h: h, cfg: cfg, peers: append([]int(nil), peers...),
+		round: Round{id: h.ID(), f: cfg.F, wayOff: cfg.WayOff}}
 	if cfg.SamplePeers > 0 && cfg.SamplePeers < len(n.peers) {
 		n.sampler = protocol.NewPeerSampler(n.peers, cfg.SamplePeers, cfg.SampleSeed, h.ID())
 	}
 	n.tickCB = n.tick
-	n.finishCB = n.finish
+	n.applyCB = n.apply
 	return n
 }
 
@@ -354,161 +349,49 @@ func (n *Node) tick() {
 		n.h.SpanParent = n.roundSpan
 	}
 	if n.cache != nil {
-		n.finish(n.cache.GetAll())
+		n.apply(n.cache.GetAll())
 		return
 	}
 	peers := n.peers
 	if n.sampler != nil {
 		peers = n.sampler.Sample()
 	}
-	n.h.EstimateAll(peers, n.cfg.MaxWait, n.finishCB)
+	n.h.EstimateAll(peers, n.cfg.MaxWait, n.applyCB)
 }
 
-// finish applies the convergence function to a completed estimation round.
-// The trimmed extremes are computed exactly once per round, into the node's
-// reusable scratch, and shared between the adjustment, the WayOff decision
-// and the reading spans — the old path recomputed the order statistics up to
-// three times and allocated fresh vectors for each.
-func (n *Node) finish(ests []protocol.Estimate) {
-	// Figure 1 iterates over all of {1..n} including p itself; the
-	// self-estimate is exact and free.
-	n.all = append(n.all[:0], ests...)
-	n.all = append(n.all, protocol.Estimate{Peer: n.h.ID(), D: 0, A: 0, OK: true})
-	all := n.all
-
-	var m, mm float64
-	var delta simtime.Duration
-	var jumped, ok bool
-	if len(all) >= 2*n.cfg.F+1 {
-		m, mm = n.scratch.extremes(n.cfg.F, all)
-		delta, jumped, ok = convergeFromExtremes(m, mm, n.cfg.WayOff)
-	}
-	if !ok {
+// apply is the simulator driver's half of a round's end: it has the machine
+// decide over the completed estimation round, applies the adjustment to the
+// simulated clock, has the machine record the round in simulation time, and
+// runs the extensions that hang off an adjustment.
+func (n *Node) apply(ests []protocol.Estimate) {
+	out := n.round.Decide(ests)
+	if out.OK {
+		if out.Jumped {
+			n.stats.WayOffTriggers++
+		}
+		n.stats.Syncs++
+		n.stats.LastDelta = out.Delta
+		n.h.Adjust(out.Delta)
+	} else {
 		n.stats.Skipped++
-		if rec := n.h.Obs.Recorder(); rec != nil {
-			rec.RoundsSkipped.Inc()
-			n.h.Obs.Emit(obs.Event{
-				At: float64(n.h.Sim().Now()), Kind: obs.KindSkip, Node: n.h.ID(),
-			})
-		}
-		if n.roundSpan != 0 {
-			now := float64(n.h.Sim().Now())
-			n.h.Obs.EmitSpan(obs.Span{
-				ID: n.roundSpan, Name: obs.SpanRound, Node: n.h.ID(),
-				Start: n.roundStart, End: now,
-				Fields: obs.F("skip", 1),
-			})
-			n.roundSpan = 0
-			n.h.SpanParent = 0
-		}
+	}
+	n.round.Record(n.h.Obs, n.h.Obs.Recorder(), n.roundSpan, n.roundStart, float64(n.h.Sim().Now()))
+	n.roundSpan, n.h.SpanParent = 0, 0
+	if !out.OK {
 		return
 	}
-	if jumped {
-		n.stats.WayOffTriggers++
-	}
-	n.stats.Syncs++
-	n.stats.LastDelta = delta
-	n.h.Adjust(delta)
-	wj := 0.0
-	if jumped {
-		wj = 1
-	}
-	if rec := n.h.Obs.Recorder(); rec != nil {
-		rec.SyncRounds.Inc()
-		rec.LastAdjust.Set(float64(delta))
-		rec.AdjustMag.Observe(math.Abs(float64(delta)))
-		// Adjustments are applied instantaneously (Definition 1 permits only
-		// additive corrections), so the amortization gauge pins at 1.
-		rec.AmortizationProgress.Set(1)
-		if jumped {
-			rec.WayOffJumps.Inc()
-		}
-		failed := 0
-		for _, e := range all {
-			if !e.OK {
-				failed++
-			}
-		}
-		n.h.Obs.Emit(obs.Event{
-			At: float64(n.h.Sim().Now()), Kind: obs.KindRound, Node: n.h.ID(),
-			Fields: map[string]float64{
-				"delta":  float64(delta),
-				"failed": float64(failed),
-				"wayoff": wj,
-			},
-		})
-	}
-	if n.roundSpan != 0 {
-		n.emitRoundSpans(all, m, mm, delta, wj)
-	}
-	if n.cache != nil && n.cfg.CacheInvalidateOnAdjust && delta != 0 {
+	if n.cache != nil && n.cfg.CacheInvalidateOnAdjust && out.Delta != 0 {
 		n.cache.Invalidate()
 	}
 	if n.cfg.DriftComp {
-		if jumped {
+		if out.Jumped {
 			// A recovery jump says nothing about our rate; restart the
 			// estimator's baseline.
 			n.haveLast = false
 		} else {
-			n.updateDrift(delta)
+			n.updateDrift(out.Delta)
 		}
 	}
-}
-
-// emitRoundSpans closes the open round span: one zero-duration reading span
-// per estimate recording the convergence function's verdict (accepted, or
-// trimmed away by the (f+1)-st order statistics), an adjustment span, and the
-// round span itself. Reading spans parent to the estimation span that
-// produced their value, so a bad adjustment traces back through its reading
-// to the exact message exchange (or timeout) that fed it.
-//
-// m and mm are the trimmed extremes finish already computed; the per-estimate
-// overs/unders are read from the node's scratch, which extremes left in
-// estimate order — nothing is recomputed or reallocated here.
-func (n *Node) emitRoundSpans(all []protocol.Estimate, m, mm float64, delta simtime.Duration, wayoff float64) {
-	now := float64(n.h.Sim().Now())
-	overs, unders := n.scratch.overs, n.scratch.unders
-	for i, e := range all {
-		lowTrim, highTrim := 0.0, 0.0
-		if overs[i] < m {
-			lowTrim = 1 // overestimate among the f smallest: trimmed
-		}
-		if unders[i] > mm {
-			highTrim = 1 // underestimate among the f largest: trimmed
-		}
-		fields := obs.F("peer", float64(e.Peer)).
-			F("accepted", 1-math.Max(lowTrim, highTrim)).
-			F("lowtrim", lowTrim).
-			F("hightrim", highTrim)
-		// Failed estimates carry infinite over/under; JSON cannot encode
-		// those, so only finite readings are recorded.
-		if !math.IsInf(overs[i], 0) {
-			fields = fields.F("over", overs[i])
-		}
-		if !math.IsInf(unders[i], 0) {
-			fields = fields.F("under", unders[i])
-		}
-		parent := e.Span
-		if parent == 0 {
-			parent = n.roundSpan // self-estimate has no estimation span
-		}
-		n.h.Obs.EmitSpan(obs.Span{
-			ID: n.h.Obs.NextSpanID(), Parent: parent, Name: obs.SpanReading,
-			Node: n.h.ID(), Start: now, End: now, Fields: fields,
-		})
-	}
-	n.h.Obs.EmitSpan(obs.Span{
-		ID: n.h.Obs.NextSpanID(), Parent: n.roundSpan, Name: obs.SpanAdjust,
-		Node: n.h.ID(), Start: now, End: now,
-		Fields: obs.F("delta", float64(delta)).F("wayoff", wayoff),
-	})
-	n.h.Obs.EmitSpan(obs.Span{
-		ID: n.roundSpan, Name: obs.SpanRound, Node: n.h.ID(),
-		Start: n.roundStart, End: now,
-		Fields: obs.F("delta", float64(delta)).F("wayoff", wayoff),
-	})
-	n.roundSpan = 0
-	n.h.SpanParent = 0
 }
 
 // updateDrift feeds one correction into the frequency estimator: a clock
@@ -540,15 +423,4 @@ func (n *Node) updateDrift(delta simtime.Duration) {
 	n.gain = (1-alpha)*n.gain + alpha*(n.gain+float64(delta)/elapsed)
 	n.gain = math.Max(-maxGain, math.Min(maxGain, n.gain))
 	n.h.Clock().SetGain(now, n.gain)
-}
-
-// wayOff reports whether the estimates trip the "ignore own clock" branch.
-// The protocol path gets this for free from convergeFromExtremes; this
-// wrapper exists for tests that probe the branch in isolation.
-func wayOff(f int, w simtime.Duration, ests []protocol.Estimate) bool {
-	sc := scratchPool.Get().(*convergeScratch)
-	m, mm := sc.extremes(f, ests)
-	scratchPool.Put(sc)
-	_, jumped, _ := convergeFromExtremes(m, mm, w)
-	return jumped
 }

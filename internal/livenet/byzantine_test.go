@@ -3,10 +3,13 @@ package livenet
 import (
 	"context"
 	"encoding/json"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
 	"time"
+
+	"clocksync/internal/simtime"
 )
 
 // liarResponder is a raw UDP endpoint that speaks the wire protocol but
@@ -130,6 +133,110 @@ func TestLiveClusterToleratesByzantinePeer(t *testing.T) {
 				}
 			}
 			return
+		}
+	}
+}
+
+// slowHonestLinks delays every packet by 5 ms except the liar's, which
+// arrive at once — so whatever the liar says about a nonce is heard before
+// the honest answer to it.
+type slowHonestLinks struct{ liar int }
+
+func (m slowHonestLinks) Sample(from, _ int, _ *rand.Rand) simtime.Duration {
+	if from == m.liar {
+		return 0
+	}
+	return 5 * simtime.Millisecond
+}
+func (slowHonestLinks) Bound() simtime.Duration { return 5 * simtime.Millisecond }
+
+// TestEchoedNoncesCancelNothing: a keyed Byzantine peer that never answers
+// its own ping but echoes the neighbouring nonces — the ones the requester
+// just sent to honest peers — under its own id. Nonces are sequential, so it
+// guesses them all; every echo authenticates. An echo must be refused without
+// consuming the nonce it names: the honest answers, arriving 10 ms later,
+// must still land, so honest peers never time out and no round is skipped.
+func TestEchoedNoncesCancelNothing(t *testing.T) {
+	const liar = 3
+	key := []byte("echo-test-key")
+	mn := NewMemNetwork(MemNetworkConfig{Delay: slowHonestLinks{liar: liar}})
+	liarTr := mn.Transport(liar)
+	defer liarTr.Close()
+	go func() {
+		buf := make([]byte, 2048)
+		for {
+			nr, from, err := liarTr.ReadFrom(buf)
+			if err != nil {
+				return
+			}
+			var msg wireMsg
+			if json.Unmarshal(buf[:nr], &msg) != nil || msg.Type != "q" {
+				continue
+			}
+			for d := uint64(1); d <= 3; d++ {
+				for _, nonce := range []uint64{msg.Nonce - d, msg.Nonce + d} {
+					echo := wireMsg{V: wireVersion, Type: "r", From: liar, Nonce: nonce,
+						Clock: time.Now().Add(time.Hour).UnixNano()}
+					echo.MAC = echo.mac(key)
+					data, _ := json.Marshal(echo) // a struct of scalars cannot fail to marshal
+					liarTr.WriteTo(data, from)
+				}
+			}
+		}
+	}()
+
+	nodes := make([]*Node, 3)
+	for i := range nodes {
+		peers := map[int]string{}
+		for j := 0; j <= liar; j++ {
+			if j != i {
+				peers[j] = MemAddr(j)
+			}
+		}
+		node, err := New(Config{
+			ID: i, F: 1, Peers: peers, Key: key, Transport: mn.Transport(i),
+			SyncInt: 100 * time.Millisecond, MaxWait: 50 * time.Millisecond, WayOff: time.Second,
+			// One attempt per peer: a cancelled ping has no retransmission to
+			// hide behind.
+			Retry: RetryConfig{Attempts: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = node
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	defer func() { cancel(); wg.Wait() }()
+	for _, node := range nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			node.Run(ctx)
+		}()
+	}
+
+	deadline := time.After(10 * time.Second)
+	for _, node := range nodes {
+		for node.Metrics().SyncRounds.Load()+node.Metrics().RoundsSkipped.Load() < 5 {
+			select {
+			case <-deadline:
+				t.Fatal("rounds did not run")
+			case <-time.After(20 * time.Millisecond):
+			}
+		}
+	}
+	for i, node := range nodes {
+		if skipped := node.Metrics().RoundsSkipped.Load(); skipped != 0 {
+			t.Errorf("node %d skipped %d rounds: the liar pushed it below 2f+1", i, skipped)
+		}
+		for _, p := range node.Status().Peers {
+			if p.ID != liar && p.Failures != 0 {
+				t.Errorf("node %d: honest peer %d timed out %d times — its pings were cancelled", i, p.ID, p.Failures)
+			}
+			if p.ID == liar && p.Replies != 0 {
+				t.Errorf("node %d: accepted %d of the liar's echoes as answers", i, p.Replies)
+			}
 		}
 	}
 }

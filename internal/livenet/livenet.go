@@ -2,8 +2,8 @@
 // It is the deployable counterpart of the simulator: each Node owns a
 // datagram Transport (UDP in production, an in-process memory fabric in
 // tests and chaos runs), answers authenticated time requests, and
-// disciplines a local clock with the same convergence function
-// (core.Converge) the simulation uses.
+// disciplines a local clock by driving the same Sync round machine
+// (core.Round) the simulation drives.
 //
 // Authenticated links (§2.2) are realized with HMAC-SHA256 over a shared
 // key; messages that fail authentication are dropped before they reach the
@@ -27,7 +27,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -38,7 +37,6 @@ import (
 
 	"clocksync/internal/core"
 	"clocksync/internal/obs"
-	"clocksync/internal/protocol"
 	"clocksync/internal/simtime"
 )
 
@@ -182,12 +180,6 @@ type Config struct {
 	// away from host time and drifts by SimDriftPPM microseconds per second.
 	SimOffset   time.Duration
 	SimDriftPPM float64
-
-	// Logf receives diagnostic output; nil silences the node.
-	//
-	// Deprecated: set Ops.Logf. This field is folded into Ops by Validate
-	// and kept only so existing configurations compile.
-	Logf func(format string, args ...any)
 }
 
 // defaultDarkAfter is the consecutive-failure threshold when DarkAfter is 0.
@@ -210,14 +202,10 @@ func validateHostPort(field, addr string) error {
 	return nil
 }
 
-// Validate checks the configuration and normalizes deprecated fields,
-// returning actionable errors naming the offending field. New calls it;
-// callers constructing configs programmatically can call it early to fail
-// before sockets are opened.
+// Validate checks the configuration, returning actionable errors naming the
+// offending field. New calls it; callers constructing configs
+// programmatically can call it early to fail before sockets are opened.
 func (c *Config) Validate() error {
-	if c.Logf != nil && c.Ops.Logf == nil {
-		c.Ops.Logf = c.Logf
-	}
 	if c.SyncInt <= 0 {
 		return fmt.Errorf("livenet: SyncInt %v must be positive (wall time between Sync executions, e.g. 2s)", c.SyncInt)
 	}
@@ -289,10 +277,19 @@ type Node struct {
 	pending     map[uint64]pendingPing
 	syncs       int
 	last        time.Duration
-	lastRound   lastRoundInfo // most recent round verdict (statusz.go)
+	lastRound   core.Outcome // most recent round's verdict, decided at lastRoundAt
+	lastRoundAt time.Time    // zero before the first round
 	peerSeen    map[int]peerStats
 	health      map[int]*peerHealth
 	metricsAddr string
+
+	// round is the Sync round machine this node drives; ids, targets and
+	// nonces are the driver's per-round buffers. All belong to the sync
+	// goroutine and are reused from round to round.
+	round   *core.Round
+	ids     []int
+	targets []roundTarget
+	nonces  []uint64
 
 	wg sync.WaitGroup
 }
@@ -331,14 +328,34 @@ type Status struct {
 	Peers  []PeerStatus  // sorted by id
 }
 
+// pendingPing maps a wire nonce back to the round slot it asked about.
 type pendingPing struct {
 	peer     int
-	attempt  int       // 1-based send attempt within the round
-	sentAt   time.Time // local clock reading (Now) at send
-	sentUnix float64   // wall time at send (span timebase)
+	slot     int     // the peer's slot in the round machine
+	attempt  int     // 1-based send attempt within the round
+	sentUnix float64 // wall time at send (span timebase)
 	span     obs.SpanID
 	parent   obs.SpanID
-	ch       chan<- protocol.Estimate
+	ch       chan<- liveReply
+}
+
+// liveReply is one authenticated answer on its way from the read loop to the
+// round that asked: the ping it answers, the peer's reported clock C (Unix
+// nanoseconds), the local clock reading R at receipt and the wall time then.
+type liveReply struct {
+	pendingPing
+	clock    int64
+	recv     time.Time
+	recvUnix float64
+}
+
+// unixNow is the wall clock in Unix seconds, the timebase of live events and
+// spans.
+func unixNow() float64 { return float64(time.Now().UnixNano()) / 1e9 }
+
+// wallDuration converts the machine's seconds to wall time.
+func wallDuration(d simtime.Duration) time.Duration {
+	return time.Duration(float64(d) * float64(time.Second))
 }
 
 // New opens the node's transport (UDP on cfg.Listen unless cfg.Transport is
@@ -390,6 +407,7 @@ func New(cfg Config) (*Node, error) {
 		pending:  make(map[uint64]pendingPing),
 		peerSeen: make(map[int]peerStats),
 		health:   make(map[int]*peerHealth),
+		round:    core.NewRound(cfg.ID, cfg.F, simtime.Duration(cfg.WayOff.Seconds())),
 	}
 	// Before the first round the node can only vouch for its clock to
 	// within WayOff (anything worse would be rejected as its own): publish
@@ -438,7 +456,7 @@ func (n *Node) emit(kind string, fields map[string]float64) {
 		return
 	}
 	o.Emit(obs.Event{
-		At:     float64(time.Now().UnixNano()) / 1e9,
+		At:     unixNow(),
 		Kind:   kind,
 		Node:   n.cfg.ID,
 		Fields: fields,
@@ -481,38 +499,6 @@ func (n *Node) StatusJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// ServeStatus starts an HTTP listener exposing GET /status with the node's
-// StatusJSON, for dashboards and health checks. It returns the bound
-// address; the server stops when ctx is cancelled.
-func (n *Node) ServeStatus(ctx context.Context, addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("livenet: status listener: %w", err)
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-		data, err := n.StatusJSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
-	})
-	srv := &http.Server{Handler: mux}
-	n.wg.Add(2)
-	go func() {
-		defer n.wg.Done()
-		srv.Serve(ln)
-	}()
-	go func() {
-		defer n.wg.Done()
-		<-ctx.Done()
-		srv.Close()
-	}()
-	return ln.Addr().String(), nil
-}
-
 // ServeMetrics starts the node's observability endpoint on addr: GET
 // /metrics in Prometheus text format (counters labeled node="<id>"), GET
 // /status with the StatusJSON snapshot, and the net/http/pprof endpoints
@@ -524,16 +510,7 @@ func (n *Node) ServeMetrics(ctx context.Context, addr string) (string, error) {
 	mux := obs.NewMux(func(w http.ResponseWriter) error {
 		return n.rec.WriteProm(w, labels)
 	})
-	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-		data, err := n.StatusJSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
-	})
-	n.registerTelemetry(mux) // /statusz, /read, /spanz (statusz.go)
+	n.registerTelemetry(mux) // /status, /statusz, /read, /spanz (statusz.go)
 	bound, err := obs.Serve(ctx, &n.wg, addr, mux)
 	if err != nil {
 		return "", err
@@ -626,14 +603,6 @@ func (n *Node) localClock() time.Duration {
 // and the S/R instants of §3.1 estimation). The serving read path uses the
 // published snapshot instead (Read).
 func (n *Node) clockNow() time.Time { return time.Now().Add(n.localClock()) }
-
-// Now returns the node's disciplined clock reading as a bare timestamp.
-//
-// Deprecated: use Read, which returns the same instant together with the
-// uncertainty half-width and sync epoch that qualify it. A bare timestamp
-// hides how much it can be trusted; every consumer found so far actually
-// wanted the interval.
-func (n *Node) Now() time.Time { return n.clockNow() }
 
 // Offset returns the node's current clock offset from the host clock — the
 // live analogue of the simulator's bias, measurable because the demo knows
@@ -778,7 +747,7 @@ func (n *Node) answer(req wireMsg, from string) {
 	if req.Span != 0 {
 		if o := n.cfg.Ops.Observer; o.SpansEnabled() {
 			r := n.Read()
-			nowU := float64(time.Now().UnixNano()) / 1e9
+			nowU := unixNow()
 			o.EmitSpan(obs.Span{
 				ID: obs.SpanID(req.Span), Name: obs.SpanReply, Node: n.cfg.ID,
 				Start: nowU, End: nowU,
@@ -809,51 +778,24 @@ func (n *Node) send(msg wireMsg, to string) {
 	n.rec.MessagesSent.Inc()
 }
 
+// handleResponse routes an answer to the round that asked. The nonce must be
+// outstanding and must have been sent to the peer now answering it — checked
+// before the entry is consumed, so a peer echoing other peers' nonces under
+// its own id cancels nothing. The reply is queued under the lock: once a
+// round has purged its nonces, nothing more can reach its queue.
 func (n *Node) handleResponse(msg wireMsg) {
-	r := n.clockNow() // local clock reading R at receipt
+	now := time.Now()
+	rp := liveReply{clock: msg.Clock, recv: now.Add(n.localClock()), recvUnix: float64(now.UnixNano()) / 1e9}
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	p, ok := n.pending[msg.Nonce]
-	if ok {
-		delete(n.pending, msg.Nonce)
-	}
-	n.mu.Unlock()
 	if !ok || p.peer != msg.From {
 		return
 	}
-	// §3.1: sent at local S, received at local R, peer reported C:
-	// d = C − (R+S)/2 = (C − R) + (R−S)/2, a = (R−S)/2.
-	c := time.Unix(0, msg.Clock)
-	rtt := r.Sub(p.sentAt)
-	est := protocol.Estimate{
-		Peer: p.peer,
-		D:    simtime.Duration(c.Sub(r).Seconds() + rtt.Seconds()/2),
-		A:    simtime.Duration(rtt.Seconds() / 2),
-		OK:   true,
-		Span: p.span,
-	}
-	n.rec.RTT.Observe(rtt.Seconds())
-	n.rec.EstError.Observe(float64(est.A))
-	if p.span != 0 {
-		n.cfg.Ops.Observer.EmitSpan(obs.Span{
-			ID: p.span, Parent: p.parent, Name: obs.SpanEstimate, Node: n.cfg.ID,
-			Start: p.sentUnix, End: float64(time.Now().UnixNano()) / 1e9,
-			Fields: obs.F("peer", float64(p.peer)).
-				F("d", float64(est.D)).
-				F("a", float64(est.A)).
-				F("rtt", rtt.Seconds()).
-				F("attempt", float64(p.attempt)).
-				F("ok", 1),
-		})
-	}
-	n.mu.Lock()
-	ps := n.peerSeen[p.peer]
-	ps.lastOffset = time.Duration(float64(est.D) * float64(time.Second))
-	ps.lastSeen = time.Now()
-	ps.replies++
-	n.peerSeen[p.peer] = ps
-	n.mu.Unlock()
+	delete(n.pending, msg.Nonce)
+	rp.pendingPing = p
 	select {
-	case p.ch <- est:
+	case p.ch <- rp:
 	default:
 	}
 }
@@ -872,16 +814,16 @@ func (n *Node) syncLoop(ctx context.Context) {
 	}
 }
 
-// roundTarget is one peer's state within a single Sync round.
+// roundTarget is one peer's driver-side state within a single Sync round;
+// its index in Node.targets is its slot in the round machine.
 type roundTarget struct {
 	id       int
 	addr     string
 	dark     bool
-	answered bool
 	attempts int
 }
 
-// runSync estimates all peers and applies the convergence function. Bright
+// runSync drives one round of the machine over the transport. Bright
 // (healthy) peers are retransmitted to on the retry schedule and the round
 // waits for all of them (or MaxWait); dark peers get a single probe and a
 // short grace so they can rejoin, but cannot stall the round — that is the
@@ -895,47 +837,60 @@ func (n *Node) runSync(ctx context.Context) {
 	var roundEpoch uint64
 	if o.SpansEnabled() {
 		roundSpan = o.NextSpanID()
-		roundStart = float64(time.Now().UnixNano()) / 1e9
+		roundStart = unixNow()
 		roundEpoch = uint64(n.Syncs())
 	}
 
-	// Snapshot the peer table and health state.
+	// Snapshot the peer table and health state in id order; a target's index
+	// is its slot.
+	ids, targets, bright := n.ids[:0], n.targets[:0], 0
 	n.mu.Lock()
-	targets := make([]*roundTarget, 0, len(n.peers))
-	for id, addr := range n.peers {
+	for id := range n.peers {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
 		h := n.health[id]
-		targets = append(targets, &roundTarget{id: id, addr: addr, dark: h != nil && h.dark})
+		dark := h != nil && h.dark
+		targets = append(targets, roundTarget{id: id, addr: n.peers[id], dark: dark})
+		if !dark {
+			bright++
+		}
 	}
 	n.mu.Unlock()
-	sort.Slice(targets, func(i, j int) bool { return targets[i].id < targets[j].id })
+	n.ids, n.targets, n.nonces = ids, targets, n.nonces[:0]
+	n.round.Begin(ids)
 
 	retryCfg := n.cfg.Retry.withDefaults(n.cfg.MaxWait)
-	ch := make(chan protocol.Estimate, len(targets)*retryCfg.Attempts+1)
+	// Sized to the sends of one round: each outstanding nonce is answered at
+	// most once, so the read loop never finds the queue full.
+	ch := make(chan liveReply, len(targets)*retryCfg.Attempts)
 	sentAt := n.clockNow() // local clock reading S; attempts share the send instant
-	sentUnix := float64(time.Now().UnixNano()) / 1e9
-	var roundNonces []uint64
+	sentUnix := unixNow()
 
-	// sendPing transmits one request to a target and registers the pending
-	// entry routing its response. Estimates computed from a retransmission
-	// reuse the original send instant S, so a reply to attempt k yields a
-	// pessimistic-but-safe error bound a = (R−S)/2 (the true offset is
-	// always inside [D−a, D+a]; §3.1's analysis only needs the interval to
+	// sendPing transmits one request to a slot's peer and registers the
+	// pending entry routing its response. Estimates computed from a
+	// retransmission reuse the original send instant S, so a reply to attempt
+	// k yields a pessimistic-but-safe error bound a = (R−S)/2 (the true offset
+	// is always inside [D−a, D+a]; §3.1's analysis only needs the interval to
 	// contain it).
-	sendPing := func(t *roundTarget) {
-		n.mu.Lock()
-		n.nonce++
-		nonce := n.nonce
+	sendPing := func(slot int) {
+		t := &targets[slot]
 		t.attempts++
 		var span obs.SpanID
 		if roundSpan != 0 {
 			span = o.NextSpanID()
 		}
+		n.mu.Lock()
+		n.nonce++
+		nonce := n.nonce
 		n.pending[nonce] = pendingPing{
-			peer: t.id, attempt: t.attempts, sentAt: sentAt, sentUnix: sentUnix,
+			peer: t.id, slot: slot, attempt: t.attempts, sentUnix: sentUnix,
 			span: span, parent: roundSpan, ch: ch,
 		}
-		roundNonces = append(roundNonces, nonce)
 		n.mu.Unlock()
+		n.nonces = append(n.nonces, nonce)
+		n.round.Sent(slot, span)
 		// Traced queries carry the estimate span's ID and this node's epoch
 		// so the responder's reply span joins to ours; untraced queries
 		// (span 0) omit both fields and match the pre-telemetry wire bytes.
@@ -944,66 +899,77 @@ func (n *Node) runSync(ctx context.Context) {
 			Span: uint64(span), Epoch: roundEpoch,
 		}, t.addr)
 	}
-
-	brightLeft, darkLeft := 0, 0
-	for _, t := range targets {
-		if t.dark {
-			darkLeft++
-		} else {
-			brightLeft++
+	// reply feeds one queued answer to the machine, S being the origin of the
+	// timebase, and records what the exchange measured. The machine refuses
+	// duplicates (a retransmission answered twice, an injected dup).
+	reply := func(rp liveReply) {
+		rtt := rp.recv.Sub(sentAt)
+		c := time.Unix(0, rp.clock).Sub(sentAt)
+		est, ok := n.round.Reply(rp.slot, 0, simtime.Time(rtt.Seconds()), simtime.Time(c.Seconds()), rp.span)
+		if !ok {
+			return
 		}
-		sendPing(t)
+		if !targets[rp.slot].dark {
+			bright--
+		}
+		n.rec.RTT.Observe(rtt.Seconds())
+		n.rec.EstError.Observe(float64(est.A))
+		if rp.span != 0 {
+			o.EmitSpan(obs.Span{
+				ID: rp.span, Parent: rp.parent, Name: obs.SpanEstimate, Node: n.cfg.ID,
+				Start: rp.sentUnix, End: rp.recvUnix,
+				Fields: obs.F("peer", float64(rp.peer)).
+					F("d", float64(est.D)).
+					F("a", float64(est.A)).
+					F("rtt", rtt.Seconds()).
+					F("attempt", float64(rp.attempt)).
+					F("ok", 1),
+			})
+		}
+		n.mu.Lock()
+		ps := n.peerSeen[rp.peer]
+		ps.lastOffset = wallDuration(est.D)
+		ps.lastSeen = time.Now()
+		ps.replies++
+		n.peerSeen[rp.peer] = ps
+		n.mu.Unlock()
 	}
+
 	// With every peer dark there is no answering quorum for the short-grace
 	// path to protect — this round IS the rejoin attempt (a node coming back
 	// from a crash or long partition sees exactly this). Give dark peers the
 	// full MaxWait and the retry schedule instead of a grace window.
-	allDark := brightLeft == 0 && darkLeft > 0
+	allDark := bright == 0 && len(targets) > 0
+	for slot := range targets {
+		sendPing(slot)
+	}
 
+	// The round's three clocks: the MaxWait deadline, the next instant of the
+	// retry schedule, and the dark peers' grace once it starts. A nil channel
+	// never fires; every timer is stopped when the round returns, so a round
+	// that ends early leaves none behind to fire.
+	timers := make([]*time.Timer, 0, 4)
+	defer func() {
+		for _, t := range timers {
+			t.Stop()
+		}
+	}()
+	after := func(d time.Duration) <-chan time.Time {
+		t := time.NewTimer(d)
+		timers = append(timers, t)
+		return t.C
+	}
 	resends := retrySchedule(n.cfg.Retry, n.cfg.MaxWait, rand.Float64)
 	wallStart := time.Now()
-	deadline := time.NewTimer(n.cfg.MaxWait)
-	defer deadline.Stop()
-	var retryTimer *time.Timer
-	defer func() {
-		if retryTimer != nil {
-			retryTimer.Stop()
-		}
-	}()
-	nextRetry := 0
-	armRetry := func() <-chan time.Time {
-		if nextRetry >= len(resends) {
-			return nil
-		}
-		d := resends[nextRetry] - time.Since(wallStart)
-		if d < 0 {
-			d = 0
-		}
-		if retryTimer == nil {
-			retryTimer = time.NewTimer(d)
-		} else {
-			retryTimer.Reset(d)
-		}
-		return retryTimer.C
+	deadline := after(n.cfg.MaxWait)
+	var retryC, graceC <-chan time.Time
+	if len(resends) > 0 {
+		retryC = after(resends[0])
 	}
-	retryC := armRetry()
-
-	byID := make(map[int]*roundTarget, len(targets))
-	for _, t := range targets {
-		byID[t.id] = t
-	}
-	ests := make([]protocol.Estimate, 0, len(targets)+1)
-	var graceTimer *time.Timer
-	defer func() {
-		if graceTimer != nil {
-			graceTimer.Stop()
-		}
-	}()
-	var graceC <-chan time.Time
 
 collect:
-	for brightLeft > 0 || darkLeft > 0 {
-		if brightLeft == 0 && !allDark && graceC == nil {
+	for n.round.Open() {
+		if bright == 0 && !allDark && graceC == nil {
 			// All healthy peers answered; give dark peers one short grace to
 			// rejoin instead of stalling the full MaxWait on them.
 			grace := retryCfg.Initial
@@ -1013,83 +979,56 @@ collect:
 			if grace <= 0 {
 				break collect
 			}
-			graceTimer = time.NewTimer(grace)
-			graceC = graceTimer.C
+			graceC = after(grace)
 		}
 		select {
-		case e := <-ch:
-			t := byID[e.Peer]
-			if t == nil || t.answered {
-				continue // duplicate answer (retransmission or injected dup)
-			}
-			t.answered = true
-			ests = append(ests, e)
-			if t.dark {
-				darkLeft--
-			} else {
-				brightLeft--
-			}
+		case rp := <-ch:
+			reply(rp)
 		case <-retryC:
 			// Retransmit to every bright peer still unanswered.
 			resent := 0
-			for _, t := range targets {
-				if !t.answered && (!t.dark || allDark) {
-					sendPing(t)
+			for slot, t := range targets {
+				if !n.round.Answered(slot) && (!t.dark || allDark) {
+					sendPing(slot)
 					resent++
 				}
 			}
 			if resent > 0 {
 				n.rec.Retries.Add(int64(resent))
 			}
-			nextRetry++
-			retryC = armRetry()
+			if resends, retryC = resends[1:], nil; len(resends) > 0 {
+				retryC = after(resends[0] - time.Since(wallStart))
+			}
 		case <-graceC:
 			break collect
-		case <-deadline.C:
+		case <-deadline:
 			break collect
 		case <-ctx.Done():
-			n.dropRoundPending(roundNonces)
+			n.purgePending()
+			n.round.Abort()
 			return
 		}
 	}
 
-	// Fill failures for unanswered targets and drop their pending entries.
-	failed := 0
-	var timedOut []pendingPing
-	n.mu.Lock()
-	for _, nonce := range roundNonces {
-		p, ok := n.pending[nonce]
-		if !ok {
-			continue
-		}
-		delete(n.pending, nonce)
-		t := byID[p.peer]
-		if t == nil || t.answered {
-			continue // an earlier or later attempt got through
-		}
-		if p.span != 0 {
-			timedOut = append(timedOut, p)
+	// Stop listening: purge the round's outstanding pings, take the answers
+	// that were already queued, and let the machine expire the rest.
+	outstanding := n.purgePending()
+	for queued := true; queued && n.round.Open(); {
+		select {
+		case rp := <-ch:
+			reply(rp)
+		default:
+			queued = false
 		}
 	}
-	for _, t := range targets {
-		if t.answered {
-			continue
-		}
-		fe := protocol.FailedEstimate(t.id)
-		ests = append(ests, fe)
-		ps := n.peerSeen[t.id]
-		ps.failures++
-		n.peerSeen[t.id] = ps
-		failed++
-	}
-	n.mu.Unlock()
+	out := n.round.Close()
 	n.updateHealth(targets)
-	if failed > 0 {
-		n.rec.EstimationTimeouts.Add(int64(failed))
+	if out.Failed > 0 {
+		n.rec.EstimationTimeouts.Add(int64(out.Failed))
 	}
-	if len(timedOut) > 0 {
-		nowU := float64(time.Now().UnixNano()) / 1e9
-		for _, p := range timedOut {
+	nowU := unixNow()
+	for _, p := range outstanding {
+		if p.span != 0 && !n.round.Answered(p.slot) {
 			o.EmitSpan(obs.Span{
 				ID: p.span, Parent: p.parent, Name: obs.SpanEstimate, Node: n.cfg.ID,
 				Start: p.sentUnix, End: nowU,
@@ -1098,100 +1037,51 @@ collect:
 			})
 		}
 	}
-	ests = append(ests, protocol.Estimate{Peer: n.cfg.ID, D: 0, A: 0, OK: true})
 
-	delta, jumped, ok := core.ConvergeVerdict(n.cfg.F, simtime.Duration(n.cfg.WayOff.Seconds()), ests)
-	if !ok {
-		n.rec.RoundsSkipped.Inc()
-		n.mu.Lock()
-		n.lastRound = lastRoundInfo{at: time.Now(), failed: failed, skipped: true, set: true}
-		n.mu.Unlock()
-		n.emit(obs.KindSkip, map[string]float64{"failed": float64(failed)})
-		if roundSpan != 0 {
-			o.EmitSpan(obs.Span{
-				ID: roundSpan, Name: obs.SpanRound, Node: n.cfg.ID,
-				Start: roundStart, End: float64(time.Now().UnixNano()) / 1e9,
-				Fields: obs.F("skip", 1).F("failed", float64(failed)),
-			})
-		}
-		n.logf("sync: too few answers (%d) for f=%d", len(ests)-1, n.cfg.F)
-		return
-	}
-	// The round's serving uncertainty: after the adjustment, this node's
-	// clock is within max(|D|+A) of every good peer it heard (each peer's
-	// true offset lies in [D−A, D+A]), so the true cluster time — which
-	// Theorem 5 keeps inside the good-set envelope — is within that bound
-	// of the disciplined clock.
-	var roundUnc time.Duration
-	for _, e := range ests {
-		if !e.OK || e.Peer == n.cfg.ID {
-			continue
-		}
-		d := float64(e.D)
-		if d < 0 {
-			d = -d
-		}
-		if b := time.Duration((d + float64(e.A)) * float64(time.Second)); b > roundUnc {
-			roundUnc = b
-		}
-	}
-	dd := time.Duration(float64(delta) * float64(time.Second))
+	// Apply the machine's verdict to the clock, publish the reading it
+	// backs, and have the machine record the round in wall time.
+	dd := wallDuration(out.Delta)
 	n.mu.Lock()
-	n.adj += dd
-	n.syncs++
-	n.last = dd
-	n.lastRound = lastRoundInfo{at: time.Now(), delta: dd, failed: failed, wayoff: jumped, set: true}
+	if out.OK {
+		n.adj += dd
+		n.syncs++
+		n.last = dd
+	}
+	n.lastRound, n.lastRoundAt = out, time.Now()
 	n.mu.Unlock()
-	n.publishReading(roundUnc)
-	n.rec.SyncRounds.Inc()
-	if jumped {
-		n.rec.WayOffJumps.Inc()
+	if out.OK {
+		n.publishReading(wallDuration(out.Unc))
 	}
-	n.rec.LastAdjust.Set(dd.Seconds())
-	n.rec.AdjustMag.Observe(math.Abs(dd.Seconds()))
-	// Live nodes apply adjustments in one step, so amortization is complete
-	// the moment the round commits.
-	n.rec.AmortizationProgress.Set(1)
-	wayoff := 0.0
-	if jumped {
-		wayoff = 1
+	n.round.Record(o, n.rec, roundSpan, roundStart, unixNow())
+	if out.OK {
+		n.logf("sync #%d: adjusted by %v (offset now %v)", n.Syncs(), dd, n.Offset())
+	} else {
+		n.logf("sync: too few answers (%d of %d) for f=%d", len(targets)-out.Failed, len(targets), n.cfg.F)
 	}
-	n.emit(obs.KindRound, map[string]float64{
-		"delta": dd.Seconds(), "failed": float64(failed), "wayoff": wayoff,
-	})
-	if roundSpan != 0 {
-		endU := float64(time.Now().UnixNano()) / 1e9
-		o.EmitSpan(obs.Span{
-			ID: o.NextSpanID(), Parent: roundSpan, Name: obs.SpanAdjust, Node: n.cfg.ID,
-			Start: endU, End: endU,
-			Fields: obs.F("delta", dd.Seconds()),
-		})
-		// Reading spans are simulator-only: the convergence verdict per
-		// estimate is recomputed in internal/core, which livenet bypasses.
-		o.EmitSpan(obs.Span{
-			ID: roundSpan, Name: obs.SpanRound, Node: n.cfg.ID,
-			Start: roundStart, End: endU,
-			Fields: obs.F("delta", dd.Seconds()).F("failed", float64(failed)),
-		})
-	}
-	n.logf("sync #%d: adjusted by %v (offset now %v)", n.Syncs(), dd, n.Offset())
 }
 
-// dropRoundPending discards this round's outstanding pings (shutdown path).
-func (n *Node) dropRoundPending(nonces []uint64) {
+// purgePending removes the current round's outstanding pings and returns
+// them. Replies are queued under the same lock, so none reaches the round's
+// queue after this returns.
+func (n *Node) purgePending() []pendingPing {
+	var outstanding []pendingPing
 	n.mu.Lock()
-	for _, nonce := range nonces {
-		delete(n.pending, nonce)
+	for _, nonce := range n.nonces {
+		if p, ok := n.pending[nonce]; ok {
+			delete(n.pending, nonce)
+			outstanding = append(outstanding, p)
+		}
 	}
 	n.mu.Unlock()
+	return outstanding
 }
 
-// updateHealth folds one round's outcomes into the per-peer health state:
-// an answer resets the failure streak (and rescues a dark peer); a failure
-// extends it and — at the DarkAfter threshold — writes the peer off as
-// dark. Transitions are emitted as peerdark/peerbright events and the dark
-// population is kept on the PeersDark gauge.
-func (n *Node) updateHealth(targets []*roundTarget) {
+// updateHealth folds the closed round's outcomes into the per-peer health
+// state: an answer resets the failure streak (and rescues a dark peer); a
+// failure extends it and — at the DarkAfter threshold — writes the peer off
+// as dark. Transitions are emitted as peerdark/peerbright events and the
+// dark population is kept on the PeersDark gauge.
+func (n *Node) updateHealth(targets []roundTarget) {
 	darkAfter := n.cfg.DarkAfter
 	if darkAfter == 0 {
 		darkAfter = defaultDarkAfter
@@ -1203,13 +1093,13 @@ func (n *Node) updateHealth(targets []*roundTarget) {
 	}
 	var changes []transition
 	n.mu.Lock()
-	for _, t := range targets {
+	for slot, t := range targets {
 		h := n.health[t.id]
 		if h == nil {
 			h = &peerHealth{}
 			n.health[t.id] = h
 		}
-		if t.answered {
+		if n.round.Answered(slot) {
 			h.consecFails = 0
 			if h.dark {
 				h.dark = false
@@ -1218,6 +1108,9 @@ func (n *Node) updateHealth(targets []*roundTarget) {
 			}
 			continue
 		}
+		ps := n.peerSeen[t.id]
+		ps.failures++
+		n.peerSeen[t.id] = ps
 		h.consecFails++
 		if !h.dark && h.consecFails >= darkAfter {
 			h.dark = true

@@ -199,12 +199,14 @@ func TestRunRequiresQuorumOfPeers(t *testing.T) {
 	}
 }
 
+// TestServeStatusEndpoint covers the /status route of the observability
+// endpoint (ServeMetrics), the only HTTP surface serving StatusJSON.
 func TestServeStatusEndpoint(t *testing.T) {
 	nodes, cancel := startCluster(t, 4, 1, []time.Duration{5 * time.Millisecond}, []byte("k"))
 	defer cancel()
 	ctx, stop := context.WithCancel(context.Background())
 	defer stop()
-	addr, err := nodes[0].ServeStatus(ctx, "127.0.0.1:0")
+	addr, err := nodes[0].ServeMetrics(ctx, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,16 +102,3 @@ func TestReadAllocFree(t *testing.T) {
 	}
 	_ = sink
 }
-
-// TestDeprecatedNowAgreesWithRead keeps the deprecated wrapper honest while
-// it lives: Now must be Read().Time's instant.
-func TestDeprecatedNowAgreesWithRead(t *testing.T) {
-	n := readNode(t, Config{SimOffset: 42 * time.Millisecond})
-	gap := n.Now().Sub(n.Read().Time)
-	if gap < 0 {
-		gap = -gap
-	}
-	if gap > time.Millisecond {
-		t.Fatalf("Now and Read disagree by %v", gap)
-	}
-}

@@ -324,7 +324,7 @@ func (n *Node) answerServe(buf []byte, from string, scratch []byte, tr Transport
 	// the server half of the cross-node join. Zero-duration at the reading
 	// instant; node_time is exactly the T2=T3 value the client folds into θ.
 	if o := n.cfg.Ops.Observer; q.Traced && q.Span != 0 && o.SpansEnabled() {
-		nowU := float64(time.Now().UnixNano()) / 1e9
+		nowU := unixNow()
 		o.EmitSpan(obs.Span{
 			ID: obs.SpanID(q.Span), Name: obs.SpanServe, Node: n.cfg.ID,
 			Start: nowU, End: nowU,

@@ -27,17 +27,6 @@ import (
 //
 // internal/telemetry scrapes all three together with /metrics.
 
-// lastRoundInfo is the retained verdict of the most recent Sync round,
-// guarded by Node.mu.
-type lastRoundInfo struct {
-	at      time.Time
-	delta   time.Duration
-	failed  int
-	wayoff  bool
-	skipped bool
-	set     bool
-}
-
 // StatuszRound is the last completed round's verdict as served on /statusz.
 type StatuszRound struct {
 	AgeSec   float64 `json:"age_sec"`   // wall seconds since the round finished
@@ -95,15 +84,15 @@ func (n *Node) Statusz() Statusz {
 		Peers:          make([]StatuszPeer, 0, len(st.Peers)),
 	}
 	n.mu.Lock()
-	lr := n.lastRound
+	lr, at := n.lastRound, n.lastRoundAt
 	n.mu.Unlock()
-	if lr.set {
+	if !at.IsZero() {
 		out.LastRound = &StatuszRound{
-			AgeSec:   time.Since(lr.at).Seconds(),
-			DeltaSec: lr.delta.Seconds(),
-			Failed:   lr.failed,
-			WayOff:   lr.wayoff,
-			Skipped:  lr.skipped,
+			AgeSec:   time.Since(at).Seconds(),
+			DeltaSec: float64(lr.Delta),
+			Failed:   lr.Failed,
+			WayOff:   lr.Jumped,
+			Skipped:  !lr.OK,
 		}
 	}
 	for _, p := range st.Peers {
@@ -148,6 +137,10 @@ func (n *Node) registerTelemetry(mux *http.ServeMux) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(data)
 	}
+	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
+		data, err := n.StatusJSON()
+		writeJSON(w, data, err)
+	})
 	mux.HandleFunc("/statusz", func(w http.ResponseWriter, r *http.Request) {
 		data, err := json.Marshal(n.Statusz())
 		writeJSON(w, data, err)

@@ -99,21 +99,3 @@ func TestConfigValidateTable(t *testing.T) {
 		})
 	}
 }
-
-// TestValidateFoldsDeprecatedLogf: the legacy top-level Logf must keep
-// working by landing in Ops.Logf.
-func TestValidateFoldsDeprecatedLogf(t *testing.T) {
-	called := false
-	cfg := goodConfig()
-	cfg.Logf = func(string, ...any) { called = true }
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Ops.Logf == nil {
-		t.Fatal("deprecated Logf not folded into Ops.Logf")
-	}
-	cfg.Ops.Logf("x")
-	if !called {
-		t.Fatal("folded Logf does not reach the original function")
-	}
-}

@@ -104,13 +104,17 @@ type Harness struct {
 	freeReq  []*TimeReq
 	freeResp []*TimeResp
 	poolCap  int
-	round    *estimationRound
-	// roundMem is the estimation round's reusable state — peers, nonces and
-	// results buffers survive across rounds, so a steady-state round costs
-	// one timeout closure, not one allocation per peer. roundGen guards the
-	// round timeout against firing into a later round.
-	roundMem estimationRound
-	roundGen uint64
+	// est is the estimation round in flight (round.go); the fields after it
+	// are what driving it through the simulator takes: each slot's nonce, the
+	// round's one timeout, and the caller's callback. All are reused across
+	// rounds, so a steady-state round costs one timeout closure, not one
+	// allocation per peer. roundGen guards the timeout against firing into a
+	// later round.
+	est       Round
+	nonces    []uint64
+	timeout   des.Event
+	roundDone func([]Estimate)
+	roundGen  uint64
 
 	// Custom handles payloads other than TimeReq/TimeResp (round-based
 	// baselines exchange their own message types). Nil for Sync.
@@ -333,19 +337,16 @@ func (h *Harness) handleTimeResp(from int, resp TimeResp) {
 	if h.faulty {
 		return
 	}
-	// p sent at local time S, received at local time R, peer reported C:
-	// d = C − (R+S)/2, a = (R−S)/2 (§3.1).
 	r := h.LocalNow()
-	s := p.sentAt
-	est := Estimate{
-		Peer: from,
-		D:    resp.Clock.Sub(r) + (r.Sub(s) / 2),
-		A:    r.Sub(s) / 2,
-		OK:   true,
-		Span: p.span,
+	var est Estimate
+	if p.idx < 0 {
+		est = measure(from, p.sentAt, r, resp.Clock, p.span)
+	} else if est, ok = h.est.Reply(p.idx, p.sentAt, r, resp.Clock, p.span); !ok {
+		return // response outlived its round
 	}
+	rtt := float64(r.Sub(p.sentAt))
 	if rec := h.Obs.Recorder(); rec != nil {
-		rec.RTT.Observe(float64(r.Sub(s)))
+		rec.RTT.Observe(rtt)
 		rec.EstError.Observe(float64(est.A))
 	}
 	if p.span != 0 {
@@ -355,15 +356,16 @@ func (h *Harness) handleTimeResp(from int, resp TimeResp) {
 			Fields: obs.F("peer", float64(from)).
 				F("d", float64(est.D)).
 				F("a", float64(est.A)).
-				F("rtt", float64(r.Sub(s))).
+				F("rtt", rtt).
 				F("ok", 1),
 		})
 	}
-	if p.idx >= 0 {
-		h.roundDeliver(p.idx, est)
-		return
+	if p.idx < 0 {
+		p.done(est)
+	} else if !h.est.Open() {
+		h.timeout.Cancel()
+		h.roundDone(h.est.Estimates())
 	}
-	p.done(est)
 }
 
 // sendPing issues one clock request and registers it as pending. Exactly-once
@@ -377,6 +379,9 @@ func (h *Harness) sendPing(peer, idx int, done func(Estimate)) uint64 {
 	if h.Obs.SpansEnabled() {
 		span = h.Obs.NextSpanID()
 	}
+	if span != 0 && idx >= 0 {
+		h.est.Sent(idx, span)
+	}
 	h.pending[nonce] = pendingPing{
 		peer: peer, idx: idx, sentAt: h.LocalNow(), sentSim: h.sim.Now(),
 		span: span, parent: h.SpanParent, done: done,
@@ -387,9 +392,10 @@ func (h *Harness) sendPing(peer, idx int, done func(Estimate)) uint64 {
 	return nonce
 }
 
-// failPending expires one pending ping: it emits the timeout observations and
-// returns the failed estimate. The caller has already removed the nonce.
-func (h *Harness) failPending(peer int, p pendingPing) Estimate {
+// observeTimeout emits the observations of one expired ping. The caller has
+// already removed the nonce.
+func (h *Harness) observeTimeout(p pendingPing) {
+	peer := p.peer
 	if rec := h.Obs.Recorder(); rec != nil {
 		rec.EstimationTimeouts.Inc()
 		h.Obs.Emit(obs.Event{
@@ -404,9 +410,6 @@ func (h *Harness) failPending(peer int, p pendingPing) Estimate {
 			Fields: obs.F("peer", float64(peer)).F("ok", 0).F("timeout", 1),
 		})
 	}
-	fe := FailedEstimate(peer)
-	fe.Span = p.span
-	return fe
 }
 
 // Ping sends a single clock request to peer and invokes done exactly once:
@@ -418,20 +421,12 @@ func (h *Harness) Ping(peer int, timeout simtime.Duration, done func(Estimate)) 
 	h.ScheduleLocal(timeout, func() {
 		if p, still := h.pending[nonce]; still {
 			delete(h.pending, nonce)
-			p.done(h.failPending(peer, p))
+			h.observeTimeout(p)
+			fe := FailedEstimate(peer)
+			fe.Span = p.span
+			p.done(fe)
 		}
 	})
-}
-
-// estimationRound gathers estimates for a set of peers in parallel. One
-// instance per harness is reused across rounds (Harness.roundMem).
-type estimationRound struct {
-	got     int
-	peers   []int
-	nonces  []uint64
-	results []Estimate
-	timeout des.Event
-	done    func([]Estimate)
 }
 
 // EstimateAll pings every listed peer in parallel and calls done with one
@@ -446,77 +441,51 @@ type estimationRound struct {
 // exactly the per-ping deadlines, in send order — without allocating a
 // timer closure per peer.
 func (h *Harness) EstimateAll(peers []int, maxWait simtime.Duration, done func([]Estimate)) {
-	if h.round != nil {
+	if h.est.Open() {
 		panic(fmt.Sprintf("protocol: processor %d started overlapping estimation rounds", h.id))
 	}
-	if len(peers) == 0 {
-		done(nil)
+	h.est.Begin(peers)
+	if !h.est.Open() {
+		done(h.est.Estimates())
 		return
 	}
-	r := &h.roundMem
-	r.got = 0
-	r.peers = peers
-	r.done = done
-	if cap(r.nonces) < len(peers) {
-		r.nonces = make([]uint64, len(peers))
-		r.results = make([]Estimate, len(peers))
-	}
-	r.nonces = r.nonces[:len(peers)]
-	r.results = r.results[:len(peers)]
-	h.round = r
+	h.roundDone = done
 	h.roundGen++
 	gen := h.roundGen
+	if cap(h.nonces) < len(peers) {
+		h.nonces = make([]uint64, 0, len(peers))
+	}
+	h.nonces = h.nonces[:0]
 	for i, peer := range peers {
-		r.nonces[i] = h.sendPing(peer, i, nil)
+		h.nonces = append(h.nonces, h.sendPing(peer, i, nil))
 	}
-	r.timeout = h.ScheduleLocal(maxWait, func() { h.roundTimeout(gen) })
+	h.timeout = h.ScheduleLocal(maxWait, func() { h.roundTimeout(gen) })
 }
 
-// roundDeliver records one answered estimate and completes the round when it
-// is the last.
-func (h *Harness) roundDeliver(idx int, est Estimate) {
-	r := h.round
-	if r == nil {
-		return // response outlived its round (aborted between send and reply)
-	}
-	r.results[idx] = est
-	r.got++
-	if r.got == len(r.peers) {
-		r.timeout.Cancel()
-		h.round = nil
-		r.done(r.results)
-	}
-}
-
-// roundTimeout expires every still-unanswered peer of the round, in send
-// order, and completes it. The generation guard makes a stale alarm (from a
-// round that was aborted after its timeout was scheduled) a no-op.
+// roundTimeout reports every still-unanswered peer of the round as timed
+// out, in send order, and completes the round. The generation guard makes a
+// stale alarm (from a round that was aborted after its timeout was
+// scheduled) a no-op.
 func (h *Harness) roundTimeout(gen uint64) {
-	r := h.round
-	if r == nil || h.roundGen != gen {
+	if !h.est.Open() || h.roundGen != gen {
 		return
 	}
-	for i, nonce := range r.nonces {
-		p, still := h.pending[nonce]
-		if !still {
-			continue
+	for _, nonce := range h.nonces {
+		if p, still := h.pending[nonce]; still {
+			delete(h.pending, nonce)
+			h.observeTimeout(p)
 		}
-		delete(h.pending, nonce)
-		r.results[i] = h.failPending(r.peers[i], p)
-		r.got++
 	}
-	if r.got == len(r.peers) {
-		h.round = nil
-		r.done(r.results)
-	}
+	h.est.Expire()
+	h.roundDone(h.est.Estimates())
 }
 
 // abortEstimation invalidates any in-flight round and pings; their callbacks
 // will never fire.
 func (h *Harness) abortEstimation() {
-	if h.round != nil {
-		h.round.timeout.Cancel()
-		h.round = nil
+	if h.est.Open() {
+		h.timeout.Cancel()
+		h.est.Abort()
 	}
 	clear(h.pending)
 }
