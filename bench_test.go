@@ -1,11 +1,9 @@
 package clocksync_test
 
 import (
-	"fmt"
 	"testing"
 
 	"clocksync/internal/experiments"
-	"clocksync/internal/simbench"
 )
 
 // Experiment benchmarks — one per table/figure of EXPERIMENTS.md. Each
@@ -102,40 +100,3 @@ func BenchmarkE20NetworkOutage(b *testing.B) {
 func BenchmarkE21SamplingScaling(b *testing.B) {
 	benchExperiment(b, experiments.E21SamplingScaling)
 }
-
-// Component microbenchmarks — the protocol's hot paths. The bodies live in
-// internal/simbench so cmd/benchsim can run the same code when recording the
-// BENCH_sim.json baseline; simbench's tests pin the alloc budgets.
-
-// BenchmarkConvergenceFunction measures the Figure 1 convergence function
-// on a 16-processor estimate vector.
-func BenchmarkConvergenceFunction(b *testing.B) { simbench.ConvergenceFunction(b) }
-
-// BenchmarkSimulatorEvents measures raw discrete-event throughput.
-func BenchmarkSimulatorEvents(b *testing.B) { simbench.SimulatorEvents(b) }
-
-// BenchmarkClusterMinute measures how fast the full stack simulates one
-// minute of a cluster (network, estimation, convergence, metrics) at
-// several sizes — the simulator's scalability envelope.
-func BenchmarkClusterMinute(b *testing.B) {
-	for _, n := range []int{7, 16, 64, 256} {
-		n := n
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) { simbench.ClusterMinute(b, n) })
-	}
-}
-
-// BenchmarkClusterMinuteLarge measures the planet-scale regime — fixed
-// fault budget f=10, estimation sampled at k=31 peers per round, event queue
-// sharded 8 ways — at the sizes where the serial full mesh would be
-// quadratically unaffordable. See docs/PERFORMANCE.md, "Scaling the
-// simulator".
-func BenchmarkClusterMinuteLarge(b *testing.B) {
-	for _, n := range []int{1024, 4096} {
-		n := n
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) { simbench.ClusterMinuteLarge(b, n, 10, 31, 8) })
-	}
-}
-
-// BenchmarkCampaignThroughput measures end-to-end randomized-campaign
-// throughput — generation, the streaming worker pool and per-run checking.
-func BenchmarkCampaignThroughput(b *testing.B) { simbench.CampaignThroughput(b) }

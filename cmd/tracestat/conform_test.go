@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"clocksync/internal/conformance"
 )
 
 // conformTrace is a faithful f=1 round in span form: peers at 2±1 and 4±1
@@ -43,18 +46,16 @@ func TestRunConformViolation(t *testing.T) {
 	}
 }
 
-// TestRunConformEventMode: a span-less trace still gets the structural
-// event-mode checks.
+// TestRunConformEventMode: a span-less trace is refused outright — there is
+// nothing to replay, and passing it on a weaker structural check would read
+// as "refines the spec".
 func TestRunConformEventMode(t *testing.T) {
-	evs := `{"at":1,"kind":"round","node":0,"fields":{"delta":60,"wayoff":0}}
+	evs := `{"at":1,"kind":"round","node":0,"fields":{"delta":0.5,"wayoff":0}}
 `
 	var out bytes.Buffer
 	err := run([]string{"-conform", "-conform-f", "1", "-conform-wayoff", "100", "-"},
 		strings.NewReader(evs), &out)
-	if err == nil {
-		t.Fatalf("clamp-violating event trace passed:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "event mode") {
-		t.Errorf("summary should report event mode:\n%s", out.String())
+	if !errors.Is(err, conformance.ErrNoRoundSpans) {
+		t.Fatalf("span-less trace: err = %v, want ErrNoRoundSpans\n%s", err, out.String())
 	}
 }

@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -31,8 +32,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Violation is one observed transition the spec does not allow. Action uses
-// the spec's vocabulary (internal/mc); Round is the offending round span
-// (0 for event-level findings).
+// the spec's vocabulary (internal/mc); Round is the offending round span.
 type Violation struct {
 	At     float64
 	Node   int
@@ -48,14 +48,12 @@ func (v Violation) String() string {
 // Stats summarizes what the check actually replayed — a refinement pass
 // over zero rounds proves nothing, so consumers should surface these.
 type Stats struct {
-	Events      int  // input records
-	Nodes       int  // distinct nodes seen
-	SpanMode    bool // round spans present: full per-round replay
-	Rounds      int  // adjustment rounds replayed through the spec
-	Skips       int  // skip rounds replayed
-	Estimates   int  // peer estimates mapped onto ReceiveReply/Timeout
-	EventRounds int  // round events checked structurally (no spans)
-	Corruptions int  // corruption windows honored
+	Events      int // input records
+	Nodes       int // distinct nodes seen
+	Rounds      int // adjustment rounds replayed through the spec
+	Skips       int // skip rounds replayed
+	Estimates   int // peer estimates mapped onto ReceiveReply/Timeout
+	Corruptions int // corruption windows honored
 	// TelemetrySpans counts fleet-telemetry spans (reply/serve/query) seen
 	// and deliberately left out of the refinement: they describe the *other*
 	// node's view of an exchange already replayed from the requester side,
@@ -75,21 +73,23 @@ func (r *Report) Ok() bool { return len(r.Violations) == 0 }
 
 // Summary renders a one-line outcome for CLI output.
 func (r *Report) Summary() string {
-	mode := "event mode"
-	if r.Stats.SpanMode {
-		mode = "span mode"
-	}
-	return fmt.Sprintf("conformance: %d rounds + %d skips replayed, %d estimates, %d nodes (%s), %d violations",
-		r.Stats.Rounds, r.Stats.Skips, r.Stats.Estimates, r.Stats.Nodes, mode, len(r.Violations))
+	return fmt.Sprintf("conformance: %d rounds + %d skips replayed, %d estimates, %d nodes, %d violations",
+		r.Stats.Rounds, r.Stats.Skips, r.Stats.Estimates, r.Stats.Nodes, len(r.Violations))
 }
 
 // window is one [from, to) corruption interval of a node.
 type window struct{ from, to float64 }
 
+// ErrNoRoundSpans is Check's refusal of a stream it cannot replay: the
+// refinement works round by round from the recorded span trees, and round
+// events alone do not carry the estimates a round decided on.
+var ErrNoRoundSpans = errors.New("conformance: no round spans in the stream (record it with span output on, e.g. -trace-spans)")
+
 // Check replays a recorded trace (the JSONL stream of internal/obs events
 // and spans, parsed by trace.Read or collected in-process) through the
 // abstract spec's transition relation. Violations come back in
-// deterministic (time, span) order.
+// deterministic (time, span) order. A stream without round spans is an
+// error (ErrNoRoundSpans), never a pass.
 func Check(events []trace.Event, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if cfg.F < 0 {
@@ -102,7 +102,6 @@ func Check(events []trace.Event, cfg Config) (*Report, error) {
 	corrupts := map[int][]trace.Event{}
 	var roundSpans []trace.Event
 	estsByParent := map[uint64][]trace.Event{}
-	var roundEvents []trace.Event
 
 	for _, e := range events {
 		switch e.Kind {
@@ -118,15 +117,14 @@ func Check(events []trace.Event, cfg Config) (*Report, error) {
 			}
 		case trace.KindCorrupt, trace.KindRelease:
 			corrupts[e.Node] = append(corrupts[e.Node], e)
-		case "round":
-			nodes[e.Node] = true
-			roundEvents = append(roundEvents, e)
-		case trace.KindAdjust, "skip":
+		case "round", trace.KindAdjust, "skip":
 			nodes[e.Node] = true
 		}
 	}
+	if len(roundSpans) == 0 {
+		return nil, ErrNoRoundSpans
+	}
 	rep.Stats.Nodes = len(nodes)
-	rep.Stats.SpanMode = len(roundSpans) > 0
 
 	// Corruption windows per node. The stream is not globally time-ordered
 	// (the scenario engine emits schedule events after the run), so sort.
@@ -161,11 +159,6 @@ func Check(events []trace.Event, cfg Config) (*Report, error) {
 			}
 		}
 		return false
-	}
-
-	if !rep.Stats.SpanMode {
-		checkEvents(rep, roundEvents, cfg, inWindow)
-		return rep, nil
 	}
 
 	// Deterministic replay order: by start time, then span id.
@@ -316,29 +309,5 @@ func checkRound(rep *Report, rs trace.Event, estSpans []trace.Event, cfg Config,
 		rep.add(rs, "ApplyAdjust", fmt.Sprintf(
 			"recorded delta %.6g does not match the spec's %s from m=%.6g M=%.6g over %d readings",
 			delta, want, m, M, len(ests)))
-	}
-}
-
-// checkEvents is the span-less fallback: only structural properties are
-// visible at event granularity, but they still catch rounds on corrupted
-// nodes and clamp violations when WayOff is known.
-func checkEvents(rep *Report, roundEvents []trace.Event, cfg Config, inWindow func(int, float64, float64) bool) {
-	sort.SliceStable(roundEvents, func(i, j int) bool { return roundEvents[i].At < roundEvents[j].At })
-	for _, e := range roundEvents {
-		rep.Stats.EventRounds++
-		if inWindow(e.Node, e.At, e.At) {
-			rep.Violations = append(rep.Violations, Violation{
-				At: e.At, Node: e.Node, Action: "SendEstimate",
-				Detail: "round completed while the node was corrupted (spec suspends corrupted nodes)",
-			})
-		}
-		if cfg.WayOff > 0 && e.Field("wayoff") == 0 {
-			if d := math.Abs(e.Field("delta")); d > cfg.WayOff/2+cfg.Tol {
-				rep.Violations = append(rep.Violations, Violation{
-					At: e.At, Node: e.Node, Action: "ApplyAdjust",
-					Detail: fmt.Sprintf("normal-branch adjustment %.6g exceeds the WayOff/2=%.6g clamp bound", d, cfg.WayOff/2),
-				})
-			}
-		}
 	}
 }

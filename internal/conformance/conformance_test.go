@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -70,7 +71,7 @@ func TestCheckCleanRound(t *testing.T) {
 	if !rep.Ok() {
 		t.Fatalf("clean round flagged: %v", rep.Violations)
 	}
-	if rep.Stats.Rounds != 1 || rep.Stats.Estimates != 2 || !rep.Stats.SpanMode {
+	if rep.Stats.Rounds != 1 || rep.Stats.Estimates != 2 {
 		t.Errorf("stats = %+v", rep.Stats)
 	}
 }
@@ -220,21 +221,19 @@ func TestCheckOverlappingRounds(t *testing.T) {
 	wantViolation(t, mustCheck(t, evs, Config{F: 1, WayOff: 100}), "SendEstimate")
 }
 
-// TestCheckEventMode: with no spans recorded the checker falls back to
-// structural checks on round events — the clamp bound and corruption windows
-// are still enforced.
+// TestCheckEventMode: a stream with round events but no round spans cannot
+// be replayed, and Check says so instead of passing a weaker structural check
+// — the clamp-violating delta below used to be the only thing event mode
+// could still see.
 func TestCheckEventMode(t *testing.T) {
 	evs := []trace.Event{
 		{At: 10, Kind: "round", Node: 0, Fields: map[string]float64{"delta": 3, "wayoff": 0}},
 		{At: 20, Kind: "round", Node: 1, Fields: map[string]float64{"delta": 60, "wayoff": 0}},
 	}
-	rep := mustCheck(t, evs, Config{F: 1, WayOff: 100})
-	if rep.Stats.SpanMode {
-		t.Fatal("no spans present but SpanMode set")
-	}
-	v := wantViolation(t, rep, "ApplyAdjust")
-	if v.Node != 1 {
-		t.Errorf("clamp violation should name node 1: %s", v.String())
+	for _, in := range [][]trace.Event{evs, nil} {
+		if rep, err := Check(in, Config{F: 1, WayOff: 100}); !errors.Is(err, ErrNoRoundSpans) {
+			t.Errorf("%d span-less records: report %+v, err %v; want ErrNoRoundSpans", len(in), rep, err)
+		}
 	}
 }
 
@@ -302,7 +301,7 @@ func TestCheckSimRun(t *testing.T) {
 	if rep.Stats.Rounds == 0 || rep.Stats.Estimates == 0 {
 		t.Fatalf("replay covered nothing: %+v", rep.Stats)
 	}
-	if !rep.Stats.SpanMode || rep.Stats.Corruptions == 0 {
+	if rep.Stats.Corruptions == 0 {
 		t.Fatalf("expected span-mode replay over a corrupted run: %+v", rep.Stats)
 	}
 }

@@ -29,7 +29,7 @@ func TestCheckLivenetChaosRun(t *testing.T) {
 	for _, v := range rep.Violations {
 		t.Errorf("live cluster failed refinement: %s", v.String())
 	}
-	if !rep.Stats.SpanMode || rep.Stats.Rounds == 0 || rep.Stats.Estimates == 0 {
+	if rep.Stats.Rounds == 0 || rep.Stats.Estimates == 0 {
 		t.Fatalf("replay covered nothing: %+v", rep.Stats)
 	}
 	if rep.Stats.Nodes != 5 {

@@ -40,6 +40,26 @@ func BenchmarkConverge(b *testing.B) {
 	}
 }
 
+// TestConvergenceFunctionAllocFree pins the pooled scratch: the Figure 1
+// convergence function on a 16-processor estimate vector — the per-round
+// arithmetic of every node — must not allocate in steady state.
+func TestConvergenceFunctionAllocFree(t *testing.T) {
+	if raceEnabled {
+		// sync.Pool deliberately drops items at random under the race
+		// detector, so the pooled scratch misses and the count is unstable.
+		t.Skip("alloc count not stable under -race")
+	}
+	ests := benchEstimates(16)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, ok := Converge(5, 1, ests); !ok {
+			t.Fatal("unexpected unsafe result")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Converge allocates: %v allocs/op, want 0", allocs)
+	}
+}
+
 // BenchmarkConvergeWorstCaseInput exercises quickselect on adversarially
 // ordered inputs (sorted, reversed) where a naive pivot would go quadratic.
 func BenchmarkConvergeWorstCaseInput(b *testing.B) {

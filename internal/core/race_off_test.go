@@ -1,5 +1,5 @@
 //go:build !race
 
-package servebench
+package core
 
 const raceEnabled = false

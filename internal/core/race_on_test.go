@@ -1,5 +1,5 @@
 //go:build race
 
-package simbench
+package core
 
 const raceEnabled = true

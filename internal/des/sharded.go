@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 
 	"clocksync/internal/simtime"
@@ -143,6 +144,12 @@ func (p *ShardedSim) OnBarrier(fn func(w simtime.Time)) {
 // Shards()−1 helpers acquired non-blockingly from the process-wide worker
 // pool (AcquireWorkers); with no helpers available the shards run inline,
 // serially — same results, one goroutine.
+//
+// A panic inside an event surfaces on the calling goroutine whichever
+// goroutine ran the event: the window is collected, its barrier hooks are
+// skipped, the helpers exit, the worker tokens go back to the pool, and the
+// panic value of the lowest-numbered panicking shard is re-raised. The queues
+// are then mid-window; Reset the simulator before using it again.
 func (p *ShardedSim) RunUntil(horizon simtime.Time) {
 	// end is the exclusive window cap that makes horizon inclusive under the
 	// strictly-before window semantics.
@@ -150,23 +157,28 @@ func (p *ShardedSim) RunUntil(horizon simtime.Time) {
 
 	helpers := 0
 	var startCh chan simtime.Time
-	var doneCh chan struct{}
+	var doneCh chan *shardPanic
 	if len(p.shards) > 1 {
 		helpers = AcquireWorkers(len(p.shards) - 1)
 	}
 	if helpers > 0 {
 		startCh = make(chan simtime.Time)
-		doneCh = make(chan struct{})
+		// One slot per helper: a helper's send never blocks, so a helper
+		// cannot outlive a coordinator that stopped receiving.
+		doneCh = make(chan *shardPanic, helpers)
+		var exited sync.WaitGroup
+		exited.Add(helpers)
 		for i := 0; i < helpers; i++ {
 			go func() {
+				defer exited.Done()
 				for w := range startCh {
-					p.claimShards(w)
-					doneCh <- struct{}{}
+					doneCh <- p.claimShards(w)
 				}
 			}()
 		}
 		defer func() {
 			close(startCh)
+			exited.Wait()
 			ReleaseWorkers(helpers)
 		}()
 	}
@@ -229,9 +241,14 @@ func (p *ShardedSim) RunUntil(horizon simtime.Time) {
 			for i := 0; i < helpers; i++ {
 				startCh <- w
 			}
-			p.claimShards(w)
+			first := p.claimShards(w)
 			for i := 0; i < helpers; i++ {
-				<-doneCh
+				if sp := <-doneCh; sp != nil && (first == nil || sp.shard < first.shard) {
+					first = sp
+				}
+			}
+			if first != nil {
+				panic(first.val)
 			}
 		} else {
 			for _, sh := range p.shards {
@@ -249,15 +266,32 @@ func (p *ShardedSim) RunUntil(horizon simtime.Time) {
 	p.global.advanceTo(horizon)
 }
 
+// shardPanic is a panic recovered from one shard's events, held until the
+// window's coordinator can re-raise it on the RunUntil caller.
+type shardPanic struct {
+	shard int
+	val   any
+}
+
 // claimShards pulls shard indices off the shared window counter and runs
 // each claimed shard's events strictly before w. Both the coordinator and
 // every helper run this loop, so shards load-balance across whatever
-// goroutines the window got.
-func (p *ShardedSim) claimShards(w simtime.Time) {
+// goroutines the window got. A panicking event ends the loop: the panic comes
+// back as the result instead of unwinding a helper goroutine, where it would
+// kill the process. Indices are claimed in increasing order and a goroutine
+// stops only at a panicking shard, so the lowest-numbered panicking shard is
+// always reached, whatever the interleaving.
+func (p *ShardedSim) claimShards(w simtime.Time) (sp *shardPanic) {
+	i := 0
+	defer func() {
+		if r := recover(); r != nil {
+			sp = &shardPanic{shard: i, val: r}
+		}
+	}()
 	for {
-		i := int(p.winNext.Add(1)) - 1
+		i = int(p.winNext.Add(1)) - 1
 		if i >= len(p.shards) {
-			return
+			return nil
 		}
 		p.shards[i].runBefore(w)
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"clocksync/internal/simtime"
 )
@@ -230,5 +231,48 @@ func TestWorkerPoolTokens(t *testing.T) {
 	}
 	if AcquireWorkers(0) != 0 || AcquireWorkers(-1) != 0 {
 		t.Fatal("AcquireWorkers(<=0) must return 0")
+	}
+}
+
+// TestShardedPanicReachesCaller: an event that panics on a helper goroutine
+// must not kill the process. With every shard panicking in the first window,
+// RunUntil re-raises shard 0's value on its caller whichever goroutine ran
+// shard 0, returns every worker token, and leaves no helper behind.
+func TestShardedPanicReachesCaller(t *testing.T) {
+	const shards = 4
+	before := runtime.NumGoroutine()
+	ps := NewSharded(1, shards, simtime.Millisecond)
+	for i := 0; i < shards; i++ {
+		i := i
+		ps.Shard(i).At(0, func() { panic(i) })
+	}
+	hooked := false
+	ps.OnBarrier(func(simtime.Time) { hooked = true })
+
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		ps.RunUntil(1)
+		return nil
+	}()
+	if got != 0 {
+		t.Fatalf("recovered %v, want shard 0's value 0", got)
+	}
+	if hooked {
+		t.Error("barrier hook ran after a panicking window")
+	}
+
+	pool := runtime.GOMAXPROCS(0) - 1
+	if tokens := AcquireWorkers(pool); tokens != pool {
+		t.Errorf("worker pool holds %d of %d tokens after the panic", tokens, pool)
+	} else {
+		ReleaseWorkers(tokens)
+	}
+	// RunUntil waits for its helpers' last deferred call, not for the
+	// runtime to retire them; give the scheduler a moment to do that.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before RunUntil, %d after", before, runtime.NumGoroutine())
+		}
+		runtime.Gosched()
 	}
 }

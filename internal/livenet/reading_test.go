@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"sort"
 	"testing"
 	"time"
 )
@@ -101,4 +102,31 @@ func TestReadAllocFree(t *testing.T) {
 		t.Fatalf("Read allocates %v times per call, budget is 0", allocs)
 	}
 	_ = sink
+}
+
+// TestReadLatency pins the serving latency budget: in-process Read p99 under
+// one microsecond. Sampled with per-call wall timing on a single goroutine —
+// the wait-free design means contention cannot make the parallel case slower
+// per call.
+func TestReadLatency(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation dominates sub-microsecond timings")
+	}
+	n := readNode(t, Config{})
+
+	const samples = 20000
+	lat := make([]time.Duration, samples)
+	var sink Reading
+	for i := range lat {
+		t0 := time.Now()
+		sink = n.Read()
+		lat[i] = time.Since(t0)
+	}
+	_ = sink
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	p50, p99 := lat[samples/2], lat[samples*99/100]
+	t.Logf("Read latency: p50 %v, p99 %v", p50, p99)
+	if p99 >= time.Microsecond {
+		t.Errorf("Read p99 %v, budget < 1µs", p99)
+	}
 }

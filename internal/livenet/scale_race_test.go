@@ -10,3 +10,5 @@ import "time"
 // grace, recovery checkpoints) get 4× the wall headroom. Verdicts are
 // unchanged: the schedules, parameters and bounds all live in virtual time.
 const chaosTestScale = 100 * time.Millisecond
+
+const raceEnabled = true

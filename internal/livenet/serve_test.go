@@ -144,6 +144,28 @@ func TestServeDecodeRejects(t *testing.T) {
 	}
 }
 
+// TestServePacketCodecAllocFree pins the wire codec: one query decode plus
+// one reply encode into a caller buffer — the per-packet CPU the serve loop
+// spends beyond the two snapshot reads — never allocates.
+func TestServePacketCodecAllocFree(t *testing.T) {
+	var qbuf [ServeQuerySize]byte
+	var rbuf [ServeReplySize]byte
+	pkt := EncodeServeQuery(qbuf[:], ServeQuery{Nonce: 7, T1: 1234567890})
+	allocs := testing.AllocsPerRun(1000, func() {
+		q, err := DecodeServeQuery(pkt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		EncodeServeReply(rbuf[:], ServeReply{
+			Nonce: q.Nonce, T1: q.T1, T2: q.T1 + 1, T3: q.T1 + 2,
+			Uncertainty: time.Millisecond, Epoch: 1, Node: 0,
+		})
+	})
+	if allocs != 0 {
+		t.Errorf("codec allocates: %v allocs/op, want 0", allocs)
+	}
+}
+
 // FuzzServePacket throws arbitrary datagrams at both decoders: they must
 // never panic, and anything they accept must re-encode byte-identically
 // (the format has no don't-care bits).

@@ -17,7 +17,7 @@ import (
 // Spans are emitted on completion, not opened/closed through the observer:
 // the instrumented layers guard every span construction with
 // Observer.SpansEnabled(), so with no span sink attached the fast path costs
-// one atomic load and zero allocations (BenchmarkObserverDisabled asserts
+// one atomic load and zero allocations (TestObserverDisabledAllocFree asserts
 // this).
 
 // SpanID identifies a span within one Observer's stream. IDs are assigned

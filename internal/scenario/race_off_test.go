@@ -1,5 +1,5 @@
 //go:build !race
 
-package simbench
+package scenario
 
 const raceEnabled = false

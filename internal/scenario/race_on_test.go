@@ -1,5 +1,5 @@
 //go:build race
 
-package servebench
+package scenario
 
 const raceEnabled = true

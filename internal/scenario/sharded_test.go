@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 
 	"clocksync/internal/des"
@@ -122,6 +124,32 @@ func TestShardedIncompatibleSurfaces(t *testing.T) {
 		if _, err := Run(s); err == nil {
 			t.Errorf("case %d: sharded run accepted a serial-only surface", i)
 		}
+	}
+}
+
+// TestShardedLyingDelayPanicsOnCaller: a delay model whose MinBound
+// overstates its true minimum is refused at the offending send, and the
+// refusal reaches Run's caller as a panic it can recover — not a crash on
+// whichever shard worker happened to run the sender.
+func TestShardedLyingDelayPanicsOnCaller(t *testing.T) {
+	lying := network.DelayFunc{
+		Fn:       func(_, _ int, _ *rand.Rand) simtime.Duration { return simtime.Millisecond },
+		BoundVal: 50 * simtime.Millisecond,
+		MinVal:   5 * simtime.Millisecond, // lie: claims ≥ 5 ms, samples 1 ms
+	}
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_, err := Run(Scenario{
+			Name: "lying-delay", Seed: 1, N: 7, F: 2,
+			Duration: simtime.Minute, Theta: 2 * simtime.Minute,
+			Delay: lying, Shards: 2,
+		})
+		t.Errorf("sharded run accepted a lying delay model (err = %v)", err)
+	}()
+	msg, _ := got.(string)
+	if !strings.Contains(msg, "cross-shard delay") || !strings.Contains(msg, "below lookahead") {
+		t.Fatalf("recovered %v, want the lookahead guard's message", got)
 	}
 }
 

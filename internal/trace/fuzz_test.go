@@ -73,8 +73,8 @@ func FuzzTraceJSONL(f *testing.F) {
 		}
 		// Summarize and String must absorb any event mix without panicking.
 		_ = trace.Summarize(events).String()
-		// So must the refinement checker, in both span and event mode, with
-		// and without a pinned WayOff.
+		// So must the refinement checker — replaying a stream with round
+		// spans, refusing one without — with and without a pinned WayOff.
 		for _, cfg := range []conformance.Config{
 			{F: 1},
 			{F: 2, WayOff: 1},
