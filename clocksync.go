@@ -299,8 +299,9 @@ const (
 // WithCheck attaches the online invariant checker to the run: every Sync
 // round is asserted against the Theorem 5 deviation envelope, the per-step
 // discontinuity bound and the accuracy envelope, and every release against
-// the Lemma 7(iii) halving schedule. Violations appear in Result.Violations;
-// the run itself is not interrupted.
+// the Lemma 7(iii) halving schedule. Violations appear in Result.Violations
+// (at most 64 are recorded; Result.ViolationsDropped counts the rest); the
+// run itself is not interrupted.
 func WithCheck() RunOption {
 	return func(s *Scenario) { s.Check = true }
 }

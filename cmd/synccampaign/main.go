@@ -148,8 +148,12 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "campaign          %d runs (n=%d, f=%d, base seed %d) in %v\n",
 		res.Runs, *n, *f, *seed, elapsed.Round(time.Millisecond))
 	fmt.Fprintf(stdout, "checked           deviation Δ, discontinuity, accuracy, recovery halving\n")
-	fmt.Fprintf(stdout, "result            %d completed, %d failing seeds, %d violations\n",
-		res.Completed, len(res.Failures), res.TotalViolations)
+	var dropped string
+	if res.TotalDropped > 0 {
+		dropped = fmt.Sprintf(" recorded + %d dropped past the per-run record cap", res.TotalDropped)
+	}
+	fmt.Fprintf(stdout, "result            %d completed, %d failing seeds, %d violations%s\n",
+		res.Completed, len(res.Failures), res.TotalViolations, dropped)
 	for _, fr := range res.PerFamily {
 		fmt.Fprintf(stdout, "family            %-12s %d runs, %d failing, %d violations\n",
 			fr.Family, fr.Runs, fr.Failures, fr.Violations)
@@ -176,7 +180,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "\nseed %d family %s: %d violations under %d corruptions (replay: -runs 1 -seed %d -family %s)\n",
 			fail.Seed, fam, len(fail.Violations)+len(fail.Conform), len(fail.Schedule.Corruptions),
 			fail.Seed, fam)
-		printViolations(stdout, fail.Violations, 3)
+		printViolations(stdout, fail.Violations, fail.Dropped, 3)
 		for i, v := range fail.Conform {
 			if i == 3 {
 				fmt.Fprintf(stdout, "  … %d more refinement violations\n", len(fail.Conform)-3)
@@ -195,7 +199,7 @@ func run(args []string, stdout io.Writer) error {
 			for _, c := range sr.Schedule.Corruptions {
 				fmt.Fprintf(stdout, "    node %d [%v, %v] %#v\n", c.Node, c.From, c.To, c.Behavior)
 			}
-			printViolations(stdout, sr.Violations, 3)
+			printViolations(stdout, sr.Violations, 0, 3)
 		}
 	}
 
@@ -237,11 +241,13 @@ func replayWithTrace(cfg campaign.Config, seed int64, path string) error {
 	return runErr
 }
 
-// printViolations prints up to limit violations, then an ellipsis.
-func printViolations(w io.Writer, vs []check.Violation, limit int) {
+// printViolations prints up to limit violations, then an ellipsis counting
+// the rest: the recorded ones not shown plus the dropped ones the checker
+// detected past its record cap.
+func printViolations(w io.Writer, vs []check.Violation, dropped, limit int) {
 	for i, v := range vs {
 		if i == limit {
-			fmt.Fprintf(w, "  … %d more\n", len(vs)-limit)
+			fmt.Fprintf(w, "  … %d more\n", len(vs)-limit+dropped)
 			return
 		}
 		fmt.Fprintf(w, "  τ=%v node=%d %s: observed %v > bound %v (%s)\n",

@@ -59,6 +59,18 @@ func TestMutateCampaignFailsAndWritesJSONL(t *testing.T) {
 	}
 }
 
+// The checker records at most 64 violations per run; what it saw beyond that
+// must show in the summary, not vanish from the total. Seed 8 overflows.
+func TestDroppedViolationsInSummary(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-runs", "8", "-seed", "1", "-family", "churn!"}, &out); err == nil {
+		t.Fatalf("churn! campaign exited clean:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "violations recorded + 1 dropped past the per-run record cap\n") {
+		t.Fatalf("summary hides the dropped violation:\n%s", out.String())
+	}
+}
+
 func TestBadFlagRejected(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-no-such-flag"}, &out); err == nil {

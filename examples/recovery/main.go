@@ -77,26 +77,9 @@ func main() {
 // at the sample closest after `at`.
 func distanceAt(samples []clocksync.Sample, node int, at clocksync.Time) float64 {
 	for _, s := range samples {
-		if s.At < at {
-			continue
-		}
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i, g := range s.Good {
-			if !g || i == node {
-				continue
-			}
-			b := float64(s.Biases[i])
-			lo = math.Min(lo, b)
-			hi = math.Max(hi, b)
-		}
-		b := float64(s.Biases[node])
-		switch {
-		case b < lo:
-			return lo - b
-		case b > hi:
-			return b - hi
-		default:
-			return 0
+		if s.At >= at {
+			dist, _ := s.DistanceToGood(node)
+			return float64(dist)
 		}
 	}
 	return 0

@@ -54,6 +54,19 @@ func (p Params) C() simtime.Duration {
 	return simtime.Duration((17*float64(p.Eps()) + 18*p.Rho*t) / math.Pow(2, float64(k-3)))
 }
 
+// WarmupCutoff returns the instant before which a run is still converging
+// and steady-state statistics and invariants do not apply: the guarantees
+// assume a synchronized start, and from an initial clock spread the cluster
+// halves its way into the ε-scale envelope, so it is granted
+// 3 + ⌈log₂(spread/ε)⌉ Sync intervals.
+func (p Params) WarmupCutoff(spread simtime.Duration) simtime.Time {
+	warmSyncs := 3.0
+	if eps := p.Eps(); spread > eps && eps > 0 {
+		warmSyncs += math.Ceil(math.Log2(float64(spread) / float64(eps)))
+	}
+	return simtime.Time(warmSyncs * float64(p.SyncInt))
+}
+
 // Bounds holds the guarantees of Theorem 5 together with the derived
 // constants they are built from.
 type Bounds struct {

@@ -26,23 +26,7 @@ func baseScenario(builder scenario.Builder) scenario.Scenario {
 
 func lastGoodSpread(res *scenario.Result) float64 {
 	samples := res.Recorder.Samples()
-	last := samples[len(samples)-1]
-	var biases []float64
-	for i, g := range last.Good {
-		if g {
-			biases = append(biases, float64(last.Biases[i]))
-		}
-	}
-	min, max := biases[0], biases[0]
-	for _, b := range biases[1:] {
-		if b < min {
-			min = b
-		}
-		if b > max {
-			max = b
-		}
-	}
-	return max - min
+	return float64(samples[len(samples)-1].Deviation)
 }
 
 func lastBias(res *scenario.Result, id int) float64 {

@@ -141,6 +141,9 @@ type Failure struct {
 	// reproducible from the log line alone: -runs 1 -seed <Seed> -family <Family>.
 	Family     string
 	Violations []check.Violation
+	// Dropped counts the run's invariant breaches beyond the checker's record
+	// cap (check.Config.Limit): Violations holds the first ones only.
+	Dropped int
 	// Conform lists the run's refinement violations (Config.Conform).
 	Conform []conformance.Violation
 }
@@ -153,6 +156,9 @@ type Result struct {
 	// completed run satisfied all checked invariants.
 	Failures        []Failure
 	TotalViolations int
+	// TotalDropped sums Failure.Dropped: breaches detected but not recorded,
+	// which TotalViolations therefore does not count.
+	TotalDropped int
 	// Refined counts runs replayed through the spec (Config.Conform);
 	// RefinedRounds the rounds those replays covered; ConformViolations
 	// the refinement violations across all runs.
@@ -179,6 +185,7 @@ type runOutcome struct {
 	completed  bool
 	schedule   adversary.Schedule
 	violations []check.Violation
+	dropped    int
 	conform    []conformance.Violation
 	rounds     int
 	err        error
@@ -230,7 +237,7 @@ func Run(cfg Config) (*Result, error) {
 			outcomes[i].completed = true
 			if len(r.Violations) > 0 {
 				outcomes[i].schedule = r.Scenario.Adversary
-				outcomes[i].violations = r.Violations
+				outcomes[i].violations, outcomes[i].dropped = r.Violations, r.ViolationsDropped
 			}
 			if col != nil {
 				rep, err := conformance.Check(col.Events(), conformance.Config{
@@ -299,6 +306,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		if len(o.violations) > 0 || len(o.conform) > 0 {
 			res.TotalViolations += len(o.violations)
+			res.TotalDropped += o.dropped
 			res.ConformViolations += len(o.conform)
 			if fr != nil {
 				fr.Failures++
@@ -309,6 +317,7 @@ func Run(cfg Config) (*Result, error) {
 				Schedule:   o.schedule,
 				Family:     family,
 				Violations: o.violations,
+				Dropped:    o.dropped,
 				Conform:    o.conform,
 			})
 		}

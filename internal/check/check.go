@@ -1,12 +1,14 @@
-// Package check is an online invariant checker for simulation runs: it
-// subscribes to the observability event stream and asserts, at every
-// adjustment event, the Theorem 5 guarantees the run is supposed to satisfy —
-// the deviation envelope over the good set, the per-step discontinuity bound,
-// and the Equation 3 accuracy envelope — plus, at scheduled checkpoints after
-// every release, the Lemma 7(iii)/Claim 8(iii) distance-halving of recovering
-// processors. The first violation is reported with full context (τ, node,
-// observed value vs. bound); experiments are eyeballed, campaigns are
-// machine-checked.
+// Package check is an online invariant checker for Sync runs. It holds no
+// clocks and evaluates no good set of its own: the driver hands it the
+// metrics.Sample taken at every adjustment instant — the simulator's recorder
+// takes one there anyway, livenet's chaos harness measures its live nodes
+// with the same kernel — and the checker asserts the Theorem 5 guarantees on
+// it: the deviation envelope over the good set, the per-step discontinuity
+// bound, and the Equation 3 accuracy envelope. At scheduled checkpoints after
+// every release it asserts the Lemma 7(iii)/Claim 8(iii) distance-halving of
+// recovering processors on a sample it asks the run's metrics.Measurer for.
+// The first violation is reported with full context (τ, node, observed value
+// vs. bound); experiments are eyeballed, campaigns are machine-checked.
 //
 // Two bounds are deliberately not the literal OCR'd constants:
 //
@@ -23,11 +25,8 @@ import (
 	"fmt"
 	"math"
 
-	"clocksync/internal/adversary"
 	"clocksync/internal/analysis"
-	"clocksync/internal/clock"
-	"clocksync/internal/des"
-	"clocksync/internal/obs"
+	"clocksync/internal/metrics"
 	"clocksync/internal/simtime"
 )
 
@@ -67,45 +66,15 @@ func (v Violation) String() string {
 		v.Invariant, v.At, v.Node, v.Observed, v.Bound, v.Detail)
 }
 
-// BiasSource exposes one processor's clock as an offset from real time at a
-// given instant — the only clock access the invariants need. *clock.Local
-// satisfies it directly (simulation runs); live harnesses adapt a running
-// node's measurable offset (see livenet's chaos harness). Implementations
-// are read at check instants only and need not be monotone between reads.
-type BiasSource interface {
-	Bias(at simtime.Time) simtime.Duration
-}
-
-// Scheduler schedules a callback at an absolute instant — the seam that lets
-// recovery checkpoints run both on the discrete-event simulator (via Attach)
-// and on wall-clock timers in a live cluster.
-type Scheduler interface {
-	At(t simtime.Time, fn func())
-}
-
-// SchedulerFunc adapts a function to a Scheduler.
-type SchedulerFunc func(t simtime.Time, fn func())
-
-// At implements Scheduler.
-func (f SchedulerFunc) At(t simtime.Time, fn func()) { f(t, fn) }
-
-// FromClocks adapts simulator clocks to the BiasSource slice Config wants.
-func FromClocks(clocks []*clock.Local) []BiasSource {
-	out := make([]BiasSource, len(clocks))
-	for i, c := range clocks {
-		out[i] = c
-	}
-	return out
-}
-
-// Config parameterizes a Checker. Clocks, Schedule, Bounds and Theta come
-// from the run being checked; SkipBefore excludes the warm-up transient the
-// guarantees do not cover (they assume a synchronized start).
+// Config parameterizes a Checker. Measure and Bounds come from the run being
+// checked; SkipBefore excludes the warm-up transient the guarantees do not
+// cover (they assume a synchronized start).
 type Config struct {
-	Clocks   []BiasSource
-	Schedule adversary.Schedule
-	Bounds   analysis.Bounds
-	Theta    simtime.Duration
+	// Measure is the run's measurement kernel: the checker places its
+	// recovery checkpoints by the kernel's corruption schedule and takes their
+	// samples from it. Round samples must come from the same kernel.
+	Measure *metrics.Measurer
+	Bounds  analysis.Bounds
 	// SkipBefore disables deviation/step/accuracy checks before this instant
 	// (warm-up convergence from a scattered start).
 	SkipBefore simtime.Time
@@ -116,73 +85,54 @@ type Config struct {
 	Limit int
 }
 
-// Checker evaluates the invariants online. It implements obs.Sink: attach it
-// to the run's Observer and it reacts to every round event; Attach schedules
-// the per-release recovery checkpoints on the simulator. The checker is
-// driven entirely from the single-threaded simulation loop and must not be
-// shared across runs.
+// Checker evaluates the invariants online: the driver calls Round with the
+// sample taken at every adjustment, and Attach schedules the per-release
+// recovery checkpoints. The checker assumes single-threaded use — the
+// simulation loop, or a live harness's lock — and must not be shared across
+// runs.
 type Checker struct {
-	cfg   Config
-	slack float64
-	limit int
+	cfg Config // Slack and Limit defaulted
 
 	viols   []Violation
 	dropped int
 
-	acc  []accStretch
+	acc  []metrics.Envelope // per node, over its current good stretch
 	recs []recoveryTrack
-}
-
-// accStretch is the per-node state of the O(1)-per-sample Equation 3
-// envelope check (the same recurrence metrics.Recorder uses offline):
-// drawdown = max over τ1<τ2 of the lower-line violation = running-max of
-// g(τ) = C(τ) − τ/(1+ρ̃) minus its current value, and symmetrically runup
-// from the running-min of h(τ) = C(τ) − τ·(1+ρ̃).
-type accStretch struct {
-	gMax, hMin float64
-	in         bool
 }
 
 // recoveryTrack follows one release event through its halving checkpoints.
 type recoveryTrack struct {
 	node    int
 	release simtime.Time
-	dist0   float64
+	dist0   simtime.Duration
 	have0   bool
 	done    bool
 }
 
 // New builds a checker for one run.
 func New(cfg Config) *Checker {
-	c := &Checker{cfg: cfg, slack: cfg.Slack, limit: cfg.Limit}
-	if c.slack <= 0 {
-		c.slack = 1
+	if cfg.Slack <= 0 {
+		cfg.Slack = 1
 	}
-	if c.limit <= 0 {
-		c.limit = 64
+	if cfg.Limit <= 0 {
+		cfg.Limit = 64
 	}
-	c.acc = make([]accStretch, len(cfg.Clocks))
-	return c
+	return &Checker{cfg: cfg, acc: make([]metrics.Envelope, len(cfg.Measure.Clocks))}
 }
 
-// Attach schedules the Lemma 7(iii) recovery checkpoints on the simulator.
-// It is AttachScheduler specialized to *des.Sim, kept for the common case.
-func (c *Checker) Attach(sim *des.Sim) {
-	c.AttachScheduler(SchedulerFunc(func(t simtime.Time, fn func()) { sim.At(t, fn) }))
-}
-
-// AttachScheduler schedules the Lemma 7(iii) recovery checkpoints: for every
+// Attach schedules the Lemma 7(iii) recovery checkpoints: for every
 // corruption released at τ_r ≥ SkipBefore, the recovering processor's
 // distance to the good range is measured at τ_r + k·T for k = 1..K
 // (stopping early if the node is corrupted again). Call it once, before the
-// run starts. The scheduler decides what "at instant t" means — simulation
-// time on *des.Sim, scaled wall-clock timers in a live harness — but the
-// callbacks themselves assume the checker's single-threaded discipline, so a
-// live scheduler must serialize them with the event feed.
-func (c *Checker) AttachScheduler(sim Scheduler) {
+// run starts. at decides what "at instant t" means — des.Sim.At in a
+// simulation, scaled wall-clock timers in a live harness — but the callbacks
+// themselves assume the checker's single-threaded discipline, so a live
+// harness must serialize them with the Round feed.
+func (c *Checker) Attach(at func(t simtime.Time, fn func())) {
 	k := c.cfg.Bounds.K
 	t := c.cfg.Bounds.T
-	for _, cor := range c.cfg.Schedule.Corruptions {
+	corruptions := c.cfg.Measure.Schedule.Corruptions
+	for _, cor := range corruptions {
 		if cor.To < c.cfg.SkipBefore {
 			// Released into the warm-up transient: the "good range" is still
 			// converging from the initial spread, so halving against it is
@@ -191,39 +141,35 @@ func (c *Checker) AttachScheduler(sim Scheduler) {
 		}
 		// Tracking ends where the node's next corruption begins.
 		next := simtime.Time(math.Inf(1))
-		for _, other := range c.cfg.Schedule.Corruptions {
+		for _, other := range corruptions {
 			if other.Node == cor.Node && other.From >= cor.To && other.From < next {
 				next = other.From
 			}
 		}
 		c.recs = append(c.recs, recoveryTrack{node: cor.Node, release: cor.To})
 		idx := len(c.recs) - 1
-		sim.At(cor.To, func() { c.recordRelease(idx) })
+		at(cor.To, func() { c.recordRelease(idx) })
 		for step := 1; step <= k; step++ {
-			at := cor.To.Add(simtime.Duration(step) * t)
-			if at >= next {
+			when := cor.To.Add(simtime.Duration(step) * t)
+			if when >= next {
 				break
 			}
 			step := step
-			sim.At(at, func() { c.recoveryCheckpoint(idx, step, at) })
+			at(when, func() { c.recoveryCheckpoint(idx, step, when) })
 		}
 	}
 }
 
-// Emit implements obs.Sink: every round event (one completed Sync execution,
-// clock already adjusted) triggers the deviation, per-step and accuracy
-// checks at that instant.
-func (c *Checker) Emit(e obs.Event) {
-	if e.Kind != obs.KindRound {
+// Round asserts the deviation, per-step and accuracy invariants on s, the
+// sample taken the instant node completed a Sync execution and adjusted its
+// clock by delta.
+func (c *Checker) Round(s metrics.Sample, node int, delta simtime.Duration) {
+	if s.At < c.cfg.SkipBefore {
 		return
 	}
-	now := simtime.Time(e.At)
-	if now < c.cfg.SkipBefore {
-		return
-	}
-	c.checkStep(now, e.Node, simtime.Duration(e.Fields["delta"]))
-	c.checkDeviation(now)
-	c.checkAccuracy(now)
+	c.checkStep(s, node, delta)
+	c.checkDeviation(s)
+	c.checkAccuracy(s)
 }
 
 // Violations returns the recorded breaches in detection order.
@@ -242,7 +188,7 @@ func (c *Checker) Err() error {
 }
 
 func (c *Checker) report(v Violation) {
-	if len(c.viols) >= c.limit {
+	if len(c.viols) >= c.cfg.Limit {
 		c.dropped++
 		return
 	}
@@ -251,27 +197,20 @@ func (c *Checker) report(v Violation) {
 
 // exceeds applies the slack and a 1 ns absolute tolerance for float noise.
 func (c *Checker) exceeds(observed, bound float64) bool {
-	return observed > bound*c.slack+1e-9
-}
-
-// good reports whether node was non-faulty throughout [now−Θ, now]
-// (Definition 3's good set).
-func (c *Checker) good(node int, now simtime.Time) bool {
-	lookback := simtime.Interval{Lo: now.Add(-c.cfg.Theta), Hi: now}
-	return !c.cfg.Schedule.ControlledWithin(node, lookback)
+	return observed > bound*c.cfg.Slack+1e-9
 }
 
 // checkStep asserts the per-execution adjustment bound for good processors.
 // Recovering processors are exempt by construction: a node corrupted within
 // the last Θ is not in the good set, and its WayOff jump is exactly the
 // recovery mechanism.
-func (c *Checker) checkStep(now simtime.Time, node int, delta simtime.Duration) {
-	if node < 0 || node >= len(c.cfg.Clocks) || !c.good(node, now) {
+func (c *Checker) checkStep(s metrics.Sample, node int, delta simtime.Duration) {
+	if node < 0 || node >= len(s.Good) || !s.Good[node] {
 		return
 	}
 	if d := delta.Abs(); c.exceeds(float64(d), float64(c.cfg.Bounds.MaxStep)) {
 		c.report(Violation{
-			At: now, Node: node, Invariant: InvariantStep,
+			At: s.At, Node: node, Invariant: InvariantStep,
 			Observed: d, Bound: c.cfg.Bounds.MaxStep,
 			Detail: "single adjustment of a good processor above Δ/2 + ε",
 		})
@@ -280,75 +219,55 @@ func (c *Checker) checkStep(now simtime.Time, node int, delta simtime.Duration) 
 
 // checkDeviation asserts Theorem 5(i) at this instant: the spread of the
 // good processors' logical clocks is at most Δ.
-func (c *Checker) checkDeviation(now simtime.Time) {
-	lo, hi := math.Inf(1), math.Inf(-1)
+func (c *Checker) checkDeviation(s metrics.Sample) {
+	if !c.exceeds(float64(s.Deviation), float64(c.cfg.Bounds.MaxDeviation)) {
+		return
+	}
+	// Only a breach needs to know which processors span the spread.
 	loNode, hiNode, goodCount := -1, -1, 0
-	for i, clk := range c.cfg.Clocks {
-		if !c.good(i, now) {
+	for i, g := range s.Good {
+		if !g {
 			continue
 		}
 		goodCount++
-		b := float64(clk.Bias(now))
-		if b < lo {
-			lo, loNode = b, i
+		if loNode < 0 || s.Biases[i] < s.Biases[loNode] {
+			loNode = i
 		}
-		if b > hi {
-			hi, hiNode = b, i
+		if hiNode < 0 || s.Biases[i] > s.Biases[hiNode] {
+			hiNode = i
 		}
 	}
-	if goodCount < 2 {
-		return
-	}
-	if spread := hi - lo; c.exceeds(spread, float64(c.cfg.Bounds.MaxDeviation)) {
-		c.report(Violation{
-			At: now, Node: -1, Invariant: InvariantDeviation,
-			Observed: simtime.Duration(spread), Bound: c.cfg.Bounds.MaxDeviation,
-			Detail: fmt.Sprintf("good-set spread between node %d and node %d (%d good)",
-				loNode, hiNode, goodCount),
-		})
-	}
+	c.report(Violation{
+		At: s.At, Node: -1, Invariant: InvariantDeviation,
+		Observed: s.Deviation, Bound: c.cfg.Bounds.MaxDeviation,
+		Detail: fmt.Sprintf("good-set spread between node %d and node %d (%d good)",
+			loNode, hiNode, goodCount),
+	})
 }
 
-// checkAccuracy advances the Equation 3 envelope state of every good
-// processor to this instant and asserts drawdown/runup stay within Δ.
-// Stretches restart whenever a processor leaves the good set.
-func (c *Checker) checkAccuracy(now simtime.Time) {
-	rhoT := c.cfg.Bounds.LogicalDrift
-	bound := float64(c.cfg.Bounds.MaxDeviation)
-	tau := float64(now)
-	for i, clk := range c.cfg.Clocks {
-		st := &c.acc[i]
-		if !c.good(i, now) {
-			st.in = false
+// checkAccuracy advances the Equation 3 envelope of every good processor to
+// this instant and asserts drawdown/runup stay within Δ. Stretches restart
+// whenever a processor leaves the good set, and after a breach.
+func (c *Checker) checkAccuracy(s metrics.Sample) {
+	bound := c.cfg.Bounds.MaxDeviation
+	for i := range c.acc {
+		env := &c.acc[i]
+		if !s.Good[i] {
+			env.Reset()
 			continue
 		}
-		cv := tau + float64(clk.Bias(now))
-		g := cv - tau/(1+rhoT)
-		h := cv - tau*(1+rhoT)
-		if !st.in {
-			st.gMax, st.hMin, st.in = g, h, true
+		drawdown, runup := env.Advance(s.At, s.Biases[i], c.cfg.Bounds.LogicalDrift)
+		v := Violation{At: s.At, Node: i, Invariant: InvariantAccuracy, Bound: bound}
+		switch {
+		case c.exceeds(float64(drawdown), float64(bound)):
+			v.Observed, v.Detail = drawdown, "clock fell below the (1+ρ̃)⁻¹ rate line by more than Δ"
+		case c.exceeds(float64(runup), float64(bound)):
+			v.Observed, v.Detail = runup, "clock ran above the (1+ρ̃) rate line by more than Δ"
+		default:
 			continue
 		}
-		if d := st.gMax - g; c.exceeds(d, bound) {
-			c.report(Violation{
-				At: now, Node: i, Invariant: InvariantAccuracy,
-				Observed: simtime.Duration(d), Bound: c.cfg.Bounds.MaxDeviation,
-				Detail: "clock fell below the (1+ρ̃)⁻¹ rate line by more than Δ",
-			})
-			st.in = false
-			continue
-		}
-		if u := h - st.hMin; c.exceeds(u, bound) {
-			c.report(Violation{
-				At: now, Node: i, Invariant: InvariantAccuracy,
-				Observed: simtime.Duration(u), Bound: c.cfg.Bounds.MaxDeviation,
-				Detail: "clock ran above the (1+ρ̃) rate line by more than Δ",
-			})
-			st.in = false
-			continue
-		}
-		st.gMax = math.Max(st.gMax, g)
-		st.hMin = math.Min(st.hMin, h)
+		c.report(v)
+		env.Reset()
 	}
 }
 
@@ -356,7 +275,7 @@ func (c *Checker) checkAccuracy(now simtime.Time) {
 // the good range at its release instant.
 func (c *Checker) recordRelease(idx int) {
 	tr := &c.recs[idx]
-	dist, ok := c.distanceToGoodRange(tr.node, tr.release)
+	dist, ok := c.cfg.Measure.Measure(tr.release).DistanceToGood(tr.node)
 	if !ok {
 		return // no good processors to measure against; leave have0 unset
 	}
@@ -370,55 +289,27 @@ func (c *Checker) recordRelease(idx int) {
 // distance is governed by Theorem 5(i), not the halving schedule.
 func (c *Checker) recoveryCheckpoint(idx, k int, at simtime.Time) {
 	tr := &c.recs[idx]
-	if tr.done || !tr.have0 || c.cfg.Schedule.ActiveAt(tr.node, at) {
+	if tr.done || !tr.have0 || c.cfg.Measure.Schedule.ActiveAt(tr.node, at) {
 		return
 	}
-	dist, ok := c.distanceToGoodRange(tr.node, at)
+	dist, ok := c.cfg.Measure.Measure(at).DistanceToGood(tr.node)
 	if !ok {
 		return
 	}
-	floor := float64(c.cfg.Bounds.MaxDeviation)
+	floor := c.cfg.Bounds.MaxDeviation
 	if dist <= floor {
 		tr.done = true
 		return
 	}
-	env := tr.dist0/math.Pow(2, float64(k)) +
+	env := float64(tr.dist0)/math.Pow(2, float64(k)) +
 		float64(2*c.cfg.Bounds.C) + float64(2*c.cfg.Bounds.Eps)
-	if bound := math.Max(env, floor); c.exceeds(dist, bound) {
+	if bound := math.Max(env, float64(floor)); c.exceeds(float64(dist), bound) {
 		c.report(Violation{
 			At: at, Node: tr.node, Invariant: InvariantRecovery,
-			Observed: simtime.Duration(dist), Bound: simtime.Duration(bound),
+			Observed: dist, Bound: simtime.Duration(bound),
 			Detail: fmt.Sprintf("distance %d intervals after release at %v not halved (started at %v)",
-				k, tr.release, simtime.Duration(tr.dist0)),
+				k, tr.release, tr.dist0),
 		})
 		tr.done = true
-	}
-}
-
-// distanceToGoodRange measures how far node's bias sits outside the bias
-// range of the good processors other than itself (0 when inside). ok is
-// false when no other processor is good at that instant.
-func (c *Checker) distanceToGoodRange(node int, now simtime.Time) (dist float64, ok bool) {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for i, clk := range c.cfg.Clocks {
-		if i == node || !c.good(i, now) {
-			continue
-		}
-		b := float64(clk.Bias(now))
-		lo = math.Min(lo, b)
-		hi = math.Max(hi, b)
-		ok = true
-	}
-	if !ok {
-		return 0, false
-	}
-	b := float64(c.cfg.Clocks[node].Bias(now))
-	switch {
-	case b < lo:
-		return lo - b, true
-	case b > hi:
-		return b - hi, true
-	default:
-		return 0, true
 	}
 }

@@ -8,35 +8,28 @@ import (
 	"clocksync/internal/analysis"
 	"clocksync/internal/check"
 	"clocksync/internal/clock"
-	"clocksync/internal/obs"
+	"clocksync/internal/metrics"
 	"clocksync/internal/scenario"
 	"clocksync/internal/simtime"
 )
 
-// synthetic builds a checker over hand-placed clock biases — no simulation,
-// so each invariant can be triggered in isolation.
-func synthetic(biases []simtime.Duration, bounds analysis.Bounds, limit int) (*check.Checker, []*clock.Local) {
+// synthetic builds a checker, and the kernel that feeds it, over drift-free
+// clocks at hand-placed biases — no simulation, so each invariant can be
+// triggered in isolation. The tests play the driver:
+// c.Round(m.Measure(at), node, delta) is one adjustment.
+func synthetic(biases []simtime.Duration, sched adversary.Schedule, cfg check.Config) (*check.Checker, *metrics.Measurer) {
 	clocks := make([]*clock.Local, len(biases))
 	for i, b := range biases {
 		clocks[i] = clock.NewLocal(clock.NewDrifting(0, simtime.Time(b), 1))
 	}
-	return check.New(check.Config{
-		Clocks: check.FromClocks(clocks),
-		Bounds: bounds,
-		Theta:  300,
-		Limit:  limit,
-	}), clocks
-}
-
-func round(at float64, node int, delta float64) obs.Event {
-	return obs.Event{At: at, Kind: obs.KindRound, Node: node,
-		Fields: map[string]float64{"delta": delta}}
+	cfg.Measure = &metrics.Measurer{Clocks: metrics.FromClocks(clocks), Schedule: sched, Theta: 300}
+	return check.New(cfg), cfg.Measure
 }
 
 func TestStepViolationReported(t *testing.T) {
 	bounds := analysis.Bounds{Eps: 0.01, MaxStep: 0.1, MaxDeviation: 10, LogicalDrift: 1e-4}
-	c, _ := synthetic([]simtime.Duration{0, 0, 0}, bounds, 0)
-	c.Emit(round(100, 1, 0.5)) // |delta| = 0.5 > MaxStep = 0.1
+	c, m := synthetic([]simtime.Duration{0, 0, 0}, adversary.Schedule{}, check.Config{Bounds: bounds})
+	c.Round(m.Measure(100), 1, 0.5) // |delta| = 0.5 > MaxStep = 0.1
 	vs := c.Violations()
 	if len(vs) != 1 {
 		t.Fatalf("got %d violations, want 1: %v", len(vs), vs)
@@ -55,8 +48,8 @@ func TestStepViolationReported(t *testing.T) {
 
 func TestDeviationViolationNamesExtremes(t *testing.T) {
 	bounds := analysis.Bounds{Eps: 0.01, MaxStep: 10, MaxDeviation: 0.2, LogicalDrift: 1e-4}
-	c, _ := synthetic([]simtime.Duration{0, 1, 0.05}, bounds, 0)
-	c.Emit(round(50, 0, 0))
+	c, m := synthetic([]simtime.Duration{0, 1, 0.05}, adversary.Schedule{}, check.Config{Bounds: bounds})
+	c.Round(m.Measure(50), 0, 0)
 	vs := c.Violations()
 	if len(vs) != 1 {
 		t.Fatalf("got %d violations, want 1: %v", len(vs), vs)
@@ -75,9 +68,9 @@ func TestDeviationViolationNamesExtremes(t *testing.T) {
 
 func TestCleanEventsReportNothing(t *testing.T) {
 	bounds := analysis.Bounds{Eps: 0.01, MaxStep: 0.1, MaxDeviation: 0.2, LogicalDrift: 1e-4}
-	c, _ := synthetic([]simtime.Duration{0, 0.01, 0.02}, bounds, 0)
+	c, m := synthetic([]simtime.Duration{0, 0.01, 0.02}, adversary.Schedule{}, check.Config{Bounds: bounds})
 	for i := 0; i < 10; i++ {
-		c.Emit(round(float64(10*i), i%3, 0.001))
+		c.Round(m.Measure(simtime.Time(10*i)), i%3, 0.001)
 	}
 	if err := c.Err(); err != nil {
 		t.Fatalf("clean run reported: %v", err)
@@ -89,9 +82,9 @@ func TestCleanEventsReportNothing(t *testing.T) {
 
 func TestViolationLimitDropsExcess(t *testing.T) {
 	bounds := analysis.Bounds{Eps: 0.01, MaxStep: 0.1, MaxDeviation: 10, LogicalDrift: 1e-4}
-	c, _ := synthetic([]simtime.Duration{0, 0}, bounds, 2)
+	c, m := synthetic([]simtime.Duration{0, 0}, adversary.Schedule{}, check.Config{Bounds: bounds, Limit: 2})
 	for i := 0; i < 5; i++ {
-		c.Emit(round(float64(i), 0, 1)) // every event breaks the step bound
+		c.Round(m.Measure(simtime.Time(i)), 0, 1) // every event breaks the step bound
 	}
 	if got := len(c.Violations()); got != 2 {
 		t.Fatalf("recorded %d violations, want limit 2", got)
@@ -103,18 +96,14 @@ func TestViolationLimitDropsExcess(t *testing.T) {
 
 func TestCorruptedNodeExemptFromChecks(t *testing.T) {
 	bounds := analysis.Bounds{Eps: 0.01, MaxStep: 0.1, MaxDeviation: 0.2, LogicalDrift: 1e-4}
-	clocks := []*clock.Local{
-		clock.NewLocal(clock.NewDrifting(0, 0, 1)),
-		clock.NewLocal(clock.NewDrifting(0, 5, 1)), // far out, but corrupted
-		clock.NewLocal(clock.NewDrifting(0, 0.01, 1)),
-	}
 	sched := adversary.Schedule{Corruptions: []adversary.Corruption{
 		{Node: 1, From: 90, To: 120, Behavior: adversary.Crash{}},
 	}}
-	c := check.New(check.Config{Clocks: check.FromClocks(clocks), Schedule: sched, Bounds: bounds, Theta: 300})
+	// Node 1 is far out, but corrupted.
+	c, m := synthetic([]simtime.Duration{0, 5, 0.01}, sched, check.Config{Bounds: bounds})
 	// Node 1 was corrupted within the last Θ: its 5 s bias must not count
 	// against the good-set spread, nor its jump against the step bound.
-	c.Emit(round(200, 1, 3))
+	c.Round(m.Measure(200), 1, 3)
 	if err := c.Err(); err != nil {
 		t.Fatalf("recovering node tripped a good-set invariant: %v", err)
 	}
@@ -122,16 +111,12 @@ func TestCorruptedNodeExemptFromChecks(t *testing.T) {
 
 func TestWarmupSkipped(t *testing.T) {
 	bounds := analysis.Bounds{Eps: 0.01, MaxStep: 0.1, MaxDeviation: 0.2, LogicalDrift: 1e-4}
-	clocks := []*clock.Local{
-		clock.NewLocal(clock.NewDrifting(0, 0, 1)),
-		clock.NewLocal(clock.NewDrifting(0, 2, 1)),
-	}
-	c := check.New(check.Config{Clocks: check.FromClocks(clocks), Bounds: bounds, Theta: 300, SkipBefore: 50})
-	c.Emit(round(10, 0, 5)) // violates everything, but inside warm-up
+	c, m := synthetic([]simtime.Duration{0, 2}, adversary.Schedule{}, check.Config{Bounds: bounds, SkipBefore: 50})
+	c.Round(m.Measure(10), 0, 5) // violates everything, but inside warm-up
 	if err := c.Err(); err != nil {
 		t.Fatalf("warm-up event checked: %v", err)
 	}
-	c.Emit(round(60, 0, 5))
+	c.Round(m.Measure(60), 0, 5)
 	if err := c.Err(); err == nil {
 		t.Fatal("post-warm-up violation not reported")
 	}
@@ -163,6 +148,10 @@ func TestHonestScenarioWithRecoveryIsClean(t *testing.T) {
 	}
 	for _, v := range res.Violations {
 		t.Errorf("honest run violated: %s", v)
+	}
+	// The checker rides the recorder's adjust hook, not the event stream.
+	if res.Obs != nil || res.EventCounts != nil {
+		t.Errorf("check-only run built an observer: Obs=%v EventCounts=%v", res.Obs, res.EventCounts)
 	}
 	found := false
 	for _, rv := range res.Report.Recoveries {

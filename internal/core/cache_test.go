@@ -9,6 +9,7 @@ import (
 	"clocksync/internal/network"
 	"clocksync/internal/protocol"
 	"clocksync/internal/simtime"
+	"clocksync/internal/stats"
 )
 
 // cachedCluster builds a cluster running the §3.1 cached-estimation variant.
@@ -27,7 +28,7 @@ func TestCachedEstimationConvergesInSteadyState(t *testing.T) {
 	biases := []simtime.Duration{-0.3, -0.1, 0.1, 0.3}
 	tc := cachedCluster(t, 2500*simtime.Millisecond, false, biases)
 	tc.sim.RunUntil(400)
-	if s := spread(tc.biases(400)); s > 0.2 {
+	if s := stats.Spread(tc.biases(400)); s > 0.2 {
 		t.Fatalf("cached variant did not converge: spread=%v", s)
 	}
 	if tc.nodes[0].Cache() == nil || tc.nodes[0].Cache().Sweeps() == 0 {

@@ -9,6 +9,7 @@ import (
 	"clocksync/internal/network"
 	"clocksync/internal/protocol"
 	"clocksync/internal/simtime"
+	"clocksync/internal/stats"
 )
 
 // driftCluster builds a cluster with strong drift and long sync intervals —
@@ -43,7 +44,7 @@ func worstSpread(tc *testCluster, from, to, step simtime.Time) float64 {
 	worst := 0.0
 	for at := from; at <= to; at += step {
 		tc.sim.RunUntil(at)
-		if s := spread(tc.biases(at)); s > worst {
+		if s := stats.Spread(tc.biases(at)); s > worst {
 			worst = s
 		}
 	}
@@ -94,7 +95,7 @@ func TestDriftCompensationSurvivesWayOffJump(t *testing.T) {
 		t.Fatalf("estimator poisoned by recovery jump: gain=%v", g)
 	}
 	// And the cluster still holds together.
-	if s := spread(comp.biases(7200)); s > 0.1 {
+	if s := stats.Spread(comp.biases(7200)); s > 0.1 {
 		t.Fatalf("cluster spread after recovery: %v", s)
 	}
 }

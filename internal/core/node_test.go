@@ -9,6 +9,7 @@ import (
 	"clocksync/internal/network"
 	"clocksync/internal/protocol"
 	"clocksync/internal/simtime"
+	"clocksync/internal/stats"
 )
 
 // testCluster wires n Sync nodes over a full mesh with the given initial
@@ -61,19 +62,6 @@ func (tc *testCluster) biases(at simtime.Time) []float64 {
 	return out
 }
 
-func spread(xs []float64) float64 {
-	min, max := xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return max - min
-}
-
 func TestClusterConvergesWithoutFaults(t *testing.T) {
 	// Initial biases spread over ±0.5 s; no faults, mild drift. After a few
 	// rounds the spread must fall well below the initial spread and stay
@@ -83,7 +71,7 @@ func TestClusterConvergesWithoutFaults(t *testing.T) {
 	tc := newTestCluster(t, 4, defaultTestConfig(1), biases, slopes)
 	tc.sim.RunUntil(300)
 	final := tc.biases(300)
-	if s := spread(final); s > 0.2 {
+	if s := stats.Spread(final); s > 0.2 {
 		t.Fatalf("cluster did not converge: spread=%v biases=%v", s, final)
 	}
 }
@@ -96,7 +84,7 @@ func TestClusterStaysConvergedLongRun(t *testing.T) {
 	worst := 0.0
 	for hor := simtime.Time(50); hor <= 3600; hor += 50 {
 		tc.sim.RunUntil(hor)
-		if s := spread(tc.biases(hor)); s > worst {
+		if s := stats.Spread(tc.biases(hor)); s > worst {
 			worst = s
 		}
 	}
@@ -115,7 +103,7 @@ func TestFarNodeTriggersWayOffAndRecovers(t *testing.T) {
 	tc := newTestCluster(t, 4, defaultTestConfig(1), biases, nil)
 	tc.sim.RunUntil(300)
 	final := tc.biases(300)
-	if s := spread(final); s > 0.2 {
+	if s := stats.Spread(final); s > 0.2 {
 		t.Fatalf("far node failed to recover: %v", final)
 	}
 	if tc.nodes[3].Stats().WayOffTriggers == 0 {
@@ -191,7 +179,7 @@ func TestByzantineLiarDoesNotBreakBound(t *testing.T) {
 	tc.sim.At(1, func() { tc.nodes[3].Harness().Corrupt(oscillatingLiar{}) })
 	tc.sim.RunUntil(1800)
 	good := tc.biases(1800)[:3]
-	if s := spread(good); s > 0.4 {
+	if s := stats.Spread(good); s > 0.4 {
 		t.Fatalf("good nodes diverged under Byzantine liar: spread=%v", s)
 	}
 }

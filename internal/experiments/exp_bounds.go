@@ -327,26 +327,9 @@ func distanceTrajectory(res *scenario.Result, node int, from float64) []trajPoin
 		if float64(s.At) < from {
 			continue
 		}
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i, g := range s.Good {
-			if !g || i == node {
-				continue
-			}
-			b := float64(s.Biases[i])
-			lo = math.Min(lo, b)
-			hi = math.Max(hi, b)
+		if d, ok := s.DistanceToGood(node); ok {
+			out = append(out, trajPoint{at: float64(s.At), dist: float64(d)})
 		}
-		if math.IsInf(lo, 1) {
-			continue
-		}
-		b := float64(s.Biases[node])
-		d := 0.0
-		if b < lo {
-			d = lo - b
-		} else if b > hi {
-			d = b - hi
-		}
-		out = append(out, trajPoint{at: float64(s.At), dist: d})
 	}
 	return out
 }

@@ -10,6 +10,7 @@ import (
 	"clocksync/internal/protocol"
 	"clocksync/internal/scenario"
 	"clocksync/internal/simtime"
+	"clocksync/internal/stats"
 )
 
 // protocolEntry names a protocol under comparison.
@@ -238,7 +239,7 @@ func E06ResilienceThreshold(quick bool) Table {
 		for i := 0; i < n-f; i++ {
 			good = append(good, float64(last.Biases[i]))
 		}
-		dev := spreadOf(good)
+		dev := stats.Spread(good)
 		model := "n=3f"
 		if n == 3*f+1 {
 			model = "n=3f+1"
@@ -347,15 +348,8 @@ func cliqueGaps(biases []simtime.Duration, size int) (intra, inter float64) {
 		}
 		return sum / float64(hi-lo)
 	}
-	spreadRange := func(lo, hi int) float64 {
-		var xs []float64
-		for i := lo; i < hi; i++ {
-			xs = append(xs, float64(biases[i]))
-		}
-		return spreadOf(xs)
-	}
-	intra = spreadRange(0, size)
-	if s2 := spreadRange(size, 2*size); s2 > intra {
+	intra = stats.Spread(toFloats(biases[:size]))
+	if s2 := stats.Spread(toFloats(biases[size : 2*size])); s2 > intra {
 		intra = s2
 	}
 	inter = mean(0, size) - mean(size, 2*size)
@@ -363,20 +357,4 @@ func cliqueGaps(biases []simtime.Duration, size int) (intra, inter float64) {
 		inter = -inter
 	}
 	return intra, inter
-}
-
-func spreadOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	min, max := xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return max - min
 }

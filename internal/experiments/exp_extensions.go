@@ -10,6 +10,7 @@ import (
 	"clocksync/internal/network"
 	"clocksync/internal/scenario"
 	"clocksync/internal/simtime"
+	"clocksync/internal/stats"
 )
 
 // The experiments in this file probe the paper's §5 "future directions"
@@ -141,13 +142,13 @@ func E14SelfStabilization(quick bool) Table {
 		})
 		samples := res.Recorder.Samples()
 		first, last := samples[0], samples[len(samples)-1]
-		init := spreadOf(toFloats(first.Biases))
-		final := spreadOf(toFloats(last.Biases))
+		init := stats.Spread(toFloats(first.Biases))
+		final := stats.Spread(toFloats(last.Biases))
 		bound := float64(res.Bounds.MaxDeviation)
 		// First sample time at which the all-processor spread fell below Δ.
 		timeToBound := "-"
 		for _, s := range samples {
-			if spreadOf(toFloats(s.Biases)) <= bound {
+			if stats.Spread(toFloats(s.Biases)) <= bound {
 				timeToBound = formatFloat(float64(s.At))
 				break
 			}

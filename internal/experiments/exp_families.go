@@ -12,6 +12,7 @@ import (
 	"clocksync/internal/protocol"
 	"clocksync/internal/scenario"
 	"clocksync/internal/simtime"
+	"clocksync/internal/stats"
 )
 
 // The experiments in this file measure the named adversary families of
@@ -329,11 +330,11 @@ func E25ColdStart(quick bool) Table {
 			SamplePeriod: simtime.Second,
 		})
 		samples := res.Recorder.Samples()
-		final := spreadOf(toFloats(samples[len(samples)-1].Biases))
+		final := stats.Spread(toFloats(samples[len(samples)-1].Biases))
 		bound := float64(res.Bounds.MaxDeviation)
 		timeToBound := "-"
 		for _, s := range samples {
-			if spreadOf(toFloats(s.Biases)) <= bound {
+			if stats.Spread(toFloats(s.Biases)) <= bound {
 				timeToBound = formatFloat(float64(s.At))
 				break
 			}

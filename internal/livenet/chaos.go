@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
 	"clocksync/internal/adversary"
 	"clocksync/internal/analysis"
 	"clocksync/internal/check"
+	"clocksync/internal/metrics"
 	"clocksync/internal/network"
 	"clocksync/internal/obs"
 	"clocksync/internal/simtime"
@@ -19,8 +19,9 @@ import (
 // This file is the chaos harness: it stands up a whole livenet cluster in
 // one process on a MemNetwork, wraps every endpoint in a FaultTransport
 // driven by one seeded adversary.NetSchedule, and runs the Theorem 5 online
-// checker (internal/check) against the live nodes — the same checker the
-// simulator uses, pointed at real goroutines instead of simulated clocks.
+// checker (internal/check) against the live nodes — the same checker, fed
+// samples from the same measurement kernel (internal/metrics) the simulator
+// uses, pointed at real goroutines instead of simulated clocks.
 //
 // Time runs compressed: the schedule, the protocol intervals and the checker
 // bounds are all in virtual seconds, and Scale says how much wall time one
@@ -78,9 +79,6 @@ type ChaosConfig struct {
 	// CheckSlack multiplies every checked bound (0 means exact bounds).
 	CheckSlack float64
 
-	// SkipBefore overrides the derived warm-up cutoff when positive.
-	SkipBefore simtime.Time
-
 	// Observer, when non-nil, additionally receives every node's event
 	// stream (the checker is attached internally either way).
 	Observer *obs.Observer
@@ -114,11 +112,11 @@ func (r *ChaosResult) Err() error {
 	return fmt.Errorf("livenet: chaos run violated %s", r.Violations[0])
 }
 
-// liveBias adapts a running node to check.BiasSource: its bias at any
+// liveBias adapts a running node to metrics.BiasSource: its bias at any
 // queried instant is the node's measurable offset from the host clock,
 // rescaled to virtual seconds. The query instant is ignored — live clocks
-// can only be read "now" — which is exactly how the checker uses it: every
-// check happens at the instant its triggering event arrives.
+// can only be read "now" — which is exactly how the harness uses it: every
+// sample is taken at the instant its triggering event arrives.
 type liveBias struct {
 	node  *Node
 	scale time.Duration
@@ -173,10 +171,13 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 		return nil, fmt.Errorf("livenet: declared schedule: %w", err)
 	}
 
-	skip := cfg.SkipBefore
-	if skip <= 0 {
-		skip = warmupCutoff(p, bounds, cfg.Offsets)
+	// The initial spread is measured from the zero offset every node without
+	// an entry starts at.
+	var lo, hi simtime.Duration
+	for _, o := range cfg.Offsets {
+		lo, hi = simtime.MinDuration(lo, o), simtime.MaxDuration(hi, o)
 	}
+	skip := p.WarmupCutoff(hi - lo)
 
 	// One observer serves the whole cluster: livenet stamps every event with
 	// its node id, and the checker keys off exactly that.
@@ -239,15 +240,17 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 		}
 		nodes[i] = node
 	}
-	biases := make([]check.BiasSource, cfg.N)
+	measure := &metrics.Measurer{
+		Clocks:   make([]metrics.BiasSource, cfg.N),
+		Schedule: declared.Corruptions(),
+		Theta:    p.Theta,
+	}
 	for i, node := range nodes {
-		biases[i] = liveBias{node: node, scale: scale}
+		measure.Clocks[i] = liveBias{node: node, scale: scale}
 	}
 	checker := check.New(check.Config{
-		Clocks:     biases,
-		Schedule:   declared.Corruptions(),
+		Measure:    measure,
 		Bounds:     bounds,
-		Theta:      p.Theta,
 		SkipBefore: skip,
 		Slack:      cfg.CheckSlack,
 	})
@@ -269,18 +272,19 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 		ft.SetStart(clk.start)
 	}
 
-	// Feed the checker from the cluster's event stream, translated from wall
-	// to virtual units (At: Unix seconds → virtual instant; delta: wall
+	// Every round event of the cluster is one adjustment: measure the live
+	// nodes at its instant and hand the checker that sample, translated from
+	// wall to virtual units (At: Unix seconds → virtual instant; delta: wall
 	// seconds → virtual seconds).
 	observer.AddSink(obs.SinkFunc(func(e obs.Event) {
 		if e.Kind != obs.KindRound {
 			return
 		}
 		at := clk.virt(time.Unix(0, int64(e.At*1e9)))
-		fields := map[string]float64{"delta": e.Fields["delta"] / scale.Seconds()}
+		delta := simtime.Duration(e.Fields["delta"] / scale.Seconds())
 		checkMu.Lock()
 		if !closed {
-			checker.Emit(obs.Event{At: float64(at), Kind: e.Kind, Node: e.Node, Fields: fields})
+			checker.Round(measure.Measure(at), e.Node, delta)
 		}
 		checkMu.Unlock()
 	}))
@@ -308,7 +312,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 		timers = append(timers, t)
 		timerMu.Unlock()
 	}
-	checker.AttachScheduler(check.SchedulerFunc(schedule))
+	checker.Attach(schedule)
 
 	// Crash restarts lose clock state: at each crash window's start the
 	// victims' clocks take the schedule's Scramble error, which the WayOff
@@ -375,20 +379,4 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 		res.Nodes = append(res.Nodes, node.Metrics())
 	}
 	return res, nil
-}
-
-// warmupCutoff mirrors the simulator's warm-up allowance: from an initial
-// spread the cluster halves its way into the ε-scale envelope, so grant
-// 3 + ⌈log₂(spread/ε)⌉ Sync intervals before the guarantees are enforced.
-func warmupCutoff(p analysis.Params, bounds analysis.Bounds, offsets []simtime.Duration) simtime.Time {
-	lo, hi := 0.0, 0.0
-	for _, o := range offsets {
-		lo = math.Min(lo, float64(o))
-		hi = math.Max(hi, float64(o))
-	}
-	warm := 3.0
-	if spread := hi - lo; spread > float64(bounds.Eps) && bounds.Eps > 0 {
-		warm += math.Ceil(math.Log2(spread / float64(bounds.Eps)))
-	}
-	return simtime.Time(warm * float64(p.SyncInt))
 }

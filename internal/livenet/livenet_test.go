@@ -61,19 +61,7 @@ func startCluster(t *testing.T, n, f int, offsets []time.Duration, key []byte) (
 	return nodes, cancel
 }
 
-func spreadOf(nodes []*Node) time.Duration {
-	min, max := nodes[0].Offset(), nodes[0].Offset()
-	for _, n := range nodes[1:] {
-		o := n.Offset()
-		if o < min {
-			min = o
-		}
-		if o > max {
-			max = o
-		}
-	}
-	return max - min
-}
+func spreadOf(nodes []*Node) time.Duration { return (&Cluster{nodes: nodes}).Spread() }
 
 func TestLiveClusterConverges(t *testing.T) {
 	offsets := []time.Duration{

@@ -1,13 +1,15 @@
-// Package metrics measures a simulation run against the paper's
-// definitions:
+// Package metrics is the one place a run is measured against the paper's
+// definitions. Measurer.Measure is the kernel: for one instant it reads every
+// processor's bias, decides Definition 3's good set — the processors
+// non-faulty throughout [τ−Θ, τ] — and takes the good-set deviation of
+// Theorem 5(i), all into one Sample. Envelope (Equation 3's drawdown/runup,
+// Definition 3(ii)) and Sample.DistanceToGood (Lemma 7(iii)'s distance of a
+// recovering processor from the good range) hang off a sample.
 //
-//   - Synchronization (Definition 3(i)): at each sample instant τ, the
-//     maximal clock difference over the processors that were non-faulty
-//     throughout [τ−Θ, τ] — the "good set".
-//   - Accuracy (Definition 3(ii)): the worst logical clock rate over good
-//     stretches, and the largest single adjustment (discontinuity ψ).
-//   - Recovery: for every release in the corruption schedule, how long the
-//     processor took to re-enter the good processors' bias range.
+// Everything that judges a run reads those samples: the Recorder keeps them
+// and condenses them offline into a Report, the online checker of
+// internal/check asserts the Theorem 5 bounds on them as they are taken, and
+// the scenario runner copies them into the observability stream.
 package metrics
 
 import (
@@ -22,6 +24,26 @@ import (
 	"clocksync/internal/stats"
 )
 
+// BiasSource exposes one processor's clock as an offset from real time at a
+// given instant — the only clock access a measurement needs. *clock.Local
+// satisfies it directly (simulation runs); live harnesses adapt a running
+// node's measurable offset (see livenet's chaos harness). Implementations
+// are read at measurement instants only and need not be monotone between
+// reads.
+type BiasSource interface {
+	Bias(at simtime.Time) simtime.Duration
+}
+
+// FromClocks adapts simulator clocks to the BiasSource slice a Measurer
+// wants.
+func FromClocks(clocks []*clock.Local) []BiasSource {
+	out := make([]BiasSource, len(clocks))
+	for i, c := range clocks {
+		out[i] = c
+	}
+	return out
+}
+
 // Sample is one measurement instant.
 type Sample struct {
 	At        simtime.Time
@@ -30,21 +52,110 @@ type Sample struct {
 	Deviation simtime.Duration   // max pairwise |C_p−C_q| over the good set
 }
 
-// Recorder samples processor biases on a fixed period and accumulates the
-// paper's metrics.
+// Measurer is what it takes to measure one instant of a run: the processors'
+// clocks, the corruption schedule that decides who is good, and the adversary
+// period Θ.
+type Measurer struct {
+	Clocks   []BiasSource
+	Schedule adversary.Schedule
+	Theta    simtime.Duration
+}
+
+// Measure takes the measurement at instant at. Deviation is max − min over
+// the good biases, 0 when fewer than two processors are good.
+func (m *Measurer) Measure(at simtime.Time) Sample {
+	s := Sample{
+		At:     at,
+		Biases: make([]simtime.Duration, len(m.Clocks)),
+		Good:   make([]bool, len(m.Clocks)),
+	}
+	lookback := simtime.Interval{Lo: at.Add(-m.Theta), Hi: at}
+	var lo, hi simtime.Duration
+	none := true
+	for i, c := range m.Clocks {
+		b := c.Bias(at)
+		s.Biases[i] = b
+		s.Good[i] = !m.Schedule.ControlledWithin(i, lookback)
+		if !s.Good[i] {
+			continue
+		}
+		if none || b < lo {
+			lo = b
+		}
+		if none || b > hi {
+			hi = b
+		}
+		none = false
+	}
+	s.Deviation = hi - lo
+	return s
+}
+
+// DistanceToGood measures how far node's bias sits outside the bias range of
+// the good processors other than itself (0 when inside). ok is false when no
+// other processor is good at that instant.
+func (s Sample) DistanceToGood(node int) (dist simtime.Duration, ok bool) {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for i, g := range s.Good {
+		if !g || i == node {
+			continue
+		}
+		b := float64(s.Biases[i])
+		lo = math.Min(lo, b)
+		hi = math.Max(hi, b)
+		ok = true
+	}
+	if !ok {
+		return 0, false
+	}
+	b := float64(s.Biases[node])
+	return simtime.Duration(math.Max(0, math.Max(lo-b, b-hi))), true
+}
+
+// Envelope is the Equation 3 accuracy state of one processor over one good
+// stretch, O(1) per sample: over all sample pairs τ1 < τ2 of the stretch, the
+// worst violation of the lower rate line equals the maximum drawdown of
+// g(τ) = C(τ) − τ/(1+ρ̃), and of the upper line the maximum runup of
+// h(τ) = C(τ) − τ·(1+ρ̃). The zero value is a stretch not yet begun.
+type Envelope struct {
+	gMax, hMin float64 // running max of g, running min of h
+	in         bool
+}
+
+// Reset ends the stretch: the next Advance starts a new one.
+func (e *Envelope) Reset() { e.in = false }
+
+// Advance extends the stretch to the sample (at, bias) and returns how far
+// the clock now sits below the lower line and above the upper line drawn
+// from the stretch's earlier samples (0, 0 on its first).
+func (e *Envelope) Advance(at simtime.Time, bias simtime.Duration, rhoTilde float64) (drawdown, runup simtime.Duration) {
+	tau := float64(at)
+	c := tau + float64(bias)
+	g := c - tau/(1+rhoTilde)
+	h := c - tau*(1+rhoTilde)
+	if !e.in {
+		e.gMax, e.hMin, e.in = g, h, true
+		return 0, 0
+	}
+	drawdown, runup = simtime.Duration(e.gMax-g), simtime.Duration(h-e.hMin)
+	e.gMax, e.hMin = math.Max(e.gMax, g), math.Min(e.hMin, h)
+	return drawdown, runup
+}
+
+// Recorder takes a Sample on a fixed period and — on the serial engine — at
+// every clock adjustment, and accumulates the paper's metrics. Periodic
+// sampling alone can miss a deviation spike that appears and is corrected
+// between two samples; adjustment instants are exactly where biases change
+// discontinuously, so sampling there closes the gap.
 type Recorder struct {
-	sim    *des.Sim
-	clocks []*clock.Local
-	sched  adversary.Schedule
-	theta  simtime.Duration
+	Measurer
+	sim *des.Sim
 
 	samples []Sample
 	// adjustLog records every adjustment with its instant so BuildReport
 	// can classify it (good vs recovering, warm-up vs steady state).
-	adjustLog      []adjustRecord
-	adjusts        []int
-	sampleOnAdjust bool
-	onSample       func(Sample)
+	adjustLog []adjustRecord
+	onSample  func(Sample)
 
 	// shardAdj is non-nil on sharded runs: per-node adjust buffers, each
 	// written only by the shard goroutine that owns the node, merged into
@@ -66,24 +177,9 @@ func NewRecorder(sim *des.Sim, clocks []*clock.Local, sched adversary.Schedule, 
 		panic(fmt.Sprintf("metrics: non-positive Θ %v", theta))
 	}
 	return &Recorder{
-		sim:     sim,
-		clocks:  clocks,
-		sched:   sched,
-		theta:   theta,
-		adjusts: make([]int, len(clocks)),
+		Measurer: Measurer{Clocks: FromClocks(clocks), Schedule: sched, Theta: theta},
+		sim:      sim,
 	}
-}
-
-// SampleOnAdjust, when set before the run, additionally takes a measurement
-// sample immediately after every clock adjustment. Periodic sampling alone
-// can miss a deviation spike that appears and is corrected between two
-// samples; adjustment instants are exactly where biases change
-// discontinuously, so sampling there closes the gap.
-func (r *Recorder) SampleOnAdjust(enable bool) {
-	if r.shardAdj != nil {
-		return // sharded runs sample only at barriers; see EnableSharded
-	}
-	r.sampleOnAdjust = enable
 }
 
 // AdjustHook returns a function suitable for protocol.Harness.OnAdjust for
@@ -96,28 +192,23 @@ func (r *Recorder) AdjustHook(id int) func(simtime.Time, simtime.Duration) {
 		// barriers, and BuildReport's adjustment aggregates are
 		// order-independent, so the merged log is equivalent.
 		return func(at simtime.Time, delta simtime.Duration) {
-			r.adjusts[id]++
 			r.shardAdj[id] = append(r.shardAdj[id], adjustRecord{at: at, node: id, delta: delta})
 		}
 	}
 	return func(at simtime.Time, delta simtime.Duration) {
-		r.adjusts[id]++
 		r.adjustLog = append(r.adjustLog, adjustRecord{at: at, node: id, delta: delta})
-		if r.sampleOnAdjust {
-			r.TakeSample(at)
-		}
+		r.TakeSample(at)
 	}
 }
 
 // EnableSharded switches the recorder to sharded mode before hooks are
 // handed out: adjustments land in per-node buffers (race-free by node
-// ownership) and SampleOnAdjust is ignored — deviation sampling happens only
-// on the periodic ticker, which the sharded scenario runner schedules on the
-// global barrier queue where every shard is quiesced. Call FinalizeSharded
-// after the run, before BuildReport.
+// ownership) and take no sample — deviation sampling happens only on the
+// periodic ticker, which the sharded scenario runner schedules on the global
+// barrier queue where every shard is quiesced. Call FinalizeSharded after the
+// run, before BuildReport.
 func (r *Recorder) EnableSharded() {
-	r.shardAdj = make([][]adjustRecord, len(r.clocks))
-	r.sampleOnAdjust = false
+	r.shardAdj = make([][]adjustRecord, len(r.Clocks))
 }
 
 // FinalizeSharded merges the per-node adjustment buffers into the main log,
@@ -151,21 +242,7 @@ func (r *Recorder) Start(period simtime.Duration) {
 
 // TakeSample records one measurement immediately.
 func (r *Recorder) TakeSample(now simtime.Time) {
-	s := Sample{
-		At:     now,
-		Biases: make([]simtime.Duration, len(r.clocks)),
-		Good:   make([]bool, len(r.clocks)),
-	}
-	lookback := simtime.Interval{Lo: now.Add(-r.theta), Hi: now}
-	var goodBiases []float64
-	for i, c := range r.clocks {
-		s.Biases[i] = c.Bias(now)
-		s.Good[i] = !r.sched.ControlledWithin(i, lookback)
-		if s.Good[i] {
-			goodBiases = append(goodBiases, float64(s.Biases[i]))
-		}
-	}
-	s.Deviation = simtime.Duration(stats.Spread(goodBiases))
+	s := r.Measure(now)
 	r.samples = append(r.samples, s)
 	if r.onSample != nil {
 		r.onSample(s)
@@ -270,8 +347,8 @@ func (r *Recorder) BuildReport(opts ReportOptions) Report {
 		if a.at < opts.SkipBefore {
 			continue // warm-up convergence; the guarantees assume a synchronized start
 		}
-		lookback := simtime.Interval{Lo: a.at.Add(-r.theta), Hi: a.at}
-		if !r.sched.ControlledWithin(a.node, lookback) && d > rep.MaxDiscontinuity {
+		lookback := simtime.Interval{Lo: a.at.Add(-r.Theta), Hi: a.at}
+		if !r.Schedule.ControlledWithin(a.node, lookback) && d > rep.MaxDiscontinuity {
 			rep.MaxDiscontinuity = d
 		}
 	}
@@ -284,36 +361,22 @@ func (r *Recorder) BuildReport(opts ReportOptions) Report {
 }
 
 // accuracyEnvelope measures the Equation 3 drawdown/runup per processor
-// over its maximal good stretches in O(samples): the lower-bound violation
-// over all pairs τ1 < τ2 equals the maximum drawdown of
-// g(τ) = C(τ) − τ/(1+ρ̃), and the upper-bound violation the maximum runup
-// of h(τ) = C(τ) − τ·(1+ρ̃).
+// over its maximal good stretches in O(samples), one Envelope each.
 func (r *Recorder) accuracyEnvelope(rhoTilde float64, skipBefore simtime.Time) (drawdown, runup simtime.Duration) {
-	for id := range r.clocks {
-		gMax := math.Inf(-1) // running max of g → drawdown = gMax − g(τ2)
-		hMin := math.Inf(1)  // running min of h → runup = h(τ2) − hMin
-		inRun := false
+	for id := range r.Clocks {
+		var env Envelope
 		for _, s := range r.samples {
 			if !s.Good[id] || s.At < skipBefore {
-				inRun = false
+				env.Reset()
 				continue
 			}
-			tau := float64(s.At)
-			c := tau + float64(s.Biases[id])
-			g := c - tau/(1+rhoTilde)
-			h := c - tau*(1+rhoTilde)
-			if !inRun {
-				gMax, hMin, inRun = g, h, true
-				continue
-			}
-			if d := simtime.Duration(gMax - g); d > drawdown {
+			d, u := env.Advance(s.At, s.Biases[id], rhoTilde)
+			if d > drawdown {
 				drawdown = d
 			}
-			if u := simtime.Duration(h - hMin); u > runup {
+			if u > runup {
 				runup = u
 			}
-			gMax = math.Max(gMax, g)
-			hMin = math.Min(hMin, h)
 		}
 	}
 	return drawdown, runup
@@ -323,7 +386,7 @@ func (r *Recorder) accuracyEnvelope(rhoTilde float64, skipBefore simtime.Time) (
 // where a processor is good, using endpoint differences.
 func (r *Recorder) worstRate(opts ReportOptions) float64 {
 	worst := 0.0
-	for id := range r.clocks {
+	for id := range r.Clocks {
 		runStart := -1
 		flush := func(endIdx int) {
 			if runStart < 0 {
@@ -357,23 +420,22 @@ func (r *Recorder) worstRate(opts ReportOptions) float64 {
 // recoveries inspects each release event in the schedule.
 func (r *Recorder) recoveries(opts ReportOptions) []Recovery {
 	var out []Recovery
-	for _, c := range r.sched.Corruptions {
+	for _, c := range r.Schedule.Corruptions {
 		rv := Recovery{Node: c.Node, ReleasedAt: c.To}
 		seenRelease := false
 		for _, s := range r.samples {
 			if s.At < c.To {
 				continue
 			}
-			lo, hi, ok := goodRange(s, c.Node)
+			dist, ok := s.DistanceToGood(c.Node)
 			if !ok {
 				continue
 			}
-			dist := distanceToRange(float64(s.Biases[c.Node]), lo, hi)
 			if !seenRelease {
-				rv.InitialDistance = simtime.Duration(dist)
+				rv.InitialDistance = dist
 				seenRelease = true
 			}
-			if dist <= float64(opts.RecoveryMargin) {
+			if dist <= opts.RecoveryMargin {
 				rv.Rejoined = s.At
 				rv.Ok = true
 				break
@@ -385,33 +447,6 @@ func (r *Recorder) recoveries(opts ReportOptions) []Recovery {
 	return out
 }
 
-// goodRange returns the bias range of the good processors other than
-// `exclude` at sample s. ok is false when no other processor is good.
-func goodRange(s Sample, exclude int) (lo, hi float64, ok bool) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for i, g := range s.Good {
-		if !g || i == exclude {
-			continue
-		}
-		b := float64(s.Biases[i])
-		lo = math.Min(lo, b)
-		hi = math.Max(hi, b)
-		ok = true
-	}
-	return lo, hi, ok
-}
-
-func distanceToRange(x, lo, hi float64) float64 {
-	switch {
-	case x < lo:
-		return lo - x
-	case x > hi:
-		return x - hi
-	default:
-		return 0
-	}
-}
-
 // DeviationSeries extracts (time, deviation) pairs for plotting.
 func (r *Recorder) DeviationSeries() (ts []float64, devs []float64) {
 	for _, s := range r.samples {
@@ -420,15 +455,3 @@ func (r *Recorder) DeviationSeries() (ts []float64, devs []float64) {
 	}
 	return ts, devs
 }
-
-// BiasSeries extracts (time, bias) pairs for one processor.
-func (r *Recorder) BiasSeries(id int) (ts []float64, biases []float64) {
-	for _, s := range r.samples {
-		ts = append(ts, float64(s.At))
-		biases = append(biases, float64(s.Biases[id]))
-	}
-	return ts, biases
-}
-
-// AdjustCount returns the number of adjustments processor id applied.
-func (r *Recorder) AdjustCount(id int) int { return r.adjusts[id] }

@@ -2,12 +2,14 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"clocksync/internal/adversary"
 	"clocksync/internal/clock"
 	"clocksync/internal/des"
 	"clocksync/internal/simtime"
+	"clocksync/internal/stats"
 )
 
 func mkClocks(biases []simtime.Duration, slopes []float64) []*clock.Local {
@@ -76,7 +78,6 @@ func TestSampleOnAdjust(t *testing.T) {
 	sim := des.New(1)
 	clocks := mkClocks([]simtime.Duration{0, 0}, nil)
 	rec := NewRecorder(sim, clocks, adversary.Schedule{}, 100)
-	rec.SampleOnAdjust(true)
 	hook := rec.AdjustHook(0)
 	sim.At(3, func() {
 		clocks[0].Adjust(0.5)
@@ -104,8 +105,8 @@ func TestAdjustHookTracksDiscontinuity(t *testing.T) {
 	if math.Abs(float64(rep.MaxDiscontinuity)-0.07) > 1e-12 {
 		t.Fatalf("discontinuity: got %v, want 0.07", rep.MaxDiscontinuity)
 	}
-	if rec.AdjustCount(1) != 3 || rec.AdjustCount(0) != 0 {
-		t.Fatal("adjust counts wrong")
+	if got := len(rec.Samples()); got != 3 {
+		t.Fatalf("%d adjustment-triggered samples, want 3", got)
 	}
 }
 
@@ -243,10 +244,6 @@ func TestSeriesExtraction(t *testing.T) {
 	if math.Abs(devs[0]-1) > 1e-9 {
 		t.Fatalf("devs: %v", devs)
 	}
-	ts2, biases := rec.BiasSeries(1)
-	if len(ts2) != 2 || math.Abs(biases[0]-2) > 1e-9 {
-		t.Fatalf("bias series: %v %v", ts2, biases)
-	}
 }
 
 func TestNewRecorderPanicsOnBadTheta(t *testing.T) {
@@ -256,4 +253,90 @@ func TestNewRecorderPanicsOnBadTheta(t *testing.T) {
 		}
 	}()
 	NewRecorder(des.New(1), nil, adversary.Schedule{}, 0)
+}
+
+// The kernel and the recorder are one measurement: Measure and TakeSample
+// agree field for field, and Deviation is max − min over the good biases in
+// the same float operations stats.Spread performs — 0 when one processor or
+// none is good.
+func TestMeasureMatchesTakeSample(t *testing.T) {
+	clocks := mkClocks([]simtime.Duration{0.03, -0.2, 0.11, 7}, []float64{1.0001, 0.9999, 1, 1.0002})
+	for wantGood, corrupt := range [][]int{{0, 1, 2, 3}, {0, 1, 3}, {0, 3}, {3}, nil} {
+		var sched adversary.Schedule
+		for _, node := range corrupt { // released at 60: within Θ of every instant below
+			sched.Corruptions = append(sched.Corruptions,
+				adversary.Corruption{Node: node, From: 40, To: 60, Behavior: adversary.Crash{}})
+		}
+		rec := NewRecorder(des.New(1), clocks, sched, 100)
+		for i, at := range []simtime.Time{61, 100, 159.5} {
+			s := rec.Measure(at)
+			rec.TakeSample(at)
+			if got := rec.Samples()[i]; s.At != at || !reflect.DeepEqual(s, got) {
+				t.Fatalf("τ=%v: kernel %+v ≠ recorder %+v", at, s, got)
+			}
+			var good []float64
+			for n, g := range s.Good {
+				if g {
+					good = append(good, float64(s.Biases[n]))
+				}
+			}
+			if len(good) != wantGood || float64(s.Deviation) != stats.Spread(good) || (wantGood < 2 && s.Deviation != 0) {
+				t.Fatalf("τ=%v: deviation %v over %d good (want %d good, spread %v)",
+					at, s.Deviation, len(good), wantGood, stats.Spread(good))
+			}
+		}
+	}
+}
+
+// One Envelope walked over a hand series reproduces the report's
+// AccuracyDrawdown/Runup: with a negligible ρ̃ both rate lines have slope 1,
+// so the drawdown is the largest fall of the bias from an earlier peak and
+// the runup its largest rise from an earlier trough.
+func TestEnvelopeReproducesReport(t *testing.T) {
+	clocks := mkClocks([]simtime.Duration{0}, nil)
+	rec := NewRecorder(des.New(1), clocks, adversary.Schedule{}, 100)
+	var env Envelope
+	var drawdown, runup, bias simtime.Duration
+	for i, target := range []simtime.Duration{0, 0.3, 0.1, -0.4, 0.2, 0.1} {
+		clocks[0].Adjust(target - bias)
+		bias = target
+		at := simtime.Time(10 * (i + 1))
+		rec.TakeSample(at)
+		d, u := env.Advance(at, rec.Samples()[i].Biases[0], 1e-12)
+		drawdown, runup = simtime.MaxDuration(drawdown, d), simtime.MaxDuration(runup, u)
+	}
+	rep := rec.BuildReport(ReportOptions{LogicalDriftBound: 1e-12})
+	if rep.AccuracyDrawdown != drawdown || rep.AccuracyRunup != runup {
+		t.Fatalf("report (%v, %v) ≠ envelope (%v, %v)", rep.AccuracyDrawdown, rep.AccuracyRunup, drawdown, runup)
+	}
+	if math.Abs(float64(drawdown)-0.7) > 1e-9 || math.Abs(float64(runup)-0.6) > 1e-9 {
+		t.Fatalf("drawdown %v runup %v, want 0.7 (0.3 → −0.4) and 0.6 (−0.4 → 0.2)", drawdown, runup)
+	}
+	env.Reset()
+	if d, u := env.Advance(70, -5, 1e-12); d != 0 || u != 0 {
+		t.Fatalf("first sample of a new stretch measured against the old one: (%v, %v)", d, u)
+	}
+}
+
+// Node 3 is measured against the good nodes other than itself; node 2 is not
+// good and must not widen the range.
+func TestDistanceToGood(t *testing.T) {
+	good := []bool{true, true, false, true}
+	for _, tc := range []struct {
+		name string
+		bias simtime.Duration // of node 3, against a good range of [0.1, 0.3]
+		good []bool
+		want simtime.Duration
+		ok   bool
+	}{
+		{"below", -0.4, good, 0.5, true},
+		{"inside", 0.2, good, 0, true},
+		{"above", 1.3, good, 1, true},
+		{"no other good", 1.3, []bool{false, false, false, true}, 0, false},
+	} {
+		s := Sample{Biases: []simtime.Duration{0.1, 0.3, 9, tc.bias}, Good: tc.good}
+		if got, ok := s.DistanceToGood(3); ok != tc.ok || math.Abs(float64(got-tc.want)) > 1e-12 {
+			t.Errorf("%s: got (%v, %v), want (%v, %v)", tc.name, got, ok, tc.want, tc.ok)
+		}
+	}
 }

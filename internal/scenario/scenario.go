@@ -8,7 +8,6 @@ package scenario
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 
 	"clocksync/internal/adversary"
@@ -148,12 +147,14 @@ type Scenario struct {
 	// envelope — E21 measures the trade-off.
 	SamplePeers int
 
-	// Check attaches the online invariant checker (internal/check) to the
-	// run: every Sync round is asserted against the Theorem 5 deviation
-	// envelope, the per-step discontinuity bound and the Equation 3 accuracy
-	// envelope, and every release against the Lemma 7(iii) halving schedule.
-	// Violations are surfaced in Result.Violations; the run itself is not
-	// interrupted. CheckSlack multiplies every checked bound (0 means exact).
+	// Check attaches the online invariant checker (internal/check) next to the
+	// metrics recorder's adjust hook: the sample taken at every clock
+	// adjustment is asserted against the Theorem 5 deviation envelope, the
+	// per-step discontinuity bound and the Equation 3 accuracy envelope, and
+	// every release against the Lemma 7(iii) halving schedule. It creates no
+	// observer and emits no events. Violations are surfaced in
+	// Result.Violations; the run itself is not interrupted. CheckSlack
+	// multiplies every checked bound (0 means exact).
 	Check      bool
 	CheckSlack float64
 }
@@ -171,14 +172,17 @@ type Result struct {
 	// default Sync builder (nil entries otherwise).
 	SyncStats []*core.Stats
 	// Obs is the observer that instrumented the run (nil when the scenario
-	// attached none); EventCounts is its per-kind event tally.
+	// attached no Observer, EventSink or SpanSink — Check alone creates none);
+	// EventCounts is its per-kind event tally.
 	Obs         *obs.Observer
 	EventCounts map[string]int64
 	// Sim is the simulator after the run (for follow-up measurement).
 	Sim *des.Sim
 	// Violations lists every invariant breach the online checker recorded
-	// (nil when the scenario did not set Check).
-	Violations []check.Violation
+	// (nil when the scenario did not set Check), at most check.Config.Limit
+	// of them; ViolationsDropped counts the breaches beyond that.
+	Violations        []check.Violation
+	ViolationsDropped int
 }
 
 // Params assembles the analysis parameters for the scenario, applying
@@ -342,14 +346,7 @@ func Run(s Scenario) (*Result, error) {
 		harnesses[i] = protocol.NewHarness(i, hsim, net, clocks[i])
 	}
 
-	// Warm-up horizon: the guarantees assume a synchronized start; with a
-	// scattered InitSpread the cluster needs ~log2(spread/ε) Syncs to
-	// converge before steady-state statistics (and invariants) apply.
-	warmSyncs := 3.0
-	if s.InitSpread > bounds.Eps && bounds.Eps > 0 {
-		warmSyncs += math.Ceil(math.Log2(float64(s.InitSpread) / float64(bounds.Eps)))
-	}
-	skipBefore := simtime.Time(warmSyncs * float64(s.SyncInt))
+	skipBefore := params.WarmupCutoff(s.InitSpread)
 
 	rec := metrics.NewRecorder(sim, clocks, s.Adversary, s.Theta)
 	if ps != nil {
@@ -357,11 +354,6 @@ func Run(s Scenario) (*Result, error) {
 		// run; deviation samples come only from the periodic ticker, which
 		// runs on the global barrier queue with every shard quiesced.
 		rec.EnableSharded()
-	} else {
-		// Sample at adjustment instants too: discontinuous bias changes happen
-		// exactly there, so periodic sampling alone could under-report the
-		// worst-case deviation the bounds are checked against.
-		rec.SampleOnAdjust(true)
 	}
 	res := &Result{Scenario: &s, Bounds: bounds, Recorder: rec, Sim: sim,
 		SyncStats: make([]*core.Stats, s.N)}
@@ -390,19 +382,13 @@ func Run(s Scenario) (*Result, error) {
 	}
 	var checker *check.Checker
 	if s.Check {
-		if observer == nil {
-			observer = obs.NewObserver()
-		}
 		checker = check.New(check.Config{
-			Clocks:     check.FromClocks(clocks),
-			Schedule:   s.Adversary,
+			Measure:    &rec.Measurer,
 			Bounds:     bounds,
-			Theta:      s.Theta,
 			SkipBefore: skipBefore,
 			Slack:      s.CheckSlack,
 		})
-		observer.AddSink(checker)
-		checker.Attach(sim)
+		checker.Attach(func(t simtime.Time, fn func()) { sim.At(t, fn) })
 	}
 	res.Obs = observer
 	if observer != nil {
@@ -429,16 +415,23 @@ func Run(s Scenario) (*Result, error) {
 	syncNodes := make([]*core.Node, s.N)
 	for i := 0; i < s.N; i++ {
 		harnesses[i].Obs = observer
-		recHook := rec.AdjustHook(i)
-		if tracer != nil {
-			i := i
-			harnesses[i].OnAdjust = func(at simtime.Time, delta simtime.Duration) {
+		onAdjust := rec.AdjustHook(i)
+		if checker != nil || tracer != nil {
+			i, recHook := i, onAdjust
+			onAdjust = func(at simtime.Time, delta simtime.Duration) {
 				recHook(at, delta)
-				tracer.Adjust(at, i, delta)
+				if checker != nil {
+					// The recorder just sampled this instant; the checker
+					// reads that very sample.
+					samples := rec.Samples()
+					checker.Round(samples[len(samples)-1], i, delta)
+				}
+				if tracer != nil {
+					tracer.Adjust(at, i, delta)
+				}
 			}
-		} else {
-			harnesses[i].OnAdjust = recHook
 		}
+		harnesses[i].OnAdjust = onAdjust
 		node := builder(BuildContext{
 			Harness:  harnesses[i],
 			Peers:    s.Topology.Neighbors(i),
@@ -493,7 +486,7 @@ func Run(s Scenario) (*Result, error) {
 		}
 	}
 	if checker != nil {
-		res.Violations = checker.Violations()
+		res.Violations, res.ViolationsDropped = checker.Violations(), checker.Dropped()
 	}
 	rec.FinalizeSharded()
 	res.Report = rec.BuildReport(metrics.ReportOptions{
