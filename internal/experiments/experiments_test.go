@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -8,12 +11,23 @@ import (
 // TestQuickSuiteShapes runs every experiment in quick mode and requires all
 // machine-verified shape assertions to hold — the paper's qualitative
 // predictions must survive even the shortened runs.
+//
+// The same tables are then compared byte for byte against
+// testdata/quick.golden, which is what `benchtables -quick` prints with its
+// "(E… regenerated in …)" timing lines removed: every number in the suite is
+// deterministic in its fixed seeds, so a refactor of the simulator that moves
+// one of them is a behaviour change to review, not noise. Regenerate
+// deliberately with:
+//
+//	go test ./internal/experiments -run TestQuickSuiteShapes -update
 func TestQuickSuiteShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick suite still simulates tens of cluster-minutes")
 	}
+	var got strings.Builder
 	for _, tab := range All(true) {
 		tab := tab
+		got.WriteString(tab.String() + "\n\n")
 		t.Run(tab.ID, func(t *testing.T) {
 			if len(tab.Rows) == 0 {
 				t.Fatalf("%s produced no rows", tab.ID)
@@ -28,6 +42,31 @@ func TestQuickSuiteShapes(t *testing.T) {
 			}
 		})
 	}
+	path := filepath.Join("testdata", "quick.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("quick suite drifted from %s (regenerate with -update if intended); first difference:\n%s",
+			path, firstDiff(got.String(), string(want)))
+	}
+}
+
+// firstDiff names the first line on which two multi-line texts differ.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return "line " + strconv.Itoa(i+1) + "\n got: " + g[i] + "\nwant: " + w[i]
+		}
+	}
+	return "lengths differ: got " + strconv.Itoa(len(g)) + " lines, want " + strconv.Itoa(len(w))
 }
 
 // TestExperimentDeterminism: regenerating an experiment must be

@@ -1,0 +1,98 @@
+package scenario
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"clocksync/internal/des"
+	"clocksync/internal/simtime"
+)
+
+var update = flag.Bool("update", false, "rewrite golden files under testdata/")
+
+// sampledFingerprint is one sharded run reduced to a line: traffic totals,
+// events fired, and a SHA-256 over the bits of every sample's biases and of
+// every node's Syncs / Skipped / LastDelta. Sharded runs refuse every trace
+// surface, so this digest is the finest identity such a run offers.
+func sampledFingerprint(t *testing.T, label string, s Scenario) string {
+	t.Helper()
+	res, err := Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	word := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, sm := range res.Recorder.Samples() {
+		for _, b := range sm.Biases {
+			word(math.Float64bits(float64(b)))
+		}
+	}
+	for _, st := range res.SyncStats {
+		word(uint64(st.Syncs))
+		word(uint64(st.Skipped))
+		word(math.Float64bits(float64(st.LastDelta)))
+	}
+	return fmt.Sprintf("%s msgs=%d bytes=%d fired=%d sha256=%x\n",
+		label, res.MsgsSent, res.BytesSent, s.ReuseSharded.Fired(), h.Sum(nil))
+}
+
+// TestSampledRunGolden pins the sampled, sharded estimation path bit for bit
+// against testdata/sampled.golden: the benchmark's sim_sampled_n1024 scenario
+// (n=1024, f=10, k=31, one shard, one simulator reused across seeds 1–3) and
+// a three-shard n=64, k=7 run. Taken at the code before the per-node state
+// became O(k); any refactor of harness, sampler, network or round scratch must
+// reproduce it unmodified. Regenerate deliberately with:
+//
+//	go test ./internal/scenario -run TestSampledRunGolden -update
+func TestSampledRunGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates three n=1024 cluster minutes")
+	}
+	minute := func(name string, n, f, k int, ps *des.ShardedSim) Scenario {
+		return Scenario{
+			Name: name, N: n, F: f, SamplePeers: k,
+			Duration: simtime.Minute, Theta: 2 * simtime.Minute,
+			Rho: 1e-4, SyncInt: 10 * simtime.Second,
+			ReuseSharded: ps,
+		}
+	}
+	const lookahead = 5 * simtime.Millisecond // the default delay model's minimum
+	var got strings.Builder
+	big := minute("bench-sampled", 1024, 10, 31, des.NewSharded(0, 1, lookahead))
+	for seed := int64(1); seed <= 3; seed++ {
+		big.Seed = seed
+		got.WriteString(sampledFingerprint(t, fmt.Sprintf("n=1024 k=31 shards=1 seed=%d", seed), big))
+	}
+	small := minute("sampled-3shard", 64, 2, 7, des.NewSharded(0, 3, lookahead))
+	small.Seed = 1
+	got.WriteString(sampledFingerprint(t, "n=64 k=7 shards=3 seed=1", small))
+
+	path := filepath.Join("testdata", "sampled.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("sampled runs drifted from %s (regenerate with -update if intended):\n--- got ---\n%s--- want ---\n%s",
+			path, got.String(), want)
+	}
+}
