@@ -108,7 +108,7 @@ func BoundedCFBuilder(maxCorrection simtime.Duration) scenario.Builder {
 			MaxWait:       ctx.Scenario.MaxWait,
 			MaxCorrection: mc,
 			FirstSync:     simtime.Duration(ctx.Rand.Float64() * float64(ctx.Scenario.SyncInt)),
-		}, ctx.Peers)
+		}, ctx.Peers())
 	}
 }
 

@@ -160,6 +160,6 @@ func BroadcastJoinBuilder() scenario.Builder {
 			F:        ctx.Scenario.F,
 			SyncInt:  ctx.Scenario.SyncInt,
 			HopDelay: ctx.Scenario.Delay.Bound() / 2,
-		}, ctx.Peers)
+		}, ctx.Peers())
 	}
 }

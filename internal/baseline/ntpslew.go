@@ -108,6 +108,6 @@ func NTPSlewBuilder(k int) scenario.Builder {
 			SlewMax:       ctx.Bounds.Eps,
 			StepThreshold: 128 * simtime.Millisecond,
 			FirstPoll:     simtime.Duration(ctx.Rand.Float64() * float64(ctx.Scenario.SyncInt)),
-		}, ctx.Peers)
+		}, ctx.Peers())
 	}
 }

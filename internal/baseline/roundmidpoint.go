@@ -202,6 +202,6 @@ func RoundMidpointBuilder() scenario.Builder {
 			F:        ctx.Scenario.F,
 			RoundLen: ctx.Scenario.SyncInt,
 			MaxWait:  ctx.Scenario.MaxWait,
-		}, ctx.Peers)
+		}, ctx.Peers())
 	}
 }

@@ -181,6 +181,6 @@ func SrikanthTouegBuilder() scenario.Builder {
 			F:      ctx.Scenario.F,
 			Period: ctx.Scenario.SyncInt,
 			Alpha:  ctx.Scenario.Delay.Bound() / 2,
-		}, ctx.Peers)
+		}, ctx.Peers())
 	}
 }

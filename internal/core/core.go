@@ -118,11 +118,22 @@ func (c Config) Validate() error {
 // order (span emission indexes into them after selection), and a selection
 // buffer the quickselect is free to permute. A Round owns one scratch and
 // reuses it every round; the pure Converge entry point borrows one from a
-// pool. The zero value is ready to use.
+// pool. The zero value is ready to use: the three vectors are cut from one
+// allocation sized by the first vector seen (a node's rounds all have the
+// same length) and re-cut only for a longer one.
 type convergeScratch struct {
 	overs  []float64
 	unders []float64
 	sel    []float64 // quickselect operand; mutated in place by kthSmallest
+}
+
+// size makes each vector hold n values without growing.
+func (sc *convergeScratch) size(n int) {
+	if cap(sc.overs) >= n {
+		return
+	}
+	buf := make([]float64, 3*n)
+	sc.overs, sc.unders, sc.sel = buf[0:0:n], buf[n:n:2*n], buf[2*n:2*n:3*n]
 }
 
 // extremes fills overs/unders from ests (original order preserved) and
@@ -131,6 +142,7 @@ type convergeScratch struct {
 // runs on the scratch's sel buffer, so overs and unders stay in estimate
 // order for the caller.
 func (sc *convergeScratch) extremes(f int, ests []protocol.Estimate) (m, mm float64) {
+	sc.size(len(ests))
 	sc.overs = sc.overs[:0]
 	sc.unders = sc.unders[:0]
 	for _, e := range ests {
@@ -253,7 +265,6 @@ type Stats struct {
 type Node struct {
 	h     *protocol.Harness
 	cfg   Config
-	peers []int
 	stats Stats
 
 	// Drift-compensation state (only used when cfg.DriftComp is set).
@@ -264,8 +275,9 @@ type Node struct {
 	// cache is non-nil in the §3.1 cached-estimation variant.
 	cache *protocol.EstimateCache
 
-	// sampler is non-nil in the sparse-estimation mode (cfg.SamplePeers):
-	// it draws each round's peer subset.
+	// sampler draws each round's peers from the node's topology neighbours:
+	// cfg.SamplePeers of them in the sparse-estimation mode — then the node
+	// holds no neighbour list at all — and every one of them otherwise.
 	sampler *protocol.PeerSampler
 
 	// round is the Sync round machine (round.go); its buffers are reused
@@ -283,18 +295,16 @@ type Node struct {
 	applyCB func([]protocol.Estimate)
 }
 
-// New builds a Sync node over the harness. peers is the list of processors
-// it estimates (its topology neighbors); the node adds its own trivial
-// self-estimate per Figure 1's "for each q ∈ {1,…,n}".
-func New(h *protocol.Harness, cfg Config, peers []int) *Node {
+// New builds a Sync node over the harness. The processors it estimates are
+// its neighbours in the harness's network topology; the node adds its own
+// trivial self-estimate per Figure 1's "for each q ∈ {1,…,n}".
+func New(h *protocol.Harness, cfg Config) *Node {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	n := &Node{h: h, cfg: cfg, peers: append([]int(nil), peers...),
-		round: Round{id: h.ID(), f: cfg.F, wayOff: cfg.WayOff}}
-	if cfg.SamplePeers > 0 && cfg.SamplePeers < len(n.peers) {
-		n.sampler = protocol.NewPeerSampler(n.peers, cfg.SamplePeers, cfg.SampleSeed, h.ID())
-	}
+	n := &Node{h: h, cfg: cfg,
+		round:   Round{id: h.ID(), f: cfg.F, wayOff: cfg.WayOff},
+		sampler: protocol.NewNeighborSampler(h.Net().Topology(), h.ID(), cfg.SamplePeers, cfg.SampleSeed)}
 	n.tickCB = n.tick
 	n.applyCB = n.apply
 	return n
@@ -316,7 +326,8 @@ func (n *Node) Start() {
 		if refresh == 0 {
 			refresh = n.cfg.SyncInt / 4
 		}
-		n.cache = protocol.NewEstimateCache(n.h, n.peers, refresh, n.cfg.MaxWait)
+		peers := n.h.Net().Topology().Neighbors(n.h.ID())
+		n.cache = protocol.NewEstimateCache(n.h, peers, refresh, n.cfg.MaxWait)
 		n.cache.Start()
 		// The cache's contents were writable by the adversary; they are
 		// worthless after release (§3.1: the thread must be policed).
@@ -352,11 +363,7 @@ func (n *Node) tick() {
 		n.apply(n.cache.GetAll())
 		return
 	}
-	peers := n.peers
-	if n.sampler != nil {
-		peers = n.sampler.Sample()
-	}
-	n.h.EstimateAll(peers, n.cfg.MaxWait, n.applyCB)
+	n.h.EstimateAll(n.sampler.Sample(), n.cfg.MaxWait, n.applyCB)
 }
 
 // apply is the simulator driver's half of a round's end: it has the machine

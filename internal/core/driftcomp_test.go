@@ -33,7 +33,7 @@ func driftCluster(t *testing.T, driftComp bool) *testCluster {
 		h := protocol.NewHarness(i, sim, net, clock.NewLocal(clock.NewDrifting(0, 0, slopes[i])))
 		nodeCfg := cfg
 		nodeCfg.FirstSync = simtime.Duration(i) * cfg.SyncInt / 4
-		node := New(h, nodeCfg, net.Topology().Neighbors(i))
+		node := New(h, nodeCfg)
 		tc.nodes = append(tc.nodes, node)
 		node.Start()
 	}

@@ -47,7 +47,7 @@ func newTestCluster(t *testing.T, n int, cfg Config, biases []simtime.Duration, 
 		nodeCfg := cfg
 		// Stagger first executions; the protocol must not rely on phase.
 		nodeCfg.FirstSync = simtime.Duration(i) * cfg.SyncInt / simtime.Duration(n)
-		node := New(h, nodeCfg, net.Topology().Neighbors(i))
+		node := New(h, nodeCfg)
 		tc.nodes = append(tc.nodes, node)
 		node.Start()
 	}
@@ -193,7 +193,7 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 			t.Fatal("invalid config must panic")
 		}
 	}()
-	New(h, Config{F: -1, SyncInt: 10, MaxWait: 1, WayOff: 1}, []int{1})
+	New(h, Config{F: -1, SyncInt: 10, MaxWait: 1, WayOff: 1})
 }
 
 // smashBehavior sets the victim's clock far away on corruption and stays

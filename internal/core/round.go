@@ -84,6 +84,9 @@ func NewRound(id, f int, wayOff simtime.Duration) *Round {
 // iterates over all of {1..n} including p itself; the self-estimate is exact
 // and free, and is added here.
 func (r *Round) Decide(ests []protocol.Estimate) Outcome {
+	if cap(r.all) <= len(ests) {
+		r.all = make([]protocol.Estimate, 0, len(ests)+1)
+	}
 	r.all = append(append(r.all[:0], ests...), protocol.Estimate{Peer: r.id, OK: true})
 	r.out = r.scratch.decide(r.f, r.wayOff, r.all)
 	return r.out

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -26,8 +27,14 @@ func TestE24RejoinGolden(t *testing.T) {
 			t.Errorf("E24 check failed: %s", c.Name)
 		}
 	}
-	got := tab.String()
-	path := filepath.Join("testdata", "e24_rejoin.golden")
+	checkGolden(t, "e24_rejoin.golden", tab.String())
+}
+
+// checkGolden compares got byte for byte with testdata/<name>, rewriting the
+// file first under -update, and names the first line that differs.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -40,10 +47,17 @@ func TestE24RejoinGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update to create): %v", err)
 	}
-	if got != string(want) {
-		t.Errorf("E24 rejoin table drifted from %s (regenerate with -update if intended):\n--- got ---\n%s\n--- want ---\n%s",
-			path, got, want)
+	if got == string(want) {
+		return
 	}
+	g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			t.Fatalf("output drifted from %s (regenerate with -update if intended), first at line %d:\n got: %s\nwant: %s",
+				path, i+1, g[i], w[i])
+		}
+	}
+	t.Fatalf("output drifted from %s (regenerate with -update if intended): %d lines, want %d", path, len(g), len(w))
 }
 
 // TestFamilyExperimentDeterminism: the family tables must regenerate

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"os"
-	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -42,31 +39,7 @@ func TestQuickSuiteShapes(t *testing.T) {
 			}
 		})
 	}
-	path := filepath.Join("testdata", "quick.golden")
-	if *update {
-		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update to create): %v", err)
-	}
-	if got.String() != string(want) {
-		t.Errorf("quick suite drifted from %s (regenerate with -update if intended); first difference:\n%s",
-			path, firstDiff(got.String(), string(want)))
-	}
-}
-
-// firstDiff names the first line on which two multi-line texts differ.
-func firstDiff(got, want string) string {
-	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
-	for i := 0; i < len(g) && i < len(w); i++ {
-		if g[i] != w[i] {
-			return "line " + strconv.Itoa(i+1) + "\n got: " + g[i] + "\nwant: " + w[i]
-		}
-	}
-	return "lengths differ: got " + strconv.Itoa(len(g)) + " lines, want " + strconv.Itoa(len(w))
+	checkGolden(t, "quick.golden", got.String())
 }
 
 // TestExperimentDeterminism: regenerating an experiment must be

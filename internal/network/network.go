@@ -61,6 +61,12 @@ type Network struct {
 	// simulator, and with it every Send and delivery, is single-threaded.
 	freeEnv []*envelope
 
+	// payloads holds the payload free lists (PayloadList), one set per shard;
+	// a serial network is one shard. They sit beside the envelope lists and
+	// follow the same rule: a shard's lists are touched only by the goroutine
+	// that runs that shard.
+	payloads [][]any
+
 	// sh is non-nil when the network runs over a sharded simulator (see
 	// sharded.go); the serial path above is untouched in that mode.
 	sh *sharding
@@ -80,7 +86,51 @@ func New(sim *des.Sim, topo Topology, delay DelayModel) *Network {
 		delay:    delay,
 		handlers: make([]Handler, topo.N()),
 		counters: make([]Counters, topo.N()),
+		payloads: make([][]any, 1),
 	}
+}
+
+// FreeList recycles the wire payloads of one type on one shard. The protocol
+// layer sends payloads as pointers (boxing a value per message dominated the
+// simulator's allocation profile) and the handler that consumed one puts it
+// back after it has read the fields — handlers never retain the pointer. The
+// network owns the lists so that they live as long as the run, not as long as
+// one processor: a list holds at most the payloads ever in flight at once on
+// its shard, whichever processors sent them. A handler that returns nothing
+// merely leaves its payloads to the garbage collector, and a payload the list
+// did not hand out is as good as one it did.
+type FreeList[T any] struct{ free []*T }
+
+// Get pops a recycled payload or allocates one. The caller sets every field.
+func (l *FreeList[T]) Get() *T {
+	if last := len(l.free) - 1; last >= 0 {
+		p := l.free[last]
+		l.free = l.free[:last]
+		return p
+	}
+	return new(T)
+}
+
+// Put recycles a payload whose handler has returned.
+func (l *FreeList[T]) Put(p *T) { l.free = append(l.free, p) }
+
+// PayloadList returns the free list for payloads of type T on the shard that
+// runs processor id, creating it on first use. Call it while wiring the run
+// (processors register before the simulation starts) and keep the result:
+// after that the list belongs to the shard's goroutine.
+func PayloadList[T any](n *Network, id int) *FreeList[T] {
+	s := 0
+	if n.sh != nil {
+		s = n.sh.shardOf[id]
+	}
+	for _, l := range n.payloads[s] {
+		if fl, ok := l.(*FreeList[T]); ok {
+			return fl
+		}
+	}
+	fl := new(FreeList[T])
+	n.payloads[s] = append(n.payloads[s], fl)
+	return fl
 }
 
 // Topology returns the network's topology.

@@ -328,3 +328,32 @@ func TestUnregisteredReceiverIgnored(t *testing.T) {
 		t.Fatal("unregistered receiver counted a delivery")
 	}
 }
+
+// TestNeighborIndexMatchesNeighbors: Degree and Neighbor are Neighbors read
+// one entry at a time, on every topology the package builds.
+func TestNeighborIndexMatchesNeighbors(t *testing.T) {
+	sparse := NewGraph(6)
+	sparse.AddEdge(4, 1)
+	sparse.AddEdge(1, 5)
+	sparse.AddEdge(1, 0)
+	sparse.AddEdge(0, 1) // repeated edge: still one neighbour
+	for _, topo := range []Topology{NewFullMesh(1), NewFullMesh(7), NewTwoCliques(2), NewCirculant(13, 6), NewRing(5), sparse} {
+		for a := 0; a < topo.N(); a++ {
+			want := topo.Neighbors(a)
+			if topo.Degree(a) != len(want) {
+				t.Fatalf("%T: Degree(%d) = %d, Neighbors has %d", topo, a, topo.Degree(a), len(want))
+			}
+			for i, b := range want {
+				if got := topo.Neighbor(a, i); got != b {
+					t.Fatalf("%T: Neighbor(%d, %d) = %d, Neighbors gives %d", topo, a, i, got, b)
+				}
+				if i > 0 && want[i-1] >= b {
+					t.Fatalf("%T: Neighbors(%d) = %v is not strictly increasing", topo, a, want)
+				}
+				if !topo.Connected(a, b) || b == a {
+					t.Fatalf("%T: neighbour %d of %d is not a linked peer", topo, b, a)
+				}
+			}
+		}
+	}
+}

@@ -12,10 +12,10 @@
 // whose consumption order depends on the partition. Instead every message
 // reseeds a splitmix64 source from the hash of (seed, from, to, senderSeq):
 // the draw sequence for a message is a pure function of sender history,
-// identical under any partition. Envelope free lists and traffic counters
-// are safe without locks by index ownership — node i's sends and deliveries
-// both execute on shard ShardOf(i)'s goroutine, and outboxes are flushed at
-// barriers with every shard quiesced.
+// identical under any partition. Envelope and payload free lists and traffic
+// counters are safe without locks by index ownership — node i's sends and
+// deliveries both execute on shard ShardOf(i)'s goroutine, and outboxes are
+// flushed at barriers with every shard quiesced.
 package network
 
 import (
@@ -30,11 +30,11 @@ import (
 type sharding struct {
 	ps      *des.ShardedSim
 	seed    int64
-	shardOf []int        // node -> shard, cached
-	seq     []uint64     // per-sender message counter (owned by the sender's shard)
-	src     []*msgSource // per-shard reseedable sources
-	rng     []*rand.Rand // per-shard rand.Rand over src
-	outbox  [][]pending  // cross-shard sends, indexed by sender shard
+	shardOf []int         // node -> shard, cached
+	seq     []uint64      // per-sender message counter (owned by the sender's shard)
+	src     []*SplitMix64 // per-shard reseedable sources
+	rng     []*rand.Rand  // per-shard rand.Rand over src
+	outbox  [][]pending   // cross-shard sends, indexed by sender shard
 	free    [][]*envelope
 }
 
@@ -55,7 +55,7 @@ func NewSharded(ps *des.ShardedSim, topo Topology, delay DelayModel, seed int64)
 		seed:    seed,
 		shardOf: make([]int, nn),
 		seq:     make([]uint64, nn),
-		src:     make([]*msgSource, ps.Shards()),
+		src:     make([]*SplitMix64, ps.Shards()),
 		rng:     make([]*rand.Rand, ps.Shards()),
 		outbox:  make([][]pending, ps.Shards()),
 		free:    make([][]*envelope, ps.Shards()),
@@ -64,7 +64,7 @@ func NewSharded(ps *des.ShardedSim, topo Topology, delay DelayModel, seed int64)
 		sh.shardOf[i] = ps.ShardOf(i)
 	}
 	for s := range sh.src {
-		sh.src[s] = &msgSource{}
+		sh.src[s] = &SplitMix64{}
 		sh.rng[s] = rand.New(sh.src[s])
 	}
 	n := &Network{
@@ -72,6 +72,7 @@ func NewSharded(ps *des.ShardedSim, topo Topology, delay DelayModel, seed int64)
 		delay:    delay,
 		handlers: make([]Handler, nn),
 		counters: make([]Counters, nn),
+		payloads: make([][]any, ps.Shards()),
 		sh:       sh,
 	}
 	ps.OnBarrier(n.flushOutboxes)
@@ -93,7 +94,7 @@ func (n *Network) sendSharded(from, to int, payload any) {
 		return
 	}
 	// Per-message deterministic randomness: same draws under any partition.
-	sh.src[s].state = msgKey(sh.seed, from, to, sh.seq[from])
+	sh.src[s].State = msgKey(sh.seed, from, to, sh.seq[from])
 	sh.seq[from]++
 	rng := sh.rng[s]
 	if n.DropProb > 0 && rng.Float64() < n.DropProb {
@@ -164,40 +165,40 @@ func (n *Network) flushOutboxes(simtime.Time) {
 	}
 }
 
-// msgSource is a reseedable splitmix64 stream: cheap to reset per message
-// and statistically solid for the couple of draws each message needs.
-type msgSource struct {
-	state uint64
+// SplitMix64 is a reseedable splitmix64 stream: cheap to reset — assign State
+// — and statistically solid for the few draws taken per key. Every draw that
+// must not depend on the shard partition comes from one of these, keyed by a
+// Mix64 hash of what the draw belongs to: a message's drop and latency here,
+// a round's peer subset in the protocol layer.
+type SplitMix64 struct {
+	State uint64
 }
 
 // Uint64 implements rand.Source64.
-func (m *msgSource) Uint64() uint64 {
-	m.state += 0x9E3779B97F4A7C15
-	z := m.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+func (m *SplitMix64) Uint64() uint64 {
+	m.State += 0x9E3779B97F4A7C15
+	return Mix64(m.State)
 }
 
 // Int63 implements rand.Source.
-func (m *msgSource) Int63() int64 { return int64(m.Uint64() >> 1) }
+func (m *SplitMix64) Int63() int64 { return int64(m.Uint64() >> 1) }
 
 // Seed implements rand.Source.
-func (m *msgSource) Seed(s int64) { m.state = uint64(s) }
+func (m *SplitMix64) Seed(s int64) { m.State = uint64(s) }
 
 // msgKey hashes a message's identity (run seed, sender, receiver, the
 // sender's per-message sequence number) into the seed of its private draw
 // stream.
 func msgKey(seed int64, from, to int, seq uint64) uint64 {
-	x := mix64(uint64(seed) ^ 0x6A09E667F3BCC909)
-	x = mix64(x ^ uint64(uint32(from)))
-	x = mix64(x ^ uint64(uint32(to)))
-	x = mix64(x ^ seq)
+	x := Mix64(uint64(seed) ^ 0x6A09E667F3BCC909)
+	x = Mix64(x ^ uint64(uint32(from)))
+	x = Mix64(x ^ uint64(uint32(to)))
+	x = Mix64(x ^ seq)
 	return x
 }
 
-// mix64 is the splitmix64 finalizer.
-func mix64(z uint64) uint64 {
+// Mix64 is the splitmix64 finalizer.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)

@@ -149,3 +149,45 @@ type noMinModel struct{}
 
 func (noMinModel) Sample(_, _ int, _ *rand.Rand) simtime.Duration { return 1 }
 func (noMinModel) Bound() simtime.Duration                        { return 1 }
+
+// TestPayloadListsPerShardAndType: processors on one shard share one list
+// per payload type, other shards and other types get their own, a serial
+// network is one shard, and a list hands back whatever it was given —
+// including a payload it never handed out.
+func TestPayloadListsPerShardAndType(t *testing.T) {
+	type req struct{ n uint64 }
+	type resp struct{ n uint64 }
+	ps := des.NewSharded(1, 3, simtime.Millisecond)
+	n := NewSharded(ps, NewFullMesh(7), ConstantDelay{D: simtime.Millisecond}, 1)
+	if PayloadList[req](n, 0) != PayloadList[req](n, 3) || PayloadList[req](n, 3) != PayloadList[req](n, 6) {
+		t.Fatal("nodes 0, 3 and 6 run on shard 0 and must share its list")
+	}
+	if PayloadList[req](n, 0) == PayloadList[req](n, 1) || PayloadList[req](n, 1) == PayloadList[req](n, 2) {
+		t.Fatal("shards must not share a list")
+	}
+	if any(PayloadList[resp](n, 0)) == any(PayloadList[req](n, 0)) {
+		t.Fatal("payload types must not share a list")
+	}
+	serial := New(des.New(1), NewFullMesh(4), ConstantDelay{D: simtime.Millisecond})
+	if PayloadList[req](serial, 0) != PayloadList[req](serial, 3) {
+		t.Fatal("a serial network has one list per type")
+	}
+
+	l := PayloadList[req](n, 1)
+	first := l.Get()
+	if first == nil || len(l.free) != 0 {
+		t.Fatal("an empty list must allocate")
+	}
+	foreign := &req{n: 9}
+	l.Put(first)
+	l.Put(foreign)
+	if got := l.Get(); got != foreign {
+		t.Fatal("the list must hand back the payload it was given last")
+	}
+	if got := l.Get(); got != first {
+		t.Fatal("the list must hand back the payload it allocated")
+	}
+	if PayloadList[req](n, 4).Get() == first { // shard 1 again: the list is empty now
+		t.Fatal("a payload was handed out twice")
+	}
+}

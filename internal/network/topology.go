@@ -20,8 +20,15 @@ type Topology interface {
 	// connected to itself (loopback is free and instantaneous).
 	Connected(a, b int) bool
 	// Neighbors returns the sorted list of processors adjacent to a,
-	// excluding a itself.
+	// excluding a itself. The list is built on every call and is O(degree):
+	// it is for nodes that talk to all of their neighbours. Code that needs a
+	// few of them — the peer sampler — indexes with Degree and Neighbor.
 	Neighbors(a int) []int
+	// Degree returns len(Neighbors(a)) without building the list.
+	Degree(a int) int
+	// Neighbor returns Neighbors(a)[i], 0 ≤ i < Degree(a), without building
+	// the list.
+	Neighbor(a, i int) int
 }
 
 // FullMesh is the complete graph on n processors.
@@ -56,10 +63,22 @@ func (m *FullMesh) Neighbors(a int) []int {
 	return out
 }
 
+// Degree implements Topology.
+func (m *FullMesh) Degree(int) int { return m.n - 1 }
+
+// Neighbor implements Topology: the sorted neighbour list of a is every id
+// but a, so its i-th entry is i below a and i+1 from a on.
+func (m *FullMesh) Neighbor(a, i int) int {
+	if i < a {
+		return i
+	}
+	return i + 1
+}
+
 // Graph is an arbitrary undirected topology.
 type Graph struct {
 	n   int
-	adj []map[int]bool
+	adj [][]int // adj[a] holds a's neighbours in increasing order
 }
 
 // NewGraph returns an edgeless graph on n processors.
@@ -67,11 +86,7 @@ func NewGraph(n int) *Graph {
 	if n < 1 {
 		panic(fmt.Sprintf("network: invalid size %d", n))
 	}
-	adj := make([]map[int]bool, n)
-	for i := range adj {
-		adj[i] = make(map[int]bool)
-	}
-	return &Graph{n: n, adj: adj}
+	return &Graph{n: n, adj: make([][]int, n)}
 }
 
 // AddEdge inserts the undirected edge {a, b}. Self-loops are rejected
@@ -83,8 +98,20 @@ func (g *Graph) AddEdge(a, b int) {
 	if a < 0 || a >= g.n || b < 0 || b >= g.n {
 		panic(fmt.Sprintf("network: edge (%d,%d) out of range [0,%d)", a, b, g.n))
 	}
-	g.adj[a][b] = true
-	g.adj[b][a] = true
+	g.adj[a] = insertSorted(g.adj[a], b)
+	g.adj[b] = insertSorted(g.adj[b], a)
+}
+
+// insertSorted adds v to the increasing list xs unless it is already there.
+func insertSorted(xs []int, v int) []int {
+	i := sort.SearchInts(xs, v)
+	if i < len(xs) && xs[i] == v {
+		return xs
+	}
+	xs = append(xs, 0)
+	copy(xs[i+1:], xs[i:])
+	xs[i] = v
+	return xs
 }
 
 // N implements Topology.
@@ -98,21 +125,20 @@ func (g *Graph) Connected(a, b int) bool {
 	if a < 0 || a >= g.n || b < 0 || b >= g.n {
 		return false
 	}
-	return g.adj[a][b]
+	i := sort.SearchInts(g.adj[a], b)
+	return i < len(g.adj[a]) && g.adj[a][i] == b
 }
 
 // Neighbors implements Topology.
 func (g *Graph) Neighbors(a int) []int {
-	out := make([]int, 0, len(g.adj[a]))
-	for b := range g.adj[a] {
-		out = append(out, b)
-	}
-	sort.Ints(out)
-	return out
+	return append(make([]int, 0, len(g.adj[a])), g.adj[a]...)
 }
 
-// Degree returns the number of neighbors of a.
+// Degree implements Topology.
 func (g *Graph) Degree(a int) int { return len(g.adj[a]) }
+
+// Neighbor implements Topology.
+func (g *Graph) Neighbor(a, i int) int { return g.adj[a][i] }
 
 // NewTwoCliques builds the counterexample of §5: 6f+2 processors arranged as
 // two cliques of 3f+1 nodes each, with a perfect matching joining the i-th
@@ -179,7 +205,7 @@ func NewRing(n int) *Graph {
 func MinDegree(t Topology) int {
 	min := t.N()
 	for i := 0; i < t.N(); i++ {
-		if d := len(t.Neighbors(i)); d < min {
+		if d := t.Degree(i); d < min {
 			min = d
 		}
 	}

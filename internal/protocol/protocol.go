@@ -93,28 +93,24 @@ type Harness struct {
 	faulty   bool
 	behavior Behavior
 
-	nonce   uint64
-	pending map[uint64]pendingPing
-	// freeReq/freeResp recycle wire payloads. Pings dominated the simulator's
-	// allocation profile (~94% of objects at n=256 was TimeReq/TimeResp
-	// boxing), so payloads travel as pointers and the receiver returns them
-	// here after dispatch. Capped: under peer sampling a node can receive
-	// more requests than it sends, and an uncapped list would grow without
-	// bound.
-	freeReq  []*TimeReq
-	freeResp []*TimeResp
-	poolCap  int
+	// pend holds the pings in flight (pending.go).
+	pend pendingWindow
+	// reqs and resps recycle wire payloads: pings travel as pointers, and the
+	// receiver puts them back after dispatch. The lists belong to the network,
+	// one pair per shard (network.PayloadList), so they outlive any one
+	// processor and are shared by all that run on the shard.
+	reqs  *network.FreeList[TimeReq]
+	resps *network.FreeList[TimeResp]
 	// est is the estimation round in flight (round.go); the fields after it
-	// are what driving it through the simulator takes: each slot's nonce, the
-	// round's one timeout, and the caller's callback. All are reused across
-	// rounds, so a steady-state round costs one timeout closure, not one
-	// allocation per peer. roundGen guards the timeout against firing into a
-	// later round.
-	est       Round
-	nonces    []uint64
-	timeout   des.Event
-	roundDone func([]Estimate)
-	roundGen  uint64
+	// are what driving it through the simulator takes: the nonce of slot 0
+	// (a round's pings go out back to back, so slot i has nonce roundFirst+i),
+	// the round's one timeout, and the caller's callback. A steady-state round
+	// costs one timeout closure, not one allocation per peer. roundFirst also
+	// guards the timeout against firing into a later round.
+	est        Round
+	roundFirst uint64
+	timeout    des.Event
+	roundDone  func([]Estimate)
 
 	// Custom handles payloads other than TimeReq/TimeResp (round-based
 	// baselines exchange their own message types). Nil for Sync.
@@ -140,33 +136,17 @@ type Harness struct {
 	SpanParent obs.SpanID
 }
 
-type pendingPing struct {
-	peer    int
-	idx     int          // slot in the round's results, -1 for standalone pings
-	sentAt  simtime.Time // local clock S at send
-	sentSim simtime.Time // simulation time at send (span timebase)
-	span    obs.SpanID   // estimation span, 0 when tracing is disabled
-	parent  obs.SpanID
-	done    func(Estimate) // standalone pings only; rounds route via idx
-}
-
 // NewHarness builds the harness for processor id and registers its network
 // handler.
 func NewHarness(id int, sim *des.Sim, net *network.Network, clk *clock.Local) *Harness {
 	h := &Harness{
-		id:      id,
-		sim:     sim,
-		net:     net,
-		clk:     clk,
-		pending: make(map[uint64]pendingPing),
-		poolCap: payloadPoolCap,
-	}
-	// A full-mesh round puts ~2·(n−1) payloads in flight per node at once
-	// (every peer pinged, every ping answered), so the free lists must hold a
-	// round's working set or nearly every pop misses. That is also their
-	// natural ceiling: in-flight payloads are O(n) per node regardless.
-	if n := net.Topology().N(); 2*n > h.poolCap {
-		h.poolCap = 2 * n
+		id:    id,
+		sim:   sim,
+		net:   net,
+		clk:   clk,
+		pend:  pendingWindow{base: 1, next: 1}, // nonces start at 1
+		reqs:  network.PayloadList[TimeReq](net, id),
+		resps: network.PayloadList[TimeResp](net, id),
 	}
 	net.Register(id, h.receive)
 	return h
@@ -244,45 +224,17 @@ func (h *Harness) ScheduleLocal(d simtime.Duration, fn func()) des.Event {
 	return h.sim.At(hw.RealAt(target, now), fn)
 }
 
-// payloadPoolCap is the minimum per-harness payload free-list bound; NewHarness
-// raises it to twice the cluster size so a full round's working set pools.
-const payloadPoolCap = 64
-
-// newTimeReq pops a pooled request or allocates one.
-func (h *Harness) newTimeReq() *TimeReq {
-	if last := len(h.freeReq) - 1; last >= 0 {
-		req := h.freeReq[last]
-		h.freeReq = h.freeReq[:last]
-		return req
-	}
-	return &TimeReq{}
-}
-
-// newTimeResp pops a pooled response or allocates one.
-func (h *Harness) newTimeResp() *TimeResp {
-	if last := len(h.freeResp) - 1; last >= 0 {
-		resp := h.freeResp[last]
-		h.freeResp = h.freeResp[:last]
-		return resp
-	}
-	return &TimeResp{}
-}
-
 // receive dispatches a delivered message. Pointer payloads are recycled into
-// the receiver's pools after their handler returns — handlers read the
-// fields and never retain the pointer.
+// the receiver's shard's lists after their handler returns — handlers read
+// the fields and never retain the pointer.
 func (h *Harness) receive(msg network.Message) {
 	switch p := msg.Payload.(type) {
 	case *TimeReq:
 		h.answerTimeReq(msg.From, *p)
-		if len(h.freeReq) < h.poolCap {
-			h.freeReq = append(h.freeReq, p)
-		}
+		h.reqs.Put(p)
 	case *TimeResp:
 		h.handleTimeResp(msg.From, *p)
-		if len(h.freeResp) < h.poolCap {
-			h.freeResp = append(h.freeResp, p)
-		}
+		h.resps.Put(p)
 	case TimeReq:
 		h.answerTimeReq(msg.From, p)
 	case TimeResp:
@@ -306,14 +258,14 @@ func (h *Harness) answerTimeReq(from int, req TimeReq) {
 		// advertise itself in the trace plane.
 		reading, reply := h.behavior.RespondTime(h, from, now)
 		if reply {
-			resp := h.newTimeResp()
+			resp := h.resps.Get()
 			resp.Nonce, resp.Clock = req.Nonce, reading
 			h.net.Send(h.id, from, resp)
 		}
 		return
 	}
 	c := h.clk.Now(now)
-	resp := h.newTimeResp()
+	resp := h.resps.Get()
 	resp.Nonce, resp.Clock = req.Nonce, c
 	h.net.Send(h.id, from, resp)
 	if req.Span != 0 && h.Obs.SpansEnabled() {
@@ -328,12 +280,16 @@ func (h *Harness) answerTimeReq(from int, req TimeReq) {
 	}
 }
 
+// handleTimeResp accepts an answer only for a nonce still in flight and only
+// from the peer that nonce was sent to; anything else — a duplicate, a nonce
+// from a finished or aborted round, the right nonce under the wrong identity
+// — is dropped without consuming the entry.
 func (h *Harness) handleTimeResp(from int, resp TimeResp) {
-	p, ok := h.pending[resp.Nonce]
-	if !ok || p.peer != from {
-		return // stale, aborted, or mismatched reply
+	e := h.pend.lookup(resp.Nonce)
+	if e == nil || e.peer != from {
+		return
 	}
-	delete(h.pending, resp.Nonce)
+	p := h.pend.claim(e)
 	if h.faulty {
 		return
 	}
@@ -341,7 +297,9 @@ func (h *Harness) handleTimeResp(from int, resp TimeResp) {
 	var est Estimate
 	if p.idx < 0 {
 		est = measure(from, p.sentAt, r, resp.Clock, p.span)
-	} else if est, ok = h.est.Reply(p.idx, p.sentAt, r, resp.Clock, p.span); !ok {
+	} else if reply, ok := h.est.Reply(p.idx, p.sentAt, r, resp.Clock, p.span); ok {
+		est = reply
+	} else {
 		return // response outlived its round
 	}
 	rtt := float64(r.Sub(p.sentAt))
@@ -369,12 +327,10 @@ func (h *Harness) handleTimeResp(from int, resp TimeResp) {
 }
 
 // sendPing issues one clock request and registers it as pending. Exactly-once
-// completion is guaranteed by the pending map alone: whichever of response or
-// timeout claims the nonce first deletes it, and abortEstimation discards the
-// whole map.
+// completion is guaranteed by the pending window alone: whichever of response
+// or timeout claims the nonce first kills it, and abortEstimation kills every
+// nonce in flight.
 func (h *Harness) sendPing(peer, idx int, done func(Estimate)) uint64 {
-	h.nonce++
-	nonce := h.nonce
 	var span obs.SpanID
 	if h.Obs.SpansEnabled() {
 		span = h.Obs.NextSpanID()
@@ -382,18 +338,18 @@ func (h *Harness) sendPing(peer, idx int, done func(Estimate)) uint64 {
 	if span != 0 && idx >= 0 {
 		h.est.Sent(idx, span)
 	}
-	h.pending[nonce] = pendingPing{
+	nonce := h.pend.add(pendingPing{
 		peer: peer, idx: idx, sentAt: h.LocalNow(), sentSim: h.sim.Now(),
 		span: span, parent: h.SpanParent, done: done,
-	}
-	req := h.newTimeReq()
+	})
+	req := h.reqs.Get()
 	req.Nonce, req.Span = nonce, span
 	h.net.Send(h.id, peer, req)
 	return nonce
 }
 
 // observeTimeout emits the observations of one expired ping. The caller has
-// already removed the nonce.
+// already claimed the nonce.
 func (h *Harness) observeTimeout(p pendingPing) {
 	peer := p.peer
 	if rec := h.Obs.Recorder(); rec != nil {
@@ -419,8 +375,8 @@ func (h *Harness) observeTimeout(p pendingPing) {
 func (h *Harness) Ping(peer int, timeout simtime.Duration, done func(Estimate)) {
 	nonce := h.sendPing(peer, -1, done)
 	h.ScheduleLocal(timeout, func() {
-		if p, still := h.pending[nonce]; still {
-			delete(h.pending, nonce)
+		if e := h.pend.lookup(nonce); e != nil {
+			p := h.pend.claim(e)
 			h.observeTimeout(p)
 			fe := FailedEstimate(peer)
 			fe.Span = p.span
@@ -450,30 +406,26 @@ func (h *Harness) EstimateAll(peers []int, maxWait simtime.Duration, done func([
 		return
 	}
 	h.roundDone = done
-	h.roundGen++
-	gen := h.roundGen
-	if cap(h.nonces) < len(peers) {
-		h.nonces = make([]uint64, 0, len(peers))
-	}
-	h.nonces = h.nonces[:0]
+	h.pend.reserve(len(peers))
+	first := h.pend.next
+	h.roundFirst = first
 	for i, peer := range peers {
-		h.nonces = append(h.nonces, h.sendPing(peer, i, nil))
+		h.sendPing(peer, i, nil)
 	}
-	h.timeout = h.ScheduleLocal(maxWait, func() { h.roundTimeout(gen) })
+	h.timeout = h.ScheduleLocal(maxWait, func() { h.roundTimeout(first) })
 }
 
 // roundTimeout reports every still-unanswered peer of the round as timed
-// out, in send order, and completes the round. The generation guard makes a
-// stale alarm (from a round that was aborted after its timeout was
-// scheduled) a no-op.
-func (h *Harness) roundTimeout(gen uint64) {
-	if !h.est.Open() || h.roundGen != gen {
+// out, in send order, and completes the round. The alarm names the round by
+// its first nonce, which makes a stale one (from a round that was aborted
+// after its timeout was scheduled) a no-op.
+func (h *Harness) roundTimeout(first uint64) {
+	if !h.est.Open() || h.roundFirst != first {
 		return
 	}
-	for _, nonce := range h.nonces {
-		if p, still := h.pending[nonce]; still {
-			delete(h.pending, nonce)
-			h.observeTimeout(p)
+	for i := range h.est.Estimates() {
+		if e := h.pend.lookup(first + uint64(i)); e != nil {
+			h.observeTimeout(h.pend.claim(e))
 		}
 	}
 	h.est.Expire()
@@ -487,7 +439,7 @@ func (h *Harness) abortEstimation() {
 		h.timeout.Cancel()
 		h.est.Abort()
 	}
-	clear(h.pending)
+	h.pend.clear()
 }
 
 // PingBest performs k sequential pings to peer and returns (via done) the

@@ -1,5 +1,7 @@
 package protocol
 
+import "clocksync/internal/network"
+
 // PeerSampler draws the subset of peers a node estimates against each Sync
 // round. Full-mesh estimation sends O(n²) messages per round; sampling k
 // peers sends O(n·k), trading message complexity against precision exactly
@@ -8,27 +10,51 @@ package protocol
 // Byzantine estimate, so agreement survives, while the accuracy envelope
 // widens with the sparser view (measured empirically in E21).
 //
-// The subset is a seeded random k-of-n draw per round, keyed by
-// (seed, node, round): deterministic for replay, independent across nodes
-// and rounds so coverage rotates through the whole mesh, and O(k) space —
-// no per-node permutation state, which matters at n=4096.
+// The subset is a seeded uniform k-subset of the universe per round, keyed by
+// (seed, node, round): deterministic for replay, and independent across nodes
+// and rounds. A given peer is therefore drawn with probability k/size in
+// every round, whatever was drawn before — there is no rotation, and nothing
+// promises that a node hears every peer within a Θ window (at n=1024, k=31
+// and twelve rounds per window it reaches at most 372 of its 1,023 peers).
+//
+// The universe is a size and an index function, never a list: the sampler's
+// state is the k picks and nothing else, whatever the size — no per-node
+// permutation and no per-node neighbour slice, which matters at n=4096.
 type PeerSampler struct {
-	peers []int // the full universe, never mutated
+	size  int             // peers in the universe
+	at    func(i int) int // the i-th of them, 0 ≤ i < size
+	all   []int           // the whole universe, set when sampling is a no-op
 	k     int
 	seed  int64
 	node  int
 	round uint64
 	out   []int
-	picks map[int]struct{}
 }
 
 // NewPeerSampler samples k of the given peers per round. When k ≤ 0 or
 // k ≥ len(peers) sampling is a no-op: Sample returns the full universe.
 func NewPeerSampler(peers []int, k int, seed int64, node int) *PeerSampler {
-	s := &PeerSampler{peers: peers, k: k, seed: seed, node: node}
+	s := &PeerSampler{size: len(peers), k: k, seed: seed, node: node}
 	if k > 0 && k < len(peers) {
+		s.at = func(i int) int { return peers[i] }
 		s.out = make([]int, 0, k)
-		s.picks = make(map[int]struct{}, k)
+	} else {
+		s.all = peers
+	}
+	return s
+}
+
+// NewNeighborSampler samples k of node's topology neighbours per round,
+// reading them through Topology.Neighbor so that no neighbour list is built.
+// When k ≤ 0 or k ≥ the node's degree sampling is a no-op: the node estimates
+// all of its neighbours, and the list is materialised once, here.
+func NewNeighborSampler(topo network.Topology, node, k int, seed int64) *PeerSampler {
+	s := &PeerSampler{size: topo.Degree(node), k: k, seed: seed, node: node}
+	if k > 0 && k < s.size {
+		s.at = func(i int) int { return topo.Neighbor(node, i) }
+		s.out = make([]int, 0, k)
+	} else {
+		s.all = topo.Neighbors(node)
 	}
 	return s
 }
@@ -38,50 +64,34 @@ func NewPeerSampler(peers []int, k int, seed int64, node int) *PeerSampler {
 // across rounds (EstimateAll's contract already demands the same of its
 // results).
 func (s *PeerSampler) Sample() []int {
-	if s.picks == nil {
-		return s.peers
+	if s.at == nil {
+		return s.all
 	}
 	round := s.round
 	s.round++
 	// Floyd's algorithm: k uniform draws, no rejection loop beyond the
-	// single duplicate fallback, touching only O(k) state.
-	n := len(s.peers)
-	src := msgSource{state: samplerKey(s.seed, s.node, round)}
-	clear(s.picks)
+	// single duplicate fallback. The universe's index function is injective,
+	// so "index t already picked" is "peer at(t) already in out" — a scan of
+	// at most k entries, which at the k a sampled round uses beats hashing.
+	src := network.SplitMix64{State: samplerKey(s.seed, s.node, round)}
 	s.out = s.out[:0]
-	for j := n - s.k; j < n; j++ {
-		t := int(src.next() % uint64(j+1))
-		if _, dup := s.picks[t]; dup {
-			t = j
+	for j := s.size - s.k; j < s.size; j++ {
+		p := s.at(int(src.Uint64() % uint64(j+1)))
+		for _, q := range s.out {
+			if q == p {
+				p = s.at(j)
+				break
+			}
 		}
-		s.picks[t] = struct{}{}
-		s.out = append(s.out, s.peers[t])
+		s.out = append(s.out, p)
 	}
 	return s.out
 }
 
-// msgSource is a splitmix64 stream (mirrors the sharded network's
-// per-message source; duplicated here to keep protocol free of a network
-// dependency cycle).
-type msgSource struct{ state uint64 }
-
-func (m *msgSource) next() uint64 {
-	m.state += 0x9E3779B97F4A7C15
-	z := m.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // samplerKey hashes (seed, node, round) into the round's draw-stream seed.
 func samplerKey(seed int64, node int, round uint64) uint64 {
-	mix := func(z uint64) uint64 {
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return z ^ (z >> 31)
-	}
-	x := mix(uint64(seed) ^ 0xA5A5A5A55A5A5A5A)
-	x = mix(x ^ uint64(uint32(node)))
-	x = mix(x ^ round)
+	x := network.Mix64(uint64(seed) ^ 0xA5A5A5A55A5A5A5A)
+	x = network.Mix64(x ^ uint64(uint32(node)))
+	x = network.Mix64(x ^ round)
 	return x
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"runtime"
 	"testing"
 
 	"clocksync/internal/des"
@@ -35,12 +36,16 @@ func clusterMinuteAllocs(t *testing.T, n, runs int, check bool) float64 {
 }
 
 // TestClusterMinuteAllocBudget pins the end-to-end allocation profile of a
-// cluster minute. The payload free lists (TimeReq/TimeResp pooled per
-// harness, sized to the round's working set) took n=256 from ~752k to ~105k
-// allocs per run, and measuring each instant once into one Sample to ~91k;
-// the budgets hold that ground with headroom for noise, so un-pooling a hot
-// payload path fails plain `go test`, not only a benchmark comparison. The
-// last row budgets the cost of observing itself: the online checker reads the
+// cluster minute. Pooling the TimeReq/TimeResp payloads took n=256 from ~752k
+// to ~105k allocs per run, measuring each instant once into one Sample to
+// ~91k, and moving the payload lists from every harness to the network's
+// shards, the pending pings from a map to a window and the round scratch from
+// doubling to sized-once to ~14k; the budgets hold that ground with headroom
+// for noise, so un-pooling a hot payload path fails plain `go test`, not only
+// a benchmark comparison. What is left at n=256 is per run, not per ping: the
+// envelopes and payloads in flight at the peak (the network is rebuilt every
+// run), two slices per sample, one timeout closure per round. The last row
+// budgets the cost of observing itself: the online checker reads the
 // recorder's samples, so it may add its own fixed state and nothing per
 // sample.
 func TestClusterMinuteAllocBudget(t *testing.T) {
@@ -50,14 +55,61 @@ func TestClusterMinuteAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts include race-detector bookkeeping")
 	}
-	plain := clusterMinuteAllocs(t, 7, 50, false) // measured ~650
-	if plain > 900 {
-		t.Errorf("cluster minute n=7: %v allocs per run over budget 900 — a payload or event path stopped pooling", plain)
+	plain := clusterMinuteAllocs(t, 7, 50, false) // measured ~500
+	if plain > 650 {
+		t.Errorf("cluster minute n=7: %v allocs per run over budget 650 — a payload or event path stopped pooling", plain)
 	}
-	if big := clusterMinuteAllocs(t, 256, 2, false); big > 120_000 { // measured ~91k
-		t.Errorf("cluster minute n=256: %v allocs per run over budget 120000 — a payload or event path stopped pooling", big)
+	if big := clusterMinuteAllocs(t, 256, 2, false); big > 18_000 { // measured ~14k
+		t.Errorf("cluster minute n=256: %v allocs per run over budget 18000 — a payload or event path stopped pooling", big)
 	}
 	if extra := clusterMinuteAllocs(t, 7, 50, true) - plain; extra > 32 { // measured +10
 		t.Errorf("checked cluster minute n=7: %v allocs more than unchecked, budget 32 — the checker is measuring or allocating per sample again", extra)
+	}
+}
+
+// sampledMinuteBytesPerNode is what one simulated minute of an n-processor
+// cluster in sparse-estimation mode (k=31, f=10) allocates, per processor, on
+// a reused one-shard simulator — the benchmark's sim_sampled_n1024 regime at
+// other sizes.
+func sampledMinuteBytesPerNode(t *testing.T, n int) float64 {
+	s := sampledMinute("sampled-minute", n, 10, 31, 1)
+	var before, after runtime.MemStats
+	for seed := int64(0); seed < 2; seed++ { // the first run sizes the event arena
+		s.Seed = seed
+		runtime.ReadMemStats(&before)
+		if _, err := Run(s); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+	}
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestSampledStateAllocFlatInN pins the property E21's "per-node cost flat in
+// n" rests on: a processor that samples k peers holds O(k) state — k pending
+// pings, k picks, k estimates, three k-vectors of round scratch — and nothing
+// that grows with the cluster, no neighbour list included. Measured 8.7 KB
+// per processor per simulated minute at n = 256, 2048 and 4096 alike; with
+// the two (n−1)-long neighbour slices and the per-processor ping map this
+// replaced it was 24 KB at n=256 and 84 KB at n=4096.
+func TestSampledStateAllocFlatInN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("byte counts include race-detector bookkeeping")
+	}
+	sizes := []int{2048}
+	if !testing.Short() {
+		sizes = append(sizes, 4096)
+	}
+	base := sampledMinuteBytesPerNode(t, 256)
+	if base > 12<<10 {
+		t.Errorf("n=256: %.0f bytes per node per minute over budget %d", base, 12<<10)
+	}
+	for _, n := range sizes {
+		if got := sampledMinuteBytesPerNode(t, n); got > 1.1*base || got > 12<<10 {
+			t.Errorf("n=%d: %.0f bytes per node per minute, n=256 took %.0f — want within 10%% and under %d: per-node state grows with n",
+				n, got, base, 12<<10)
+		} else {
+			t.Logf("n=%d: %.0f bytes per node per minute (n=256: %.0f)", n, got, base)
+		}
 	}
 }

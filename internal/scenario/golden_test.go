@@ -17,6 +17,18 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 
+// sampledMinute is the benchmark's sim_sampled_n1024 op at other sizes: one
+// simulated minute in sparse-estimation mode on a reusable sharded simulator
+// (lookahead = the default delay model's 5 ms minimum).
+func sampledMinute(name string, n, f, k, shards int) Scenario {
+	return Scenario{
+		Name: name, N: n, F: f, SamplePeers: k,
+		Duration: simtime.Minute, Theta: 2 * simtime.Minute,
+		Rho: 1e-4, SyncInt: 10 * simtime.Second,
+		ReuseSharded: des.NewSharded(0, shards, 5*simtime.Millisecond),
+	}
+}
+
 // sampledFingerprint is one sharded run reduced to a line: traffic totals,
 // events fired, and a SHA-256 over the bits of every sample's biases and of
 // every node's Syncs / Skipped / LastDelta. Sharded runs refuse every trace
@@ -59,22 +71,13 @@ func TestSampledRunGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates three n=1024 cluster minutes")
 	}
-	minute := func(name string, n, f, k int, ps *des.ShardedSim) Scenario {
-		return Scenario{
-			Name: name, N: n, F: f, SamplePeers: k,
-			Duration: simtime.Minute, Theta: 2 * simtime.Minute,
-			Rho: 1e-4, SyncInt: 10 * simtime.Second,
-			ReuseSharded: ps,
-		}
-	}
-	const lookahead = 5 * simtime.Millisecond // the default delay model's minimum
 	var got strings.Builder
-	big := minute("bench-sampled", 1024, 10, 31, des.NewSharded(0, 1, lookahead))
+	big := sampledMinute("bench-sampled", 1024, 10, 31, 1)
 	for seed := int64(1); seed <= 3; seed++ {
 		big.Seed = seed
 		got.WriteString(sampledFingerprint(t, fmt.Sprintf("n=1024 k=31 shards=1 seed=%d", seed), big))
 	}
-	small := minute("sampled-3shard", 64, 2, 7, des.NewSharded(0, 3, lookahead))
+	small := sampledMinute("sampled-3shard", 64, 2, 7, 3)
 	small.Seed = 1
 	got.WriteString(sampledFingerprint(t, "n=64 k=7 shards=3 seed=1", small))
 

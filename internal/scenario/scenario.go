@@ -33,12 +33,17 @@ type Starter interface {
 // BuildContext is what a Builder gets for one processor.
 type BuildContext struct {
 	Harness  *protocol.Harness
-	Peers    []int // topology neighbors of this processor
 	Index    int
 	Scenario *Scenario
 	Bounds   analysis.Bounds
 	Rand     *rand.Rand
 }
+
+// Peers returns the processor's topology neighbours. The list is built on
+// every call: it is for builders whose node talks to all of them. Sync draws
+// its peers from the topology itself (core.New), so a sampled node never
+// holds an O(n) list.
+func (c BuildContext) Peers() []int { return c.Scenario.Topology.Neighbors(c.Index) }
 
 // Builder constructs the protocol node for one processor. Scenarios default
 // to the paper's Sync protocol; baselines provide their own Builders.
@@ -360,7 +365,7 @@ func Run(s Scenario) (*Result, error) {
 
 	builder := s.Builder
 	if builder == nil {
-		builder = defaultBuilder
+		builder = SyncBuilder(nil)
 	}
 	var tracer *trace.Tracer
 	if s.TraceWriter != nil {
@@ -434,7 +439,6 @@ func Run(s Scenario) (*Result, error) {
 		harnesses[i].OnAdjust = onAdjust
 		node := builder(BuildContext{
 			Harness:  harnesses[i],
-			Peers:    s.Topology.Neighbors(i),
 			Index:    i,
 			Scenario: &s,
 			Bounds:   bounds,
@@ -498,23 +502,10 @@ func Run(s Scenario) (*Result, error) {
 	return res, nil
 }
 
-// defaultBuilder instantiates the paper's Sync protocol with the derived
-// parameters, staggering first executions uniformly across SyncInt.
-func defaultBuilder(ctx BuildContext) Starter {
-	sc := ctx.Scenario
-	return core.New(ctx.Harness, core.Config{
-		F:           sc.F,
-		SyncInt:     sc.SyncInt,
-		MaxWait:     sc.MaxWait,
-		WayOff:      sc.WayOff,
-		FirstSync:   simtime.Duration(ctx.Rand.Float64() * float64(sc.SyncInt)),
-		SamplePeers: sc.SamplePeers,
-		SampleSeed:  sc.Seed,
-	}, ctx.Peers)
-}
-
-// SyncBuilder returns the default Sync builder with an explicit config
-// override hook, used by ablation experiments (E11).
+// SyncBuilder returns the builder of the paper's Sync protocol with the
+// derived parameters, first executions staggered uniformly across SyncInt.
+// mutate, when non-nil, overrides the config per processor (ablation
+// experiments, E11); scenarios without a Builder run SyncBuilder(nil).
 func SyncBuilder(mutate func(*core.Config, BuildContext)) Builder {
 	return func(ctx BuildContext) Starter {
 		sc := ctx.Scenario
@@ -530,6 +521,6 @@ func SyncBuilder(mutate func(*core.Config, BuildContext)) Builder {
 		if mutate != nil {
 			mutate(&cfg, ctx)
 		}
-		return core.New(ctx.Harness, cfg, ctx.Peers)
+		return core.New(ctx.Harness, cfg)
 	}
 }
