@@ -196,3 +196,34 @@ func httpGet(t *testing.T, url string) string {
 	}
 	return string(data)
 }
+
+// TestMarshalSpansPinned pins the /spanz body byte for byte on a fixed
+// five-span slice: a round with fields, an estimate under it, a zero-duration
+// reading (which keeps its "dur":0), a root span with no fields at all (no
+// "fields" key, no "parent" key), and a reply on another node. Whatever
+// encodes a span must reproduce it unmodified.
+func TestMarshalSpansPinned(t *testing.T) {
+	spans := []Span{
+		{ID: 1, Name: SpanRound, Node: 3, Start: 10, End: 10.25, Fields: F("delta", -0.004).F("wayoff", 0)},
+		{ID: 2, Parent: 1, Name: SpanEstimate, Node: 3, Start: 10, End: 10.125,
+			Fields: F("peer", 1).F("rtt", 0.125).F("d", 0.5).F("a", 0.0625).F("ok", 1)},
+		{ID: 3, Parent: 2, Name: SpanReading, Node: 3, Start: 10.25, End: 10.25,
+			Fields: F("peer", 1).F("accepted", 1)},
+		{ID: 4, Name: SpanQuery, Start: 11, End: 11.5},
+		{ID: 2, Name: SpanReply, Node: 1, Start: 10.0625, End: 10.0625, Fields: F("origin", 3)},
+	}
+	const want = `[` +
+		`{"at":10,"kind":"span","node":3,"name":"round","span":1,"dur":0.25,"fields":{"delta":-0.004,"wayoff":0}},` +
+		`{"at":10,"kind":"span","node":3,"name":"estimate","span":2,"parent":1,"dur":0.125,"fields":{"a":0.0625,"d":0.5,"ok":1,"peer":1,"rtt":0.125}},` +
+		`{"at":10.25,"kind":"span","node":3,"name":"reading","span":3,"parent":2,"dur":0,"fields":{"accepted":1,"peer":1}},` +
+		`{"at":11,"kind":"span","name":"query","span":4,"dur":0.5},` +
+		`{"at":10.0625,"kind":"span","node":1,"name":"reply","span":2,"dur":0,"fields":{"origin":3}}` +
+		`]`
+	got, err := MarshalSpans(spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Errorf("MarshalSpans drifted:\n got %s\nwant %s", got, want)
+	}
+}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"flag"
@@ -11,7 +12,9 @@ import (
 	"strings"
 	"testing"
 
+	"clocksync/internal/adversary"
 	"clocksync/internal/des"
+	"clocksync/internal/obs"
 	"clocksync/internal/simtime"
 )
 
@@ -97,5 +100,62 @@ func TestSampledRunGolden(t *testing.T) {
 	if got.String() != string(want) {
 		t.Errorf("sampled runs drifted from %s (regenerate with -update if intended):\n--- got ---\n%s--- want ---\n%s",
 			path, got.String(), want)
+	}
+}
+
+// streamScenario is the small seeded run whose recorded stream
+// testdata/stream.golden pins: four nodes, one of them clock-smashed during
+// [30 s, 60 s), ninety seconds, a sample every ten.
+func streamScenario() Scenario {
+	return Scenario{
+		Name: "stream-golden", Seed: 1, N: 4, F: 1,
+		Duration: 90 * simtime.Second, Theta: 2 * simtime.Minute,
+		Rho: 1e-4, InitSpread: 100 * simtime.Millisecond,
+		SamplePeriod: 10 * simtime.Second,
+		Adversary: adversary.Schedule{Corruptions: []adversary.Corruption{{
+			Node: 2, From: 30 * simtime.Time(simtime.Second), To: 60 * simtime.Time(simtime.Second),
+			Behavior: adversary.ClockSmash{Offset: 5 * simtime.Second},
+		}}},
+	}
+}
+
+// recordStream runs s with one obs.JSONL sink on both the event and the span
+// side and returns the bytes it wrote — what `syncsim -trace-out -trace-spans`
+// records.
+func recordStream(t *testing.T, s Scenario) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	sink := obs.NewJSONL(&buf)
+	s.EventSink, s.SpanSink = sink, sink
+	if _, err := Run(s); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestEventStreamGolden pins the recorded stream byte for byte — every event
+// and span line of streamScenario, in emission order — against
+// testdata/stream.golden. Any change to what the instrumented layers emit, or
+// to how a record is encoded, shows up as a diff. Regenerate deliberately with:
+//
+//	go test ./internal/scenario -run TestEventStreamGolden -update
+func TestEventStreamGolden(t *testing.T) {
+	got := recordStream(t, streamScenario())
+	path := filepath.Join("testdata", "stream.golden")
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("recorded stream drifted from %s: %d bytes, want %d (regenerate with -update if intended; diff the two to see where)",
+			path, len(got), len(want))
 	}
 }
