@@ -2,6 +2,7 @@ package clocksync_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -151,15 +152,29 @@ func TestRunScenarioWithSpanSink(t *testing.T) {
 	}
 }
 
-// TestRunScenarioWithTrace checks the measurement trace option produces
-// JSON lines.
+// TestRunScenarioWithTrace records a run the one way there is: a JSONL sink
+// on the event side, one JSON object per line, round events among them.
 func TestRunScenarioWithTrace(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := clocksync.RunScenario(smallScenario(), clocksync.WithTrace(&buf)); err != nil {
+	sink := clocksync.NewJSONLSink(&buf)
+	if _, err := clocksync.RunScenario(smallScenario(), clocksync.WithEventSink(sink)); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() == 0 {
-		t.Error("WithTrace produced no output")
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rounds := 0
+	for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+		var e clocksync.Event
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatalf("line %q: %v", line, err)
+		}
+		if e.Kind == clocksync.EventRound {
+			rounds++
+		}
+	}
+	if rounds == 0 {
+		t.Error("recorded stream has no round events")
 	}
 }
 

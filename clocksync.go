@@ -131,12 +131,6 @@ func WithEventSink(sink EventSink) RunOption {
 	return func(s *Scenario) { s.EventSink = sink }
 }
 
-// WithTrace streams the run's JSON-lines measurement trace to w, readable
-// with the trace package and the tracestat command.
-func WithTrace(w io.Writer) RunOption {
-	return func(s *Scenario) { s.TraceWriter = w }
-}
-
 // WithPeerSampling runs the scenario in sparse-estimation mode: each node
 // estimates against a seeded random k-of-n peer subset per round instead of
 // the full mesh, cutting estimation traffic from O(n²) to O(n·k) messages
@@ -368,8 +362,8 @@ type (
 	EventSinkFunc = obs.SinkFunc
 	// Ring is a fixed-capacity in-memory sink retaining the newest events.
 	Ring = obs.Ring
-	// JSONL writes events as JSON lines consumable by the trace package
-	// and the tracestat command.
+	// JSONL writes events — and, attached as a SpanSink too, spans — as JSON
+	// lines: the run's recording, which the tracestat command reads.
 	JSONL = obs.JSONL
 	// Recorder is a set of atomic counters and gauges describing protocol
 	// progress (rounds, messages, authentication failures, adjustments).

@@ -6,7 +6,6 @@
 //	syncsim -n 10 -f 3 -duration 1h
 //	syncsim -n 7 -f 2 -protocol boundedcf -smash 64 -duration 30m
 //	syncsim -n 10 -f 3 -rotate -theta 5m -duration 2h -plot
-//	syncsim -n 7 -f 2 -trace run.jsonl -duration 10m
 //	syncsim -n 7 -f 2 -trace-out run.jsonl -trace-spans -duration 10m
 //	syncsim -n 7 -f 2 -rotate -dash -duration 10m
 package main
@@ -38,8 +37,7 @@ import (
 // runOpts carries the output/observability settings of one invocation.
 type runOpts struct {
 	plot        bool
-	tracePath   string // -trace: measurement trace (samples, adjustments)
-	traceOut    string // -trace-out: observability event stream (rounds, skips)
+	traceOut    string // -trace-out: the run's recorded event stream
 	traceSpans  bool   // -trace-spans: add span records to -trace-out
 	dash        bool   // -dash: live terminal dashboard during the run
 	metricsAddr string // -metrics-addr: /metrics + /debug/pprof during the run
@@ -68,7 +66,6 @@ func run() error {
 		rotate   = flag.Bool("rotate", false, "run a rotating f-limited clock-smashing adversary")
 		drop     = flag.Float64("drop", 0, "message drop probability (failure injection)")
 		plot     = flag.Bool("plot", false, "print the deviation time series as an ASCII chart")
-		tracePth = flag.String("trace", "", "write a JSON-lines trace of the run to this file")
 		traceOut = flag.String("trace-out", "", "write the observability event stream (rounds, skips, corruptions) as JSON lines to this file; readable with tracestat")
 		traceSp  = flag.Bool("trace-spans", false, "also record causal spans (round/estimate/reading/adjust) into -trace-out; view with tracestat -perfetto")
 		dashFlag = flag.Bool("dash", false, "render a live terminal dashboard (offsets vs Δ, histograms, recent events) during the run")
@@ -78,7 +75,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	opts := runOpts{plot: *plot, tracePath: *tracePth, traceOut: *traceOut,
+	opts := runOpts{plot: *plot, traceOut: *traceOut,
 		traceSpans: *traceSp, dash: *dashFlag, metricsAddr: *metrics}
 	if opts.traceSpans && opts.traceOut == "" {
 		return fmt.Errorf("-trace-spans requires -trace-out")
@@ -199,15 +196,6 @@ func runFromConfig(path string, opts runOpts) error {
 // execute runs the scenario with the requested observability attached and
 // prints the report.
 func execute(s scenario.Scenario, proto string, opts runOpts) error {
-	if opts.tracePath != "" {
-		fh, err := os.Create(opts.tracePath)
-		if err != nil {
-			return fmt.Errorf("creating trace file: %w", err)
-		}
-		defer fh.Close()
-		s.TraceWriter = fh
-	}
-
 	var observer *obs.Observer
 	if opts.traceOut != "" || opts.metricsAddr != "" || opts.dash {
 		observer = obs.NewObserver()

@@ -30,7 +30,7 @@ func TestRunFromConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracePath := filepath.Join(t.TempDir(), "out.jsonl")
-	if err := runFromConfig(path, runOpts{tracePath: tracePath}); err != nil {
+	if err := runFromConfig(path, runOpts{traceOut: tracePath}); err != nil {
 		t.Fatal(err)
 	}
 	if fi, err := os.Stat(tracePath); err != nil || fi.Size() == 0 {
@@ -38,6 +38,10 @@ func TestRunFromConfig(t *testing.T) {
 	}
 }
 
+// TestRunFromConfigBaselineProtocol also pins that a baseline's recording
+// loses nothing to Sync's: only Sync emits round events of its own, so the
+// ntp run's adjustments must reach the stream through the scenario's adjust
+// hook and summarise to non-zero per-node rows.
 func TestRunFromConfigBaselineProtocol(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.json")
 	spec := `{
@@ -48,8 +52,27 @@ func TestRunFromConfigBaselineProtocol(t *testing.T) {
 	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runFromConfig(path, runOpts{}); err != nil {
+	out := filepath.Join(t.TempDir(), "ntp.jsonl")
+	if err := runFromConfig(path, runOpts{traceOut: out}); err != nil {
 		t.Fatal(err)
+	}
+	fh, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close()
+	events, err := trace.Read(fh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := trace.Summarize(events)
+	if len(sum.PerNode) != 4 {
+		t.Fatalf("summary has %d node rows, want 4", len(sum.PerNode))
+	}
+	for _, ns := range sum.PerNode {
+		if ns.Adjusts == 0 {
+			t.Errorf("node %d: the ntp run's stream records no adjustment", ns.Node)
+		}
 	}
 }
 

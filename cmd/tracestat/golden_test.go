@@ -8,34 +8,42 @@ import (
 	"testing"
 )
 
-// update regenerates the golden summary:
+// update regenerates the goldens:
 //
-//	go test ./cmd/tracestat -run TestSummaryGolden -update
-var update = flag.Bool("update", false, "rewrite the golden tracestat summary from current output")
+//	go test ./cmd/tracestat -run 'TestSummaryGolden|TestPerfettoGolden' -update
+var update = flag.Bool("update", false, "rewrite the golden tracestat outputs from current output")
 
 // TestSummaryGolden locks the exact human-facing summary format: any change
-// to trace.Summarize or its String rendering shows up as a diff against
-// testdata/summary.golden instead of silently reshaping what operators (and
-// scripts scraping the output) see.
+// to trace.Summarize or its String rendering shows up as a diff against a
+// golden instead of silently reshaping what operators (and scripts scraping
+// the output) see. Two inputs: testdata/sample.jsonl, the hand-written
+// fixture in the retired `syncsim -trace` vocabulary (legacy adjust lines
+// beside a round event and spans), and the recorded stream of a real run —
+// internal/scenario's stream.golden — whose adjustments: line and per-node
+// rows must come out non-zero from round events alone.
 func TestSummaryGolden(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{filepath.Join("testdata", "sample.jsonl")}, nil, &out); err != nil {
-		t.Fatal(err)
-	}
-
-	goldenPath := filepath.Join("testdata", "summary.golden")
-	if *update {
-		if err := os.WriteFile(goldenPath, out.Bytes(), 0o644); err != nil {
+	for _, tc := range []struct{ input, golden string }{
+		{filepath.Join("testdata", "sample.jsonl"), "summary.golden"},
+		{filepath.Join("..", "..", "internal", "scenario", "testdata", "stream.golden"), "summary_stream.golden"},
+	} {
+		var out bytes.Buffer
+		if err := run([]string{tc.input}, nil, &out); err != nil {
 			t.Fatal(err)
 		}
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("reading golden (run with -update to create it): %v", err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("summary differs from golden (re-run with -update if intended)\n--- got ---\n%s\n--- want ---\n%s",
-			out.Bytes(), want)
+		goldenPath := filepath.Join("testdata", tc.golden)
+		if *update {
+			if err := os.WriteFile(goldenPath, out.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(goldenPath)
+		if err != nil {
+			t.Fatalf("reading golden (run with -update to create it): %v", err)
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("summary of %s differs from %s (re-run with -update if intended)\n--- got ---\n%s\n--- want ---\n%s",
+				tc.input, tc.golden, out.Bytes(), want)
+		}
 	}
 }
 

@@ -1,5 +1,5 @@
-// Command tracestat summarizes a JSON-lines trace produced by a simulation
-// run (syncsim -trace-out, or scenario.Scenario.TraceWriter): adjustment
+// Command tracestat summarizes a recorded observability stream — the JSON
+// lines of syncsim/syncnode -trace-out or syncmon -export: adjustment
 // distribution, deviation profile, span and histogram summaries, and the
 // corruption timeline. With -plot it also renders the per-node bias
 // trajectories and the deviation series as ASCII charts; with -perfetto it
@@ -23,6 +23,7 @@ import (
 
 	"clocksync/internal/asciiplot"
 	"clocksync/internal/conformance"
+	"clocksync/internal/obs"
 	"clocksync/internal/trace"
 )
 
@@ -110,12 +111,12 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 
 // writePlots renders the deviation series and per-node bias trajectories
 // from the trace's sample events.
-func writePlots(w io.Writer, events []trace.Event) error {
+func writePlots(w io.Writer, events []obs.Event) error {
 	var ts, devs []float64
 	biases := map[string][]float64{}
 	nodes := 0
 	for _, e := range events {
-		if e.Kind != trace.KindSample {
+		if e.Kind != obs.KindSample {
 			continue
 		}
 		ts = append(ts, e.At)

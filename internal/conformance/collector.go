@@ -4,17 +4,16 @@ import (
 	"sync"
 
 	"clocksync/internal/obs"
-	"clocksync/internal/trace"
 )
 
 // Collector is an in-process obs sink pair that accumulates the event and
-// span stream of a run in the exact shape trace.Read produces from JSONL —
-// so a live run can be refinement-checked without a round-trip through a
-// file. It is safe for concurrent emission (live nodes emit from several
-// goroutines).
+// span stream of a run as the very records trace.Read decodes from JSONL
+// (TestCollectorMatchesJSONLRoundTrip) — so a live run can be
+// refinement-checked without a round-trip through a file. It is safe for
+// concurrent emission (live nodes emit from several goroutines).
 type Collector struct {
 	mu     sync.Mutex
-	events []trace.Event
+	events []obs.Event
 }
 
 var (
@@ -24,45 +23,20 @@ var (
 
 // Emit implements obs.Sink.
 func (c *Collector) Emit(e obs.Event) {
-	ev := trace.Event{
-		At:        e.At,
-		Kind:      trace.Kind(e.Kind),
-		Node:      e.Node,
-		Fields:    e.Fields,
-		Deviation: e.Deviation,
-	}
-	if len(e.Biases) > 0 {
-		ev.Biases = append([]float64(nil), e.Biases...)
-	}
 	c.mu.Lock()
-	c.events = append(c.events, ev)
+	c.events = append(c.events, e)
 	c.mu.Unlock()
 }
 
-// EmitSpan implements obs.SpanSink, mirroring the JSONL spanRecord
-// encoding (kind "span", At = start, Dur = end−start).
-func (c *Collector) EmitSpan(s obs.Span) {
-	ev := trace.Event{
-		At:     s.Start,
-		Kind:   trace.KindSpan,
-		Node:   s.Node,
-		Name:   s.Name,
-		Span:   uint64(s.ID),
-		Parent: uint64(s.Parent),
-		Dur:    s.Dur(),
-		Fields: s.Fields.Map(),
-	}
-	c.mu.Lock()
-	c.events = append(c.events, ev)
-	c.mu.Unlock()
-}
+// EmitSpan implements obs.SpanSink.
+func (c *Collector) EmitSpan(s obs.Span) { c.Emit(obs.SpanEvent(s)) }
 
 // Events returns the collected stream (a copy, safe to use while emission
 // continues).
-func (c *Collector) Events() []trace.Event {
+func (c *Collector) Events() []obs.Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]trace.Event(nil), c.events...)
+	return append([]obs.Event(nil), c.events...)
 }
 
 // Reset clears the collector for reuse across runs.

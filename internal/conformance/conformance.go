@@ -6,7 +6,7 @@ import (
 	"math"
 	"sort"
 
-	"clocksync/internal/trace"
+	"clocksync/internal/obs"
 )
 
 // Config declares what the checked run was configured with. F is required
@@ -90,7 +90,7 @@ var ErrNoRoundSpans = errors.New("conformance: no round spans in the stream (rec
 // abstract spec's transition relation. Violations come back in
 // deterministic (time, span) order. A stream without round spans is an
 // error (ErrNoRoundSpans), never a pass.
-func Check(events []trace.Event, cfg Config) (*Report, error) {
+func Check(events []obs.Event, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if cfg.F < 0 {
 		return nil, fmt.Errorf("conformance: negative F")
@@ -99,25 +99,25 @@ func Check(events []trace.Event, cfg Config) (*Report, error) {
 	rep.Stats.Events = len(events)
 
 	nodes := map[int]bool{}
-	corrupts := map[int][]trace.Event{}
-	var roundSpans []trace.Event
-	estsByParent := map[uint64][]trace.Event{}
+	corrupts := map[int][]obs.Event{}
+	var roundSpans []obs.Event
+	estsByParent := map[uint64][]obs.Event{}
 
 	for _, e := range events {
 		switch e.Kind {
-		case trace.KindSpan:
+		case obs.KindSpan:
 			nodes[e.Node] = true
 			switch e.Name {
-			case "round":
+			case obs.SpanRound:
 				roundSpans = append(roundSpans, e)
-			case "estimate":
+			case obs.SpanEstimate:
 				estsByParent[e.Parent] = append(estsByParent[e.Parent], e)
-			case "reply", "serve", "query":
+			case obs.SpanReply, obs.SpanServe, obs.SpanQuery:
 				rep.Stats.TelemetrySpans++
 			}
-		case trace.KindCorrupt, trace.KindRelease:
+		case obs.KindCorrupt, obs.KindRelease:
 			corrupts[e.Node] = append(corrupts[e.Node], e)
-		case "round", trace.KindAdjust, "skip":
+		case obs.KindRound, obs.KindAdjust, obs.KindSkip:
 			nodes[e.Node] = true
 		}
 	}
@@ -134,12 +134,12 @@ func Check(events []trace.Event, cfg Config) (*Report, error) {
 		var open *window
 		for _, e := range evs {
 			switch e.Kind {
-			case trace.KindCorrupt:
+			case obs.KindCorrupt:
 				if open == nil {
 					windows[node] = append(windows[node], window{from: e.At, to: math.Inf(1)})
 					open = &windows[node][len(windows[node])-1]
 				}
-			case trace.KindRelease:
+			case obs.KindRelease:
 				if open != nil {
 					open.to = e.At
 					open = nil
@@ -178,14 +178,14 @@ func Check(events []trace.Event, cfg Config) (*Report, error) {
 			rep.add(rs, "SendEstimate", fmt.Sprintf(
 				"round opened at %.6f while the previous round was still open until %.6f", rs.At, prev))
 		}
-		if end := rs.At + rs.Dur; end > lastEnd[rs.Node] {
+		if end := rs.At + rs.Duration(); end > lastEnd[rs.Node] {
 			lastEnd[rs.Node] = end
 		}
 	}
 	return rep, nil
 }
 
-func (r *Report) add(rs trace.Event, action, detail string) {
+func (r *Report) add(rs obs.Event, action, detail string) {
 	r.Violations = append(r.Violations, Violation{
 		At: rs.At, Node: rs.Node, Round: rs.Span, Action: action, Detail: detail,
 	})
@@ -194,8 +194,8 @@ func (r *Report) add(rs trace.Event, action, detail string) {
 // checkRound replays one recorded round span (plus its child estimate
 // spans) through the spec: the resolved estimate set must justify the
 // recorded skip/adjust decision and the exact adjustment value.
-func checkRound(rep *Report, rs trace.Event, estSpans []trace.Event, cfg Config, inWindow func(int, float64, float64) bool) {
-	end := rs.At + rs.Dur
+func checkRound(rep *Report, rs obs.Event, estSpans []obs.Event, cfg Config, inWindow func(int, float64, float64) bool) {
+	end := rs.At + rs.Duration()
 	if inWindow(rs.Node, rs.At, end) {
 		rep.add(rs, "SendEstimate", "round executed while the node was corrupted (spec suspends corrupted nodes)")
 	}
@@ -210,7 +210,7 @@ func checkRound(rep *Report, rs trace.Event, estSpans []trace.Event, cfg Config,
 	for _, es := range estSpans {
 		peer := int(es.Field("peer"))
 		cur, seen := byPeer[peer]
-		if esEnd := es.At + es.Dur; esEnd > end+timeTol || es.At < rs.At-timeTol {
+		if esEnd := es.At + es.Duration(); esEnd > end+timeTol || es.At < rs.At-timeTol {
 			rep.add(rs, "ReceiveReply", fmt.Sprintf(
 				"estimate of p%d resolved at %.6f, outside its round [%.6f, %.6f]", peer, esEnd, rs.At, end))
 		}

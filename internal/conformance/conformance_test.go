@@ -1,31 +1,33 @@
 package conformance
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"clocksync/internal/adversary"
 	"clocksync/internal/core"
+	"clocksync/internal/obs"
 	"clocksync/internal/protocol"
 	"clocksync/internal/scenario"
 	"clocksync/internal/simtime"
 	"clocksync/internal/trace"
 )
 
-// span builds one trace.Event in the shape trace.Read produces for a JSONL
-// span record.
-func span(id, parent uint64, name string, node int, at, dur float64, fields map[string]float64) trace.Event {
-	return trace.Event{
-		At: at, Kind: trace.KindSpan, Node: node,
-		Name: name, Span: id, Parent: parent, Dur: dur, Fields: fields,
+// span builds one span record, as trace.Read decodes it from a JSONL line.
+func span(id, parent uint64, name string, node int, at, dur float64, fields map[string]float64) obs.Event {
+	return obs.Event{
+		At: at, Kind: obs.KindSpan, Node: node,
+		Name: name, Span: id, Parent: parent, Dur: &dur, Fields: fields,
 	}
 }
 
 // round builds a complete synthetic round: the round span plus one estimate
 // span per entry of ests (d, a, ok). Span ids start at base.
-func round(base uint64, node int, at, dur float64, roundFields map[string]float64, ests []estimate) []trace.Event {
-	evs := []trace.Event{span(base, 0, "round", node, at, dur, roundFields)}
+func round(base uint64, node int, at, dur float64, roundFields map[string]float64, ests []estimate) []obs.Event {
+	evs := []obs.Event{span(base, 0, "round", node, at, dur, roundFields)}
 	for i, e := range ests {
 		f := map[string]float64{"peer": float64(e.peer)}
 		if e.ok {
@@ -38,7 +40,7 @@ func round(base uint64, node int, at, dur float64, roundFields map[string]float6
 	return evs
 }
 
-func mustCheck(t *testing.T, evs []trace.Event, cfg Config) *Report {
+func mustCheck(t *testing.T, evs []obs.Event, cfg Config) *Report {
 	t.Helper()
 	rep, err := Check(evs, cfg)
 	if err != nil {
@@ -185,7 +187,7 @@ func TestCheckLivenetRetries(t *testing.T) {
 // window violates the spec (corrupted processors take no protocol actions);
 // the same round outside the window is clean.
 func TestCheckCorruptionWindow(t *testing.T) {
-	mk := func(at float64) []trace.Event {
+	mk := func(at float64) []obs.Event {
 		evs := round(1, 0, at, 1, map[string]float64{"delta": 0.5, "wayoff": 0}, []estimate{
 			{peer: 1, d: 2, a: 1, ok: true},
 			{peer: 2, d: 4, a: 1, ok: true},
@@ -193,8 +195,8 @@ func TestCheckCorruptionWindow(t *testing.T) {
 		// Schedule events arrive out of order, after the run — like the
 		// scenario engine emits them.
 		return append(evs,
-			trace.Event{At: 20, Kind: trace.KindRelease, Node: 0},
-			trace.Event{At: 5, Kind: trace.KindCorrupt, Node: 0},
+			obs.Event{At: 20, Kind: obs.KindRelease, Node: 0},
+			obs.Event{At: 5, Kind: obs.KindCorrupt, Node: 0},
 		)
 	}
 	v := wantViolation(t, mustCheck(t, mk(10), Config{F: 1, WayOff: 100}), "SendEstimate")
@@ -226,11 +228,11 @@ func TestCheckOverlappingRounds(t *testing.T) {
 // — the clamp-violating delta below used to be the only thing event mode
 // could still see.
 func TestCheckEventMode(t *testing.T) {
-	evs := []trace.Event{
+	evs := []obs.Event{
 		{At: 10, Kind: "round", Node: 0, Fields: map[string]float64{"delta": 3, "wayoff": 0}},
 		{At: 20, Kind: "round", Node: 1, Fields: map[string]float64{"delta": 60, "wayoff": 0}},
 	}
-	for _, in := range [][]trace.Event{evs, nil} {
+	for _, in := range [][]obs.Event{evs, nil} {
 		if rep, err := Check(in, Config{F: 1, WayOff: 100}); !errors.Is(err, ErrNoRoundSpans) {
 			t.Errorf("%d span-less records: report %+v, err %v; want ErrNoRoundSpans", len(in), rep, err)
 		}
@@ -353,7 +355,7 @@ func TestCollectorRoundTrip(t *testing.T) {
 	}
 	spans := 0
 	for _, e := range evs {
-		if e.Kind == trace.KindSpan {
+		if e.Kind == obs.KindSpan {
 			spans++
 			if e.Name == "" || e.Span == 0 {
 				t.Fatalf("span event missing name or id: %+v", e)
@@ -362,5 +364,43 @@ func TestCollectorRoundTrip(t *testing.T) {
 	}
 	if spans == 0 {
 		t.Fatal("collector captured no spans")
+	}
+}
+
+// TestCollectorMatchesJSONLRoundTrip: one run, recorded twice — in memory by
+// the Collector and as JSON lines read back with trace.Read — yields
+// identical records in identical order, and so the identical refinement
+// report. That equality is what makes `synccampaign -conform` (Collector) and
+// `tracestat -conform` (file) one check.
+func TestCollectorMatchesJSONLRoundTrip(t *testing.T) {
+	col := &Collector{}
+	var buf bytes.Buffer
+	sink := obs.NewJSONL(&buf)
+	s := simScenario(col)
+	s.Observer = obs.NewObserver(sink)
+	s.Observer.AddSpanSink(sink)
+	res, err := scenario.Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := trace.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inMemory := col.Events()
+	if len(inMemory) != len(fromFile) {
+		t.Fatalf("collector holds %d records, the file %d", len(inMemory), len(fromFile))
+	}
+	for i := range inMemory {
+		if !reflect.DeepEqual(inMemory[i], fromFile[i]) {
+			t.Fatalf("record %d differs:\n collector %+v\n file      %+v", i, inMemory[i], fromFile[i])
+		}
+	}
+	cfg := Config{F: s.F, WayOff: float64(res.Scenario.WayOff)}
+	if a, b := mustCheck(t, inMemory, cfg), mustCheck(t, fromFile, cfg); !reflect.DeepEqual(a, b) {
+		t.Errorf("reports differ:\n collector %+v\n file      %+v", a, b)
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"clocksync/internal/adversary"
 	"clocksync/internal/analysis"
 	"clocksync/internal/livenet"
+	"clocksync/internal/obs"
 	"clocksync/internal/simtime"
-	"clocksync/internal/trace"
 )
 
 // TestCheckLivenetChaosRun refines a real concurrent cluster against the
@@ -41,7 +41,7 @@ func TestCheckLivenetChaosRun(t *testing.T) {
 	// its estimates — the self-estimate included — has a reading span.
 	rounds, readings := 0, 0
 	for _, e := range col.Events() {
-		if e.Kind != trace.KindSpan {
+		if e.Kind != obs.KindSpan {
 			continue
 		}
 		switch e.Name {

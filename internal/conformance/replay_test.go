@@ -5,10 +5,10 @@ import (
 	"testing"
 
 	"clocksync/internal/core"
+	"clocksync/internal/obs"
 	"clocksync/internal/protocol"
 	"clocksync/internal/scenario"
 	"clocksync/internal/simtime"
-	"clocksync/internal/trace"
 )
 
 // replayRounds re-feeds every recorded round of a stream into a fresh round
@@ -17,16 +17,16 @@ import (
 // bit-equal to the round span, the failure count equal to the round event's.
 // A driver that let any of its own state (clocks, health, retries, caches)
 // into the decision would diverge here. It returns the rounds replayed.
-func replayRounds(t *testing.T, events []trace.Event, f int, wayOff float64) int {
+func replayRounds(t *testing.T, events []obs.Event, f int, wayOff float64) int {
 	t.Helper()
 	ests := map[uint64]map[int]protocol.Estimate{} // round span → peer → estimate
-	var rounds []trace.Event
-	verdicts := map[int][]trace.Event{} // node → its round and skip events, in order
+	var rounds []obs.Event
+	verdicts := map[int][]obs.Event{} // node → its round and skip events, in order
 	for _, e := range events {
 		switch {
-		case e.Kind == trace.KindSpan && e.Name == "round":
+		case e.Kind == obs.KindSpan && e.Name == "round":
 			rounds = append(rounds, e)
-		case e.Kind == trace.KindSpan && e.Name == "estimate":
+		case e.Kind == obs.KindSpan && e.Name == "estimate":
 			peer := int(e.Field("peer"))
 			if ests[e.Parent] == nil {
 				ests[e.Parent] = map[int]protocol.Estimate{}

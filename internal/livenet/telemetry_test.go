@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"clocksync/internal/obs"
 	"clocksync/internal/trace"
 )
 
@@ -200,7 +201,7 @@ func TestTelemetryEndpoints(t *testing.T) {
 
 	// /spanz on every node, and the cross-node join: some estimate span on
 	// node i must have a reply span with the same id on the peer it measured.
-	spansOf := make([][]trace.Event, 3)
+	spansOf := make([][]obs.Event, 3)
 	for i := 0; i < 3; i++ {
 		resp, err := http.Get("http://" + c.MetricsAddr(i) + "/spanz")
 		if err != nil {

@@ -8,26 +8,76 @@ import (
 	"sync/atomic"
 )
 
-// Event is one structured observation. At is in seconds — simulation time
-// for simulated runs, Unix time for live nodes. Kind names the observation;
-// Fields carries its numeric payload (e.g. {"delta": 0.004} for an
-// adjustment). Sample events additionally carry the per-node bias vector and
-// the good-set deviation, mirroring the measurement-trace encoding so one
-// JSONL stream serves both. The JSON encoding is one object per line when
-// written through a JSONL sink, and cmd/tracestat understands the stream.
+// Event is one record of the observability stream, and the one place that
+// knows its JSON encoding: JSONL writes it a line at a time, /spanz serves an
+// array of it (MarshalSpans), conformance.Collector keeps it in memory, and
+// trace.Read, cmd/tracestat, internal/telemetry and conformance.Check consume
+// it. At is in seconds — simulation time for simulated runs, Unix time for
+// live nodes. Kind names the observation; Fields carries its numeric payload
+// (e.g. {"delta": 0.004} for a round). Sample records additionally carry the
+// per-node bias vector and the good-set deviation.
+//
+// A completed span (SpanEvent) is a record of kind "span": At is the span's
+// start, Name/Span/Parent its identity and Dur its duration — non-nil on
+// every span record, so a zero-duration reading still writes "dur":0, and nil
+// on everything else.
+//
+// Delta is read-only history: the "adjust" lines of archives written by the
+// retired `syncsim -trace` carry their step there. No producer sets it; read
+// either shape through Adjustment.
 type Event struct {
 	At        float64            `json:"at"`
 	Kind      string             `json:"kind"`
 	Node      int                `json:"node,omitempty"`
+	Name      string             `json:"name,omitempty"`
+	Span      uint64             `json:"span,omitempty"`
+	Parent    uint64             `json:"parent,omitempty"`
+	Dur       *float64           `json:"dur,omitempty"`
 	Fields    map[string]float64 `json:"fields,omitempty"`
 	Biases    []float64          `json:"biases,omitempty"`
 	Deviation float64            `json:"deviation,omitempty"`
+	Delta     float64            `json:"delta,omitempty"`
+}
+
+// SpanEvent returns the stream record of a completed span.
+func SpanEvent(s Span) Event {
+	dur := s.Dur()
+	return Event{
+		At: s.Start, Kind: KindSpan, Node: s.Node,
+		Name: s.Name, Span: uint64(s.ID), Parent: uint64(s.Parent),
+		Dur: &dur, Fields: s.Fields.Map(),
+	}
+}
+
+// Field returns the named value from Fields (0 when absent).
+func (e Event) Field(name string) float64 { return e.Fields[name] }
+
+// Duration returns a span record's duration in seconds (0 for other records,
+// and for span lines of old exports that dropped a zero "dur").
+func (e Event) Duration() float64 {
+	if e.Dur == nil {
+		return 0
+	}
+	return *e.Dur
+}
+
+// Adjustment returns the step the record says Node applied to its clock: a
+// round event's fields.delta, or a legacy adjust line's delta. The two are
+// the same fact, so consumers count them through this one accessor.
+func (e Event) Adjustment() (delta float64, ok bool) {
+	switch e.Kind {
+	case KindRound:
+		return e.Fields["delta"], true
+	case KindAdjust:
+		return e.Delta, true
+	}
+	return 0, false
 }
 
 // Standard event kinds emitted by the instrumented layers. Sinks must accept
 // unknown kinds: layers may add new ones.
 const (
-	KindRound    = "round"    // one completed Sync execution; fields: delta, failed, wayoff
+	KindRound    = "round"    // a node stepped its clock by fields.delta; Sync adds failed, wayoff
 	KindSkip     = "skip"     // a Sync execution that applied no adjustment
 	KindCorrupt  = "corrupt"  // the adversary broke into a node
 	KindRelease  = "release"  // the adversary left a node
@@ -38,6 +88,9 @@ const (
 	// and (for peerdark) fails = the consecutive-failure count that tripped.
 	KindPeerDark   = "peerdark"   // a peer stopped answering and was marked dark
 	KindPeerBright = "peerbright" // a dark peer answered and rejoined the wait set
+
+	KindSpan   = "span"   // a completed span (SpanEvent); uses Name, Span, Parent, Dur
+	KindAdjust = "adjust" // legacy, read only: an adjustment line of a `syncsim -trace` archive
 )
 
 // Sink consumes events. Implementations must be safe for concurrent Emit
@@ -52,16 +105,6 @@ type SinkFunc func(Event)
 
 // Emit implements Sink.
 func (f SinkFunc) Emit(e Event) { f(e) }
-
-// MultiSink fans every event out to each member.
-type MultiSink []Sink
-
-// Emit implements Sink.
-func (m MultiSink) Emit(e Event) {
-	for _, s := range m {
-		s.Emit(e)
-	}
-}
 
 // Ring is a fixed-capacity in-memory sink keeping the most recent events —
 // the "flight recorder" for tests and post-mortem inspection.
@@ -117,8 +160,8 @@ func (r *Ring) Total() int64 {
 }
 
 // JSONL streams events — and, since it also implements SpanSink, spans — to a
-// writer as JSON lines. Both record shapes share one encoder and mutex, so a
-// single trace file interleaves them without torn lines. Encoding errors are
+// writer as JSON lines. Both go through Emit, one encoder under one mutex, so
+// a single trace file interleaves them without torn lines. Encoding errors are
 // sticky and reported by Flush, so an unwritable trace never corrupts a run.
 type JSONL struct {
 	mu     sync.Mutex
@@ -143,61 +186,17 @@ func (j *JSONL) Emit(e Event) {
 	j.mu.Unlock()
 }
 
-// spanRecord is the JSONL encoding of a span: an event-shaped line with
-// kind "span" plus the span identity, so one stream carries both and
-// cmd/tracestat parses it with a single decoder.
-type spanRecord struct {
-	At     float64 `json:"at"`
-	Kind   string  `json:"kind"`
-	Node   int     `json:"node,omitempty"`
-	Name   string  `json:"name"`
-	Span   uint64  `json:"span"`
-	Parent uint64  `json:"parent,omitempty"`
-	Dur    float64 `json:"dur"`
-	Fields *Fields `json:"fields,omitempty"`
-}
-
 // EmitSpan implements SpanSink.
-func (j *JSONL) EmitSpan(s Span) {
-	rec := spanRecord{
-		At:     s.Start,
-		Kind:   "span",
-		Node:   s.Node,
-		Name:   s.Name,
-		Span:   uint64(s.ID),
-		Parent: uint64(s.Parent),
-		Dur:    s.Dur(),
-	}
-	if s.Fields.Len() > 0 {
-		rec.Fields = &s.Fields
-	}
-	j.mu.Lock()
-	if j.err == nil && !j.closed {
-		j.err = j.enc.Encode(rec)
-	}
-	j.mu.Unlock()
-}
+func (j *JSONL) EmitSpan(s Span) { j.Emit(SpanEvent(s)) }
 
-// MarshalSpans encodes spans as a JSON array of span records — each element
-// byte-compatible with the JSONL span-line encoding, so trace.Event decodes
-// them. The /spanz endpoint of a live node serves this shape and the
+// MarshalSpans encodes spans as a JSON array of their stream records — each
+// element byte-identical to the JSONL line of the same span, so trace.ReadJSON
+// decodes it. The /spanz endpoint of a live node serves this shape and the
 // telemetry scraper parses it.
 func MarshalSpans(spans []Span) ([]byte, error) {
-	recs := make([]spanRecord, len(spans))
+	recs := make([]Event, len(spans))
 	for i, s := range spans {
-		recs[i] = spanRecord{
-			At:     s.Start,
-			Kind:   "span",
-			Node:   s.Node,
-			Name:   s.Name,
-			Span:   uint64(s.ID),
-			Parent: uint64(s.Parent),
-			Dur:    s.Dur(),
-		}
-		if s.Fields.Len() > 0 {
-			f := s.Fields
-			recs[i].Fields = &f
-		}
+		recs[i] = SpanEvent(s)
 	}
 	return json.Marshal(recs)
 }

@@ -142,7 +142,7 @@ func TestTraceSurvivesMidStreamClose(t *testing.T) {
 	}
 	spans := 0
 	for _, e := range events {
-		if e.Kind == trace.KindSpan {
+		if e.Kind == obs.KindSpan {
 			spans++
 		}
 	}

@@ -7,7 +7,6 @@ package scenario
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 
 	"clocksync/internal/adversary"
@@ -21,7 +20,6 @@ import (
 	"clocksync/internal/obs"
 	"clocksync/internal/protocol"
 	"clocksync/internal/simtime"
-	"clocksync/internal/trace"
 )
 
 // Starter is a protocol node ready to be started. The core Sync node and
@@ -103,13 +101,13 @@ type Scenario struct {
 	// SkipValidation disables the Theorem 5 parameter validation (for
 	// deliberately out-of-model runs).
 	SkipValidation bool
-	// TraceWriter, when non-nil, receives a JSON-lines trace of the run
-	// (adjustments, corruptions, releases, samples).
-	TraceWriter io.Writer
 
 	// Observer, when non-nil, receives the run's observability stream: one
-	// shared counter Recorder and a structured event per Sync round,
-	// estimation timeout, corruption and release. EventSink attaches one
+	// shared counter Recorder and a structured event per clock adjustment
+	// (Sync's round events; a Builder that returns anything but a *core.Node
+	// gets a round event with fields.delta per Harness.Adjust), skipped round,
+	// estimation timeout, sample, corruption and release — written through an
+	// obs.JSONL sink, the run's recording. EventSink attaches one
 	// more sink to the run's observer (creating a fresh observer when
 	// Observer is nil) — the convenience path for "just give me the events".
 	Observer  *obs.Observer
@@ -137,7 +135,7 @@ type Scenario struct {
 	// continuous delay/drift distributions and adversary-free schedules.
 	// A model without a positive MinBound leaves no safe window, so the run
 	// silently collapses to one shard. Sharded runs reject the serial-only
-	// observability surfaces (Observer/EventSink/SpanSink/TraceWriter/Check):
+	// observability surfaces (Observer/EventSink/SpanSink/Check):
 	// their sinks are not thread-safe. Zero keeps the serial engine.
 	Shards int
 	// ReuseSharded is ReuseSim's analogue for sharded runs: the simulator is
@@ -222,14 +220,12 @@ func (s *Scenario) Params() analysis.Params {
 }
 
 // shardedIncompat rejects scenario surfaces the parallel engine cannot
-// serve: observability sinks, tracing and the online checker are all
-// single-threaded consumers wired into shard-local hot paths.
+// serve: observability sinks and the online checker are single-threaded
+// consumers wired into shard-local hot paths.
 func (s *Scenario) shardedIncompat() error {
 	switch {
 	case s.Observer != nil || s.EventSink != nil || s.SpanSink != nil:
 		return fmt.Errorf("scenario %q: observability sinks are not supported on sharded runs", s.Name)
-	case s.TraceWriter != nil:
-		return fmt.Errorf("scenario %q: trace writing is not supported on sharded runs", s.Name)
 	case s.Check:
 		return fmt.Errorf("scenario %q: the online checker is not supported on sharded runs (run the sampled campaign serially instead)", s.Name)
 	case s.ReuseSim != nil:
@@ -367,10 +363,6 @@ func Run(s Scenario) (*Result, error) {
 	if builder == nil {
 		builder = SyncBuilder(nil)
 	}
-	var tracer *trace.Tracer
-	if s.TraceWriter != nil {
-		tracer = trace.New(s.TraceWriter)
-	}
 
 	observer := s.Observer
 	if s.EventSink != nil {
@@ -420,8 +412,22 @@ func Run(s Scenario) (*Result, error) {
 	syncNodes := make([]*core.Node, s.N)
 	for i := 0; i < s.N; i++ {
 		harnesses[i].Obs = observer
+		node := builder(BuildContext{
+			Harness:  harnesses[i],
+			Index:    i,
+			Scenario: &s,
+			Bounds:   bounds,
+			Rand:     rng,
+		})
+		sn, isSync := node.(*core.Node)
+		if isSync {
+			syncNodes[i] = sn
+		}
 		onAdjust := rec.AdjustHook(i)
-		if checker != nil || tracer != nil {
+		// Sync records its own round events (core.Round.Record); any other
+		// protocol's adjustments enter the stream here, as the same record.
+		recordRound := observer != nil && !isSync
+		if checker != nil || recordRound {
 			i, recHook := i, onAdjust
 			onAdjust = func(at simtime.Time, delta simtime.Duration) {
 				recHook(at, delta)
@@ -431,22 +437,15 @@ func Run(s Scenario) (*Result, error) {
 					samples := rec.Samples()
 					checker.Round(samples[len(samples)-1], i, delta)
 				}
-				if tracer != nil {
-					tracer.Adjust(at, i, delta)
+				if recordRound {
+					observer.Emit(obs.Event{
+						At: float64(at), Kind: obs.KindRound, Node: i,
+						Fields: map[string]float64{"delta": float64(delta)},
+					})
 				}
 			}
 		}
 		harnesses[i].OnAdjust = onAdjust
-		node := builder(BuildContext{
-			Harness:  harnesses[i],
-			Index:    i,
-			Scenario: &s,
-			Bounds:   bounds,
-			Rand:     rng,
-		})
-		if sn, ok := node.(*core.Node); ok {
-			syncNodes[i] = sn
-		}
 		node.Start()
 	}
 
@@ -476,18 +475,6 @@ func Run(s Scenario) (*Result, error) {
 			observer.Emit(obs.Event{At: float64(c.To), Kind: obs.KindRelease, Node: c.Node})
 		}
 		res.EventCounts = observer.EventCounts()
-	}
-	if tracer != nil {
-		for _, c := range s.Adversary.Corruptions {
-			tracer.Corrupt(c.From, c.Node)
-			tracer.Release(c.To, c.Node)
-		}
-		for _, sample := range rec.Samples() {
-			tracer.Sample(sample.At, sample.Biases, sample.Deviation)
-		}
-		if err := tracer.Flush(); err != nil {
-			return nil, fmt.Errorf("scenario %q: writing trace: %w", s.Name, err)
-		}
 	}
 	if checker != nil {
 		res.Violations, res.ViolationsDropped = checker.Violations(), checker.Dropped()

@@ -7,6 +7,7 @@ import (
 
 	"clocksync/internal/des"
 	"clocksync/internal/network"
+	"clocksync/internal/obs"
 	"clocksync/internal/simtime"
 )
 
@@ -115,7 +116,7 @@ func TestShardedIncompatibleSurfaces(t *testing.T) {
 	}
 	bad := []func(*Scenario){
 		func(s *Scenario) { s.Check = true },
-		func(s *Scenario) { s.TraceWriter = &discard{} },
+		func(s *Scenario) { s.EventSink = obs.NewRing(1) },
 		func(s *Scenario) { s.ReuseSim = des.New(0) },
 	}
 	for i, mutate := range bad {
@@ -152,7 +153,3 @@ func TestShardedLyingDelayPanicsOnCaller(t *testing.T) {
 		t.Fatalf("recovered %v, want the lookahead guard's message", got)
 	}
 }
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }

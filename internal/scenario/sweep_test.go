@@ -165,19 +165,15 @@ func TestSweepGoroutineBound(t *testing.T) {
 
 // TestSweepSimReuseReplaysByteIdentically pins the ReuseSim contract at the
 // scenario level: running a scenario on a simulator dirtied by a different
-// seed must produce a byte-identical trace to a fresh-simulator run.
+// seed must record a byte-identical stream — every event and every span — to
+// a fresh-simulator run.
 func TestSweepSimReuseReplaysByteIdentically(t *testing.T) {
 	run := func(seed int64, sim *des.Sim) []byte {
-		var buf bytes.Buffer
 		s := baseScenario()
 		s.Seed = seed
 		s.Duration = 2 * simtime.Minute
-		s.TraceWriter = &buf
 		s.ReuseSim = sim
-		if _, err := Run(s); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return recordStream(t, s)
 	}
 
 	fresh := run(42, nil)
@@ -187,7 +183,7 @@ func TestSweepSimReuseReplaysByteIdentically(t *testing.T) {
 	reused := run(42, sim)
 
 	if !bytes.Equal(fresh, reused) {
-		t.Fatalf("reused-simulator trace differs from fresh run:\nfresh  %d bytes\nreused %d bytes",
+		t.Fatalf("reused-simulator stream differs from fresh run:\nfresh  %d bytes\nreused %d bytes",
 			len(fresh), len(reused))
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"sort"
 	"time"
 
-	"clocksync/internal/trace"
+	"clocksync/internal/obs"
 )
 
 // AlignConfig tunes the cross-node span alignment.
@@ -151,11 +151,11 @@ func Align(snap *Snapshot, cfg AlignConfig) *Alignment {
 		at   float64
 	}
 	seen := make(map[spanKey]bool)
-	responders := make(map[joinKey]trace.Event)
-	var requesters []trace.Event
+	responders := make(map[joinKey]obs.Event)
+	var requesters []obs.Event
 	for _, n := range ok {
 		for _, e := range n.Spans {
-			if e.Kind != trace.KindSpan || e.Span == 0 {
+			if e.Kind != obs.KindSpan || e.Span == 0 {
 				continue
 			}
 			sk := spanKey{node: e.Node, name: e.Name, id: e.Span, at: e.At}
@@ -191,7 +191,7 @@ func Align(snap *Snapshot, cfg AlignConfig) *Alignment {
 			SpanID:    req.Span,
 			Kind:      req.Name,
 			Send:      req.At + cO,
-			Recv:      req.At + req.Dur + cO,
+			Recv:      req.At + req.Duration() + cO,
 			Remote:    resp.At + cR,
 			Tol:       unc[req.Node] + unc[resp.Node] + cfg.Slack.Seconds(),
 		}

@@ -6,14 +6,14 @@ import (
 	"fmt"
 	"io"
 
-	"clocksync/internal/trace"
+	"clocksync/internal/obs"
 )
 
 // spanNamespace returns the node whose span-id counter issued the id this
 // span carries. Requester-side spans (round, estimate, query, ...) carry
 // their own node's ids; reply/serve spans carry the *requester's* propagated
 // id, so they belong to the origin's namespace.
-func spanNamespace(e trace.Event) int {
+func spanNamespace(e obs.Event) int {
 	switch e.Name {
 	case "reply", "serve":
 		return int(e.Field("origin"))
@@ -37,7 +37,7 @@ func remapSpanID(ns int, id uint64) uint64 {
 }
 
 // WriteJSONL renders the snapshot's merged span state as JSON lines in the
-// trace.Event encoding — the stream cmd/tracestat consumes (including
+// obs.Event encoding — the stream cmd/tracestat consumes (including
 // -conform, which replays the per-node round/estimate spans through the
 // abstract spec and counts the telemetry spans). Spans are deduplicated
 // (shared-observer deployments surface each span in every ring) and their
@@ -54,7 +54,7 @@ func WriteJSONL(w io.Writer, snap *Snapshot) error {
 	seen := make(map[spanKey]bool)
 	for _, n := range snap.Ok() {
 		for _, e := range n.Spans {
-			if e.Kind != trace.KindSpan {
+			if e.Kind != obs.KindSpan {
 				continue
 			}
 			sk := spanKey{node: e.Node, name: e.Name, id: e.Span, at: e.At}

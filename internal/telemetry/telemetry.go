@@ -25,7 +25,7 @@ import (
 	"time"
 
 	"clocksync/internal/livenet"
-	"clocksync/internal/trace"
+	"clocksync/internal/obs"
 )
 
 // Target names one node's ops endpoint.
@@ -47,7 +47,7 @@ type NodeScrape struct {
 
 	Metrics *NodeMetrics
 	Status  *livenet.Statusz
-	Spans   []trace.Event
+	Spans   []obs.Event
 }
 
 // Snapshot is one scrape round across the fleet, in Targets order.

@@ -211,12 +211,12 @@ func TestScrapeRejectsMisconfiguredID(t *testing.T) {
 }
 
 // span builds a synthetic /spanz-shaped trace event.
-func span(node int, name string, id uint64, at, dur float64, fields map[string]float64) trace.Event {
-	return trace.Event{At: at, Kind: trace.KindSpan, Node: node, Name: name, Span: id, Dur: dur, Fields: fields}
+func span(node int, name string, id uint64, at, dur float64, fields map[string]float64) obs.Event {
+	return obs.Event{At: at, Kind: obs.KindSpan, Node: node, Name: name, Span: id, Dur: &dur, Fields: fields}
 }
 
 // scrapeOf builds a synthetic successful NodeScrape.
-func scrapeOf(node int, st livenet.Statusz, spans ...trace.Event) telemetry.NodeScrape {
+func scrapeOf(node int, st livenet.Statusz, spans ...obs.Event) telemetry.NodeScrape {
 	st.ID = node
 	return telemetry.NodeScrape{
 		Target: telemetry.Target{Node: node},
@@ -298,7 +298,7 @@ func TestAlignUsesStatuszCorrections(t *testing.T) {
 // link-asymmetry warning.
 func TestAlignFlagsAsymmetricLink(t *testing.T) {
 	st := livenet.Statusz{UncertaintySec: 0.02} // wide envelope: nothing violates
-	var reqs, reps []trace.Event
+	var reqs, reps []obs.Event
 	for i := 0; i < 4; i++ {
 		at := 1000.0 + float64(i)
 		reqs = append(reqs, span(0, "estimate", uint64(10+i), at, 0.030, map[string]float64{"peer": 1, "ok": 1}))
@@ -344,11 +344,12 @@ func TestAlignStaleEpoch(t *testing.T) {
 // with parent links intact per node and reply spans remapped into their
 // origin's namespace so the cross-node join survives the export.
 func TestExportNamespacesSpanIDs(t *testing.T) {
+	est := span(0, "estimate", 2, 1000.0, 0.01, map[string]float64{"peer": 1, "ok": 1})
+	est.Parent = 1
 	snap := &telemetry.Snapshot{Nodes: []telemetry.NodeScrape{
 		scrapeOf(0, livenet.Statusz{},
 			span(0, "round", 1, 1000.0, 0.05, nil),
-			trace.Event{At: 1000.0, Kind: trace.KindSpan, Node: 0, Name: "estimate", Span: 2, Parent: 1, Dur: 0.01,
-				Fields: map[string]float64{"peer": 1, "ok": 1}},
+			est,
 		),
 		scrapeOf(1, livenet.Statusz{},
 			span(1, "round", 1, 1000.1, 0.05, nil), // same local ids as node 0
@@ -366,7 +367,7 @@ func TestExportNamespacesSpanIDs(t *testing.T) {
 	if len(events) != 4 {
 		t.Fatalf("exported %d events, want 4", len(events))
 	}
-	byName := map[string][]trace.Event{}
+	byName := map[string][]obs.Event{}
 	ids := map[uint64]int{}
 	for _, e := range events {
 		byName[e.Name] = append(byName[e.Name], e)
@@ -387,7 +388,7 @@ func TestExportNamespacesSpanIDs(t *testing.T) {
 		t.Errorf("cross-node join broken by export: estimate id %d, reply id %d", est.Span, rep.Span)
 	}
 	// Parent links must stay within the node's namespace.
-	var round0 trace.Event
+	var round0 obs.Event
 	for _, r := range byName["round"] {
 		if r.Node == 0 {
 			round0 = r

@@ -5,6 +5,8 @@ import (
 	"io"
 	"math"
 	"sort"
+
+	"clocksync/internal/obs"
 )
 
 // WritePerfetto renders a recorded trace in the Chrome trace-event JSON
@@ -20,7 +22,7 @@ import (
 // pid and tid so each node renders as one process track. Output is
 // deterministic for a given input: events keep stream order and
 // encoding/json sorts the args maps.
-func WritePerfetto(w io.Writer, events []Event) error {
+func WritePerfetto(w io.Writer, events []obs.Event) error {
 	type traceEvent struct {
 		Name string             `json:"name"`
 		Ph   string             `json:"ph"`
@@ -39,7 +41,7 @@ func WritePerfetto(w io.Writer, events []Event) error {
 	out.TraceEvents = []traceEvent{}
 	for _, e := range events {
 		switch e.Kind {
-		case KindSpan:
+		case obs.KindSpan:
 			args := make(map[string]float64, len(e.Fields)+2)
 			for k, v := range e.Fields {
 				if !math.IsInf(v, 0) && !math.IsNaN(v) {
@@ -50,12 +52,12 @@ func WritePerfetto(w io.Writer, events []Event) error {
 			if e.Parent != 0 {
 				args["parent_id"] = float64(e.Parent)
 			}
-			dur := e.Dur * 1e6
+			dur := e.Duration() * 1e6
 			out.TraceEvents = append(out.TraceEvents, traceEvent{
 				Name: e.Name, Ph: "X", Ts: e.At * 1e6, Dur: &dur,
 				Pid: e.Node, Tid: e.Node, Args: args,
 			})
-		case KindCorrupt, KindRelease, "round", "skip", "timeout", "authfail":
+		case obs.KindCorrupt, obs.KindRelease, obs.KindRound, obs.KindSkip, obs.KindTimeout, obs.KindAuthFail:
 			var args map[string]float64
 			if len(e.Fields) > 0 {
 				args = make(map[string]float64, len(e.Fields))
@@ -66,7 +68,7 @@ func WritePerfetto(w io.Writer, events []Event) error {
 				}
 			}
 			out.TraceEvents = append(out.TraceEvents, traceEvent{
-				Name: string(e.Kind), Ph: "i", Ts: e.At * 1e6,
+				Name: e.Kind, Ph: "i", Ts: e.At * 1e6,
 				Pid: e.Node, Tid: e.Node, S: "t", Args: args,
 			})
 		}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -12,11 +13,14 @@ import (
 // Summary condenses a recorded trace: per-node adjustment behaviour, the
 // corruption timeline, and the deviation profile.
 type Summary struct {
-	Events      int
-	Nodes       int
-	Span        float64 // last event time − first event time
+	Events int
+	Nodes  int
+	Span   float64 // last event time − first event time
+	// Adjusts counts the clock steps the stream records (obs.Event.Adjustment:
+	// round events, and adjust lines of legacy archives); AdjustAbs is their
+	// |Δ| distribution.
 	Adjusts     int
-	AdjustAbs   stats.Summary // |adjustment| distribution
+	AdjustAbs   stats.Summary
 	PerNode     []NodeSummary
 	Corruptions []CorruptionSpan
 	Deviation   stats.Summary // good-set deviation over samples
@@ -24,16 +28,16 @@ type Summary struct {
 	// ByKind tallies every event kind, including kinds this package does
 	// not interpret (observability streams add e.g. "round" and "timeout").
 	ByKind map[string]int
-	// Rounds aggregates "round" events from observability streams: the
-	// per-round convergence adjustment distribution.
+	// RoundDelta is AdjustAbs restricted to round events (equal to it on
+	// any stream recorded today).
 	RoundDelta stats.Summary
 	// Spans aggregates span records by name (round, estimate, reading,
 	// adjust): count and duration distribution.
 	Spans map[string]SpanStats
 	// The histograms mirror the four /metrics distributions, rebuilt from
 	// the recorded stream so offline summaries agree with live scrapes:
-	// RTT and EstErr from estimate spans, AdjustMag from adjust/round
-	// records, DevHist from samples. Nil when the stream has no such data.
+	// RTT and EstErr from estimate spans, AdjustMag from the adjustments,
+	// DevHist from samples. Nil when the stream has no such data.
 	RTT, EstErr, AdjustMag, DevHist *obs.Histogram
 }
 
@@ -60,7 +64,7 @@ type CorruptionSpan struct {
 }
 
 // Summarize analyzes a parsed trace.
-func Summarize(events []Event) Summary {
+func Summarize(events []obs.Event) Summary {
 	s := Summary{Events: len(events), ByKind: map[string]int{}}
 	if len(events) == 0 {
 		return s
@@ -89,36 +93,17 @@ func Summarize(events []Event) Summary {
 		if e.At > maxAt {
 			maxAt = e.At
 		}
-		s.ByKind[string(e.Kind)]++
-		if e.Kind == "round" {
-			d := e.Field("delta")
-			if d < 0 {
-				d = -d
-			}
-			roundDeltas = append(roundDeltas, d)
-			hAdj.Observe(d)
-			if e.Node > maxNode {
-				maxNode = e.Node
-			}
-		}
-		switch e.Kind {
-		case KindSpan:
-			spanDurs[e.Name] = append(spanDurs[e.Name], e.Dur)
-			if e.Node > maxNode {
-				maxNode = e.Node
-			}
-			if e.Name == "estimate" && e.Field("ok") == 1 {
-				hRTT.Observe(e.Field("rtt"))
-				hErr.Observe(e.Field("a"))
-			}
-		case KindAdjust:
+		s.ByKind[e.Kind]++
+		// A round event and a legacy adjust line are the same fact — the node
+		// stepped its clock — and count once, here.
+		if delta, ok := e.Adjustment(); ok {
+			a := math.Abs(delta)
 			s.Adjusts++
-			a := e.Delta
-			if a < 0 {
-				a = -a
-			}
 			adjustAbs = append(adjustAbs, a)
 			hAdj.Observe(a)
+			if e.Kind == obs.KindRound {
+				roundDeltas = append(roundDeltas, a)
+			}
 			ns := nodeOf(e.Node)
 			ns.Adjusts++
 			if a > ns.MaxAdjust {
@@ -127,13 +112,24 @@ func Summarize(events []Event) Summary {
 			if e.Node > maxNode {
 				maxNode = e.Node
 			}
-		case KindCorrupt:
+		}
+		switch e.Kind {
+		case obs.KindSpan:
+			spanDurs[e.Name] = append(spanDurs[e.Name], e.Duration())
+			if e.Node > maxNode {
+				maxNode = e.Node
+			}
+			if e.Name == obs.SpanEstimate && e.Field("ok") == 1 {
+				hRTT.Observe(e.Field("rtt"))
+				hErr.Observe(e.Field("a"))
+			}
+		case obs.KindCorrupt:
 			openCorruption[e.Node] = e.At
 			nodeOf(e.Node).Corrupted++
 			if e.Node > maxNode {
 				maxNode = e.Node
 			}
-		case KindRelease:
+		case obs.KindRelease:
 			from, ok := openCorruption[e.Node]
 			if !ok {
 				continue
@@ -141,7 +137,7 @@ func Summarize(events []Event) Summary {
 			delete(openCorruption, e.Node)
 			s.Corruptions = append(s.Corruptions, CorruptionSpan{Node: e.Node, From: from, To: e.At})
 			nodeOf(e.Node).TimeFaulty += e.At - from
-		case KindSample:
+		case obs.KindSample:
 			s.Samples++
 			deviations = append(deviations, e.Deviation)
 			hDev.Observe(e.Deviation)

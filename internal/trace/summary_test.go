@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"clocksync/internal/adversary"
+	"clocksync/internal/obs"
 	"clocksync/internal/protocol"
 	"clocksync/internal/scenario"
 	"clocksync/internal/simtime"
@@ -24,14 +25,14 @@ func TestSummarizeEmpty(t *testing.T) {
 }
 
 func TestSummarizeHandBuilt(t *testing.T) {
-	events := []trace.Event{
-		{At: 0, Kind: trace.KindSample, Biases: []float64{0, 0.1, 0.2}, Deviation: 0.2},
-		{At: 1, Kind: trace.KindAdjust, Node: 1, Delta: -0.05},
-		{At: 2, Kind: trace.KindCorrupt, Node: 2},
-		{At: 3, Kind: trace.KindAdjust, Node: 0, Delta: 0.1},
-		{At: 7, Kind: trace.KindRelease, Node: 2},
-		{At: 8, Kind: trace.KindCorrupt, Node: 0}, // never released
-		{At: 10, Kind: trace.KindSample, Biases: []float64{0, 0, 0}, Deviation: 0.05},
+	events := []obs.Event{
+		{At: 0, Kind: obs.KindSample, Biases: []float64{0, 0.1, 0.2}, Deviation: 0.2},
+		{At: 1, Kind: obs.KindAdjust, Node: 1, Delta: -0.05},
+		{At: 2, Kind: obs.KindCorrupt, Node: 2},
+		{At: 3, Kind: obs.KindAdjust, Node: 0, Delta: 0.1},
+		{At: 7, Kind: obs.KindRelease, Node: 2},
+		{At: 8, Kind: obs.KindCorrupt, Node: 0}, // never released
+		{At: 10, Kind: obs.KindSample, Biases: []float64{0, 0, 0}, Deviation: 0.05},
 	}
 	s := trace.Summarize(events)
 	if s.Events != 7 || s.Nodes != 3 || s.Span != 10 {
@@ -69,8 +70,8 @@ func TestSummarizeHandBuilt(t *testing.T) {
 }
 
 func TestSummarizeReleaseWithoutCorruptIgnored(t *testing.T) {
-	s := trace.Summarize([]trace.Event{
-		{At: 1, Kind: trace.KindRelease, Node: 3},
+	s := trace.Summarize([]obs.Event{
+		{At: 1, Kind: obs.KindRelease, Node: 3},
 	})
 	if len(s.Corruptions) != 0 {
 		t.Fatalf("phantom corruption: %+v", s.Corruptions)
@@ -78,8 +79,9 @@ func TestSummarizeReleaseWithoutCorruptIgnored(t *testing.T) {
 }
 
 func TestSummarizeEndToEnd(t *testing.T) {
-	// Full pipeline: scenario → trace → parse → summarize.
+	// Full pipeline: scenario → recorded stream → parse → summarize.
 	var buf bytes.Buffer
+	sink := obs.NewJSONL(&buf)
 	s := scenario.Scenario{
 		Name:     "summary-e2e",
 		Seed:     5,
@@ -92,9 +94,13 @@ func TestSummarizeEndToEnd(t *testing.T) {
 			return adversary.ClockSmash{Offset: 5}
 		}),
 		SamplePeriod: 10 * simtime.Second,
-		TraceWriter:  &buf,
+		EventSink:    sink,
+		SpanSink:     sink,
 	}
 	if _, err := scenario.Run(s); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	events, err := trace.Read(&buf)

@@ -1,7 +1,9 @@
-// Package trace records simulation runs as a stream of JSON-lines events —
-// one object per line — so that a run can be archived, diffed across seeds,
-// or replayed into external tooling. The scenario engine emits adjustment,
-// corruption, release and sample events when given a writer.
+// Package trace reads a recorded observability stream back — the JSON lines
+// an obs.JSONL sink wrote (syncsim/syncnode -trace-out, syncmon -export), or
+// the JSON array a live node's /spanz serves — and condenses it: Summarize
+// for cmd/tracestat's report, WritePerfetto for a span timeline. The record
+// type and its encoding belong to internal/obs (obs.Event); this package
+// only decodes and analyses.
 package trace
 
 import (
@@ -10,110 +12,15 @@ import (
 	"fmt"
 	"io"
 
-	"clocksync/internal/simtime"
+	"clocksync/internal/obs"
 )
 
-// Kind enumerates event types.
-type Kind string
-
-// Event kinds.
-const (
-	KindAdjust  Kind = "adjust"
-	KindCorrupt Kind = "corrupt"
-	KindRelease Kind = "release"
-	KindSample  Kind = "sample"
-	KindNote    Kind = "note"
-	// KindSpan marks a completed span from the obs span layer (round,
-	// estimate, reading, adjust); it uses Name, Span, Parent and Dur.
-	KindSpan Kind = "span"
-)
-
-// Event is one trace record. Fields are used according to Kind:
-// Adjust uses Node and Delta; Corrupt/Release use Node; Sample uses Biases
-// and Deviation; Note uses Text; Span uses Name, Span, Parent and Dur (At is
-// the span start). Events from the obs package (syncsim -trace-out) carry
-// their numeric payload in Fields and may use kinds beyond the constants
-// above; Summarize tallies unknown kinds generically.
-type Event struct {
-	At        float64            `json:"at"`
-	Kind      Kind               `json:"kind"`
-	Node      int                `json:"node,omitempty"`
-	Delta     float64            `json:"delta,omitempty"`
-	Biases    []float64          `json:"biases,omitempty"`
-	Deviation float64            `json:"deviation,omitempty"`
-	Text      string             `json:"text,omitempty"`
-	Name      string             `json:"name,omitempty"`
-	Span      uint64             `json:"span,omitempty"`
-	Parent    uint64             `json:"parent,omitempty"`
-	Dur       float64            `json:"dur,omitempty"`
-	Fields    map[string]float64 `json:"fields,omitempty"`
-}
-
-// Field returns the named value from Fields (0 when absent).
-func (e Event) Field(name string) float64 { return e.Fields[name] }
-
-// Tracer serializes events to a writer. It buffers internally; call Flush
-// (or Close) when the run finishes.
-type Tracer struct {
-	w   *bufio.Writer
-	enc *json.Encoder
-	n   int
-}
-
-// New returns a tracer writing JSON lines to w.
-func New(w io.Writer) *Tracer {
-	bw := bufio.NewWriter(w)
-	return &Tracer{w: bw, enc: json.NewEncoder(bw)}
-}
-
-// Emit appends one event.
-func (t *Tracer) Emit(e Event) {
-	if err := t.enc.Encode(e); err != nil {
-		// A tracer failure must not corrupt a simulation; it only loses the
-		// trace. Record the failure in-band if possible.
-		fmt.Fprintf(t.w, `{"kind":"note","text":"trace encode error: %v"}`+"\n", err)
-	}
-	t.n++
-}
-
-// Adjust records a clock adjustment.
-func (t *Tracer) Adjust(at simtime.Time, node int, delta simtime.Duration) {
-	t.Emit(Event{At: float64(at), Kind: KindAdjust, Node: node, Delta: float64(delta)})
-}
-
-// Corrupt records a break-in.
-func (t *Tracer) Corrupt(at simtime.Time, node int) {
-	t.Emit(Event{At: float64(at), Kind: KindCorrupt, Node: node})
-}
-
-// Release records the adversary leaving a node.
-func (t *Tracer) Release(at simtime.Time, node int) {
-	t.Emit(Event{At: float64(at), Kind: KindRelease, Node: node})
-}
-
-// Sample records a metrics sample.
-func (t *Tracer) Sample(at simtime.Time, biases []simtime.Duration, deviation simtime.Duration) {
-	bs := make([]float64, len(biases))
-	for i, b := range biases {
-		bs[i] = float64(b)
-	}
-	t.Emit(Event{At: float64(at), Kind: KindSample, Biases: bs, Deviation: float64(deviation)})
-}
-
-// Note records free-form text.
-func (t *Tracer) Note(at simtime.Time, text string) {
-	t.Emit(Event{At: float64(at), Kind: KindNote, Text: text})
-}
-
-// Count returns the number of events emitted.
-func (t *Tracer) Count() int { return t.n }
-
-// Flush drains the internal buffer.
-func (t *Tracer) Flush() error { return t.w.Flush() }
-
-// Read parses a JSON-lines trace back into events.
-func Read(r io.Reader) ([]Event, error) {
-	var out []Event
+// Read parses a JSON-lines stream back into records. A malformed line is an
+// error naming its line number; unknown kinds and unknown keys are kept or
+// ignored, never refused, so archives from older writers (adjust lines with
+// a top-level delta, note lines) stay readable.
+func Read(r io.Reader) ([]obs.Event, error) {
+	var out []obs.Event
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	lineNo := 0
@@ -123,7 +30,7 @@ func Read(r io.Reader) ([]Event, error) {
 		if len(line) == 0 {
 			continue
 		}
-		var e Event
+		var e obs.Event
 		if err := json.Unmarshal(line, &e); err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
 		}
@@ -135,12 +42,12 @@ func Read(r io.Reader) ([]Event, error) {
 	return out, nil
 }
 
-// ReadJSON parses a JSON *array* of events — the shape a live node's
-// GET /spanz endpoint serves (obs.MarshalSpans) — into the same Event records
-// the JSONL reader produces, so downstream consumers (conformance, tracestat)
+// ReadJSON parses a JSON *array* of records — the shape a live node's
+// GET /spanz endpoint serves (obs.MarshalSpans) — into the same records the
+// JSONL reader produces, so downstream consumers (conformance, tracestat)
 // need not care which transport delivered the trace.
-func ReadJSON(data []byte) ([]Event, error) {
-	var out []Event
+func ReadJSON(data []byte) ([]obs.Event, error) {
+	var out []obs.Event
 	if err := json.Unmarshal(data, &out); err != nil {
 		return nil, fmt.Errorf("trace: parsing event array: %w", err)
 	}

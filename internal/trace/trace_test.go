@@ -2,47 +2,54 @@ package trace_test
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
+	"clocksync/internal/obs"
 	"clocksync/internal/scenario"
 	"clocksync/internal/simtime"
 	"clocksync/internal/trace"
 )
 
+// TestRoundTrip writes one record of every shape through the stream's one
+// encoder (obs.JSONL) and reads it back: each must decode to an equal record
+// — a zero-duration span keeps its duration, a span without fields gains
+// none, and a legacy adjust record keeps its top-level delta.
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	tr := trace.New(&buf)
-	tr.Adjust(1.5, 2, -0.25)
-	tr.Corrupt(2, 3)
-	tr.Release(5, 3)
-	tr.Sample(6, []simtime.Duration{0.1, -0.1}, 0.2)
-	tr.Note(7, "hello")
-	if tr.Count() != 5 {
-		t.Fatalf("Count: got %d", tr.Count())
+	sink := obs.NewJSONL(&buf)
+	want := []obs.Event{
+		{At: 1.5, Kind: obs.KindRound, Node: 2, Fields: map[string]float64{"delta": -0.25, "failed": 0, "wayoff": 0}},
+		{At: 2, Kind: obs.KindCorrupt, Node: 3},
+		{At: 5, Kind: obs.KindRelease, Node: 3},
+		{At: 6, Kind: obs.KindSample, Biases: []float64{0.1, -0.1}, Deviation: 0.2},
+		obs.SpanEvent(obs.Span{ID: 7, Parent: 6, Name: obs.SpanReading, Node: 1, Start: 6.5, End: 6.5,
+			Fields: obs.F("peer", 0).F("accepted", 1)}),
+		obs.SpanEvent(obs.Span{ID: 8, Name: obs.SpanQuery, Start: 7, End: 7.25}),
+		{At: 8, Kind: obs.KindAdjust, Node: 2, Delta: -0.25},
 	}
-	if err := tr.Flush(); err != nil {
+	for _, e := range want {
+		sink.Emit(e)
+	}
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if !strings.Contains(buf.String(), `"name":"reading","span":7,"parent":6,"dur":0,`) {
+		t.Errorf("zero-duration span lost its dur:\n%s", buf.String())
+	}
 
-	events, err := trace.Read(&buf)
+	got, err := trace.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 5 {
-		t.Fatalf("read %d events", len(events))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip changed the records:\n got %+v\nwant %+v", got, want)
 	}
-	if events[0].Kind != trace.KindAdjust || events[0].Node != 2 || events[0].Delta != -0.25 {
-		t.Fatalf("adjust event: %+v", events[0])
-	}
-	if events[1].Kind != trace.KindCorrupt || events[2].Kind != trace.KindRelease {
-		t.Fatal("corrupt/release kinds wrong")
-	}
-	if events[3].Kind != trace.KindSample || len(events[3].Biases) != 2 || events[3].Deviation != 0.2 {
-		t.Fatalf("sample event: %+v", events[3])
-	}
-	if events[4].Text != "hello" {
-		t.Fatalf("note event: %+v", events[4])
+	for i, wantDelta := range map[int]float64{0: -0.25, 6: -0.25} {
+		if d, ok := got[i].Adjustment(); !ok || d != wantDelta {
+			t.Errorf("record %d: Adjustment() = %v, %v; want %v, true", i, d, ok, wantDelta)
+		}
 	}
 }
 
@@ -64,6 +71,7 @@ func TestReadSkipsBlankLines(t *testing.T) {
 
 func TestScenarioEmitsTrace(t *testing.T) {
 	var buf bytes.Buffer
+	sink := obs.NewJSONL(&buf)
 	s := scenario.Scenario{
 		Name:         "trace-test",
 		Seed:         3,
@@ -74,9 +82,12 @@ func TestScenarioEmitsTrace(t *testing.T) {
 		Rho:          1e-4,
 		InitSpread:   50 * simtime.Millisecond,
 		SamplePeriod: 10 * simtime.Second,
-		TraceWriter:  &buf,
+		EventSink:    sink,
 	}
 	if _, err := scenario.Run(s); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	events, err := trace.Read(&buf)
@@ -85,10 +96,10 @@ func TestScenarioEmitsTrace(t *testing.T) {
 	}
 	var adjusts, samples int
 	for _, e := range events {
-		switch e.Kind {
-		case trace.KindAdjust:
+		if _, ok := e.Adjustment(); ok {
 			adjusts++
-		case trace.KindSample:
+		}
+		if e.Kind == obs.KindSample {
 			samples++
 			if len(e.Biases) != 4 {
 				t.Fatalf("sample with %d biases", len(e.Biases))
