@@ -126,8 +126,9 @@ func Check(events []obs.Event, cfg Config) (*Report, error) {
 	}
 	rep.Stats.Nodes = len(nodes)
 
-	// Corruption windows per node. The stream is not globally time-ordered
-	// (the scenario engine emits schedule events after the run), so sort.
+	// Corruption windows per node. One simulated run records break-ins in
+	// time order, but a stream merged from several live nodes (syncmon
+	// -export) or collected from concurrent emitters is not, so sort.
 	windows := map[int][]window{}
 	for node, evs := range corrupts {
 		sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })

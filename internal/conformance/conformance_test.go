@@ -192,8 +192,8 @@ func TestCheckCorruptionWindow(t *testing.T) {
 			{peer: 1, d: 2, a: 1, ok: true},
 			{peer: 2, d: 4, a: 1, ok: true},
 		})
-		// Schedule events arrive out of order, after the run — like the
-		// scenario engine emits them.
+		// Break-in records arrive out of order, after the rounds — as a
+		// stream merged from several nodes delivers them.
 		return append(evs,
 			obs.Event{At: 20, Kind: obs.KindRelease, Node: 0},
 			obs.Event{At: 5, Kind: obs.KindCorrupt, Node: 0},

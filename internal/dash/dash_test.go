@@ -6,7 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"clocksync/internal/adversary"
 	"clocksync/internal/obs"
+	"clocksync/internal/scenario"
+	"clocksync/internal/simtime"
 )
 
 func TestDashRendersFrame(t *testing.T) {
@@ -111,5 +114,40 @@ func TestGaugePinsToEnvelope(t *testing.T) {
 	g = gauge(0, 0.05, 21)
 	if !strings.Contains(g, "o") {
 		t.Errorf("zero offset lost its marker: %s", g)
+	}
+}
+
+// TestDashShowsBreakInDuringRun pins that the dashboard learns of a break-in
+// when it happens, not from a schedule dump after the run: by the first event
+// past t=31 s of a 90 s run whose node 2 is corrupted at t=30 s, some frame
+// must already have shown the corrupt event.
+func TestDashShowsBreakInDuringRun(t *testing.T) {
+	var out bytes.Buffer
+	d := New(Config{Out: &out, N: 4, Delta: 0.1, MinFrame: -1})
+	checkedAt := 0.0
+	o := obs.NewObserver(d, obs.SinkFunc(func(e obs.Event) {
+		if checkedAt == 0 && e.At >= 31 {
+			checkedAt = e.At
+			if !strings.Contains(out.String(), obs.KindCorrupt) {
+				t.Errorf("at t=%.1fs no frame has shown the t=30s break-in yet", e.At)
+			}
+		}
+	}))
+	_, err := scenario.Run(scenario.Scenario{
+		Name: "dash-breakin", Seed: 1, N: 4, F: 1,
+		Duration: 90 * simtime.Second, Theta: 2 * simtime.Minute,
+		Rho: 1e-4, InitSpread: 100 * simtime.Millisecond,
+		SamplePeriod: 10 * simtime.Second,
+		Adversary: adversary.Schedule{Corruptions: []adversary.Corruption{{
+			Node: 2, From: 30 * simtime.Time(simtime.Second), To: 60 * simtime.Time(simtime.Second),
+			Behavior: adversary.ClockSmash{Offset: 5 * simtime.Second},
+		}}},
+		Observer: o,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checkedAt == 0 || checkedAt >= 60 {
+		t.Fatalf("the mid-run check ran at t=%v, want inside the corruption window", checkedAt)
 	}
 }

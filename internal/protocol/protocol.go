@@ -126,7 +126,8 @@ type Harness struct {
 	OnRelease func(now simtime.Time)
 
 	// Obs receives the processor's observability stream (round events,
-	// estimation timeouts); nil disables instrumentation. The scenario
+	// estimation timeouts, its break-ins and releases as they happen); nil
+	// disables instrumentation. The scenario
 	// runner shares one observer across all processors of a run.
 	Obs *obs.Observer
 
@@ -178,6 +179,7 @@ func (h *Harness) Corrupt(b Behavior) {
 	}
 	h.faulty = true
 	h.behavior = b
+	h.Obs.Emit(obs.Event{At: float64(h.sim.Now()), Kind: obs.KindCorrupt, Node: h.id})
 	// The adversary owns all protocol state from here on; in-flight
 	// estimates are meaningless once the processor recovers.
 	h.abortEstimation()
@@ -195,6 +197,7 @@ func (h *Harness) Release() {
 	h.faulty = false
 	h.behavior = nil
 	h.abortEstimation()
+	h.Obs.Emit(obs.Event{At: float64(h.sim.Now()), Kind: obs.KindRelease, Node: h.id})
 	if h.OnRelease != nil {
 		h.OnRelease(h.sim.Now())
 	}

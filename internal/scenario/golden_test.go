@@ -16,6 +16,7 @@ import (
 	"clocksync/internal/des"
 	"clocksync/internal/obs"
 	"clocksync/internal/simtime"
+	"clocksync/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
@@ -157,5 +158,47 @@ func TestEventStreamGolden(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("recorded stream drifted from %s: %d bytes, want %d (regenerate with -update if intended; diff the two to see where)",
 			path, len(got), len(want))
+	}
+}
+
+// TestEventStreamTimeOrdered: a recording is written in the order things
+// happened — every non-span record's `at` is no earlier than the one before
+// it, break-ins and releases included. (Spans are written when they complete
+// and carry their start, so they are exempt.)
+func TestEventStreamTimeOrdered(t *testing.T) {
+	events, err := trace.Read(bytes.NewReader(recordStream(t, streamScenario())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, breakIns := math.Inf(-1), 0
+	for i, e := range events {
+		if e.Kind == obs.KindSpan {
+			continue
+		}
+		if e.At < last {
+			t.Errorf("record %d (%s at %v) is earlier than its predecessor at %v", i, e.Kind, e.At, last)
+		}
+		last = e.At
+		if e.Kind == obs.KindCorrupt || e.Kind == obs.KindRelease {
+			breakIns++
+		}
+	}
+	if breakIns != 2 {
+		t.Errorf("stream holds %d corrupt/release records, want 2", breakIns)
+	}
+}
+
+// TestUnreachedReleaseNotRecorded: the stream says what happened, not what
+// was scheduled — a release due after the horizon is not in it.
+func TestUnreachedReleaseNotRecorded(t *testing.T) {
+	s := streamScenario()
+	s.Adversary.Corruptions[0].To = simtime.Time(2 * s.Duration)
+	s.Observer = obs.NewObserver()
+	res, err := Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, r := res.EventCounts[obs.KindCorrupt], res.EventCounts[obs.KindRelease]; c != 1 || r != 0 {
+		t.Errorf("recorded %d break-ins and %d releases, want 1 and 0", c, r)
 	}
 }

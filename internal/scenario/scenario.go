@@ -470,10 +470,6 @@ func Run(s Scenario) (*Result, error) {
 		rec.MessagesSent.Add(int64(net.TotalSent()))
 		rec.MessagesReceived.Add(int64(net.TotalDelivered()))
 		rec.MessagesDropped.Add(int64(net.TotalDropped()))
-		for _, c := range s.Adversary.Corruptions {
-			observer.Emit(obs.Event{At: float64(c.From), Kind: obs.KindCorrupt, Node: c.Node})
-			observer.Emit(obs.Event{At: float64(c.To), Kind: obs.KindRelease, Node: c.Node})
-		}
 		res.EventCounts = observer.EventCounts()
 	}
 	if checker != nil {
