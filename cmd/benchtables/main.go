@@ -1,5 +1,5 @@
 // Command benchtables regenerates every table and figure of the
-// reproduction suite (EXPERIMENTS.md, E1–E12) and prints them with their
+// reproduction suite (EXPERIMENTS.md; the list is experiments.Suite) and prints them with their
 // machine-verified shape checks.
 //
 // Usage:
@@ -28,42 +28,9 @@ func main() {
 	markdown := flag.Bool("markdown", false, "emit GitHub-flavored markdown instead of plain tables")
 	flag.Parse()
 
-	type entry struct {
-		id  string
-		run func(bool) experiments.Table
-	}
-	suite := []entry{
-		{"E1", experiments.E01Deviation},
-		{"E2", experiments.E02AccuracyTradeoff},
-		{"E3", experiments.E03RecoveryHalving},
-		{"E4", experiments.E04RecoveryVsBaselines},
-		{"E5", experiments.E05MobileAdversary},
-		{"E6", experiments.E06ResilienceThreshold},
-		{"E7", experiments.E07TwoClique},
-		{"E8", experiments.E08MessageOverhead},
-		{"E9", experiments.E09Discontinuity},
-		{"E10", experiments.E10EstimationError},
-		{"E11", experiments.E11WayOffAblation},
-		{"E12", experiments.E12DriftDelaySweep},
-		{"E13", experiments.E13ConnectivitySweep},
-		{"E14", experiments.E14SelfStabilization},
-		{"E15", experiments.E15DriftCompensation},
-		{"E16", experiments.E16MessageLoss},
-		{"E17", experiments.E17CachedEstimation},
-		{"E18", experiments.E18ProactiveSecurity},
-		{"E19", experiments.E19TightnessProbe},
-		{"E20", experiments.E20NetworkOutage},
-		{"E21", experiments.E21SamplingScaling},
-		{"E22", experiments.E22DelaySkew},
-		{"E23", experiments.E23ChurnBudget},
-		{"E24", experiments.E24FlashRejoin},
-		{"E25", experiments.E25ColdStart},
-	}
-
 	if *list {
-		for _, e := range suite {
-			t := quickTitle(e.id)
-			fmt.Printf("%-4s %s\n", e.id, t)
+		for _, e := range experiments.Suite {
+			fmt.Printf("%-4s %s\n", e.ID, e.Title)
 		}
 		return
 	}
@@ -76,17 +43,17 @@ func main() {
 	}
 
 	failures := 0
-	for _, e := range suite {
-		if len(selected) > 0 && !selected[e.id] {
+	for _, e := range experiments.Suite {
+		if len(selected) > 0 && !selected[e.ID] {
 			continue
 		}
 		start := time.Now()
-		table := e.run(*quick)
+		table := e.Run(*quick)
 		if *markdown {
 			fmt.Println(table.Markdown())
 		} else {
 			fmt.Println(table.String())
-			fmt.Printf("(%s regenerated in %v)\n\n", e.id, time.Since(start).Round(time.Millisecond))
+			fmt.Printf("(%s regenerated in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		}
 		if !table.ChecksPass() {
 			failures++
@@ -96,36 +63,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%d experiment(s) failed their shape checks\n", failures)
 		os.Exit(1)
 	}
-}
-
-// quickTitle maps experiment ids to their titles without running them.
-func quickTitle(id string) string {
-	titles := map[string]string{
-		"E1":  "Maximum deviation vs Theorem 5 bound",
-		"E2":  "Accuracy vs K = Θ/T (O(2^−K) tradeoff)",
-		"E3":  "Recovery halving trajectory (Lemma 7(iii))",
-		"E4":  "Recovery time vs baselines",
-		"E5":  "Mobile adversary marathon",
-		"E6":  "Resilience threshold n ≥ 3f+1",
-		"E7":  "Two-clique counterexample (§5)",
-		"E8":  "Message overhead vs broadcast protocols",
-		"E9":  "Discontinuity (ψ) comparison",
-		"E10": "Clock-estimation error vs k",
-		"E11": "WayOff ablation and parameter overestimation",
-		"E12": "Drift/delay sweep",
-		"E13": "Partial connectivity exploration (§5)",
-		"E14": "Self-stabilization probe (§5)",
-		"E15": "Drift-feedback extension (§5)",
-		"E16": "Message-loss robustness (beyond model)",
-		"E17": "Cached estimation caveat (§3.1)",
-		"E18": "Proactive secret sharing end-to-end (§1)",
-		"E19": "Adversarial tightness probe for Δ",
-		"E20": "Temporary model violation and self-healing",
-		"E21": "Peer-sampled estimation scaling",
-		"E22": "DelaySkew family: asymmetric link delay",
-		"E23": "ChurnBudget family: f-per-Θ boundary streams",
-		"E24": "FlashRecovery family: rejoin-time tails",
-		"E25": "ColdStart family: arbitrary initial states",
-	}
-	return titles[id]
 }

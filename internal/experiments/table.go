@@ -1,7 +1,7 @@
 // Package experiments implements the reproduction suite of EXPERIMENTS.md:
-// one function per table/figure (E1–E12), each returning a formatted Table.
-// cmd/benchtables regenerates them all; bench_test.go wraps each in a
-// testing.B benchmark.
+// one function per table/figure, each returning a formatted Table. Suite is
+// the one list of them: cmd/benchtables regenerates it, and
+// TestQuickSuiteShapes runs it in quick mode with every shape check in tier-1.
 //
 // The paper is an extended abstract whose "evaluation" is analytic
 // (Theorem 5, Lemma 7, Claim 8) plus qualitative claims in §1.1/§3.3/§5;
@@ -175,36 +175,53 @@ func (t *Table) Markdown() string {
 	return b.String()
 }
 
-// All runs the full suite. quick shortens simulated durations for use in
-// benchmarks and smoke tests; the shapes of the results are preserved.
+// Experiment is one entry of the suite: the id `benchtables -only` takes, a
+// short title known without running it (`benchtables -list`), and the
+// function that regenerates the table.
+type Experiment struct {
+	ID    string
+	Title string
+	Run   func(quick bool) Table
+}
+
+// Suite is the one list of experiments: cmd/benchtables and All both walk it,
+// in this order.
+var Suite = []Experiment{
+	{"E1", "Maximum deviation vs Theorem 5 bound", E01Deviation},
+	{"E2", "Accuracy vs K = Θ/T (O(2^−K) tradeoff)", E02AccuracyTradeoff},
+	{"E3", "Recovery halving trajectory (Lemma 7(iii))", E03RecoveryHalving},
+	{"E4", "Recovery time vs baselines", E04RecoveryVsBaselines},
+	{"E5", "Mobile adversary marathon", E05MobileAdversary},
+	{"E6", "Resilience threshold n ≥ 3f+1", E06ResilienceThreshold},
+	{"E7", "Two-clique counterexample (§5)", E07TwoClique},
+	{"E8", "Message overhead vs broadcast protocols", E08MessageOverhead},
+	{"E9", "Discontinuity (ψ) comparison", E09Discontinuity},
+	{"E10", "Clock-estimation error vs k", E10EstimationError},
+	{"E11", "WayOff ablation and parameter overestimation", E11WayOffAblation},
+	{"E12", "Drift/delay sweep", E12DriftDelaySweep},
+	{"E13", "Partial connectivity exploration (§5)", E13ConnectivitySweep},
+	{"E14", "Self-stabilization probe (§5)", E14SelfStabilization},
+	{"E15", "Drift-feedback extension (§5)", E15DriftCompensation},
+	{"E16", "Message-loss robustness (beyond model)", E16MessageLoss},
+	{"E17", "Cached estimation caveat (§3.1)", E17CachedEstimation},
+	{"E18", "Proactive secret sharing end-to-end (§1)", E18ProactiveSecurity},
+	{"E19", "Adversarial tightness probe for Δ", E19TightnessProbe},
+	{"E20", "Temporary model violation and self-healing", E20NetworkOutage},
+	{"E21", "Peer-sampled estimation scaling", E21SamplingScaling},
+	{"E22", "DelaySkew family: asymmetric link delay", E22DelaySkew},
+	{"E23", "ChurnBudget family: f-per-Θ boundary streams", E23ChurnBudget},
+	{"E24", "FlashRecovery family: rejoin-time tails", E24FlashRejoin},
+	{"E25", "ColdStart family: arbitrary initial states", E25ColdStart},
+}
+
+// All runs the full suite. quick shortens simulated durations for smoke
+// tests; the shapes of the results are preserved.
 func All(quick bool) []Table {
-	return []Table{
-		E01Deviation(quick),
-		E02AccuracyTradeoff(quick),
-		E03RecoveryHalving(quick),
-		E04RecoveryVsBaselines(quick),
-		E05MobileAdversary(quick),
-		E06ResilienceThreshold(quick),
-		E07TwoClique(quick),
-		E08MessageOverhead(quick),
-		E09Discontinuity(quick),
-		E10EstimationError(quick),
-		E11WayOffAblation(quick),
-		E12DriftDelaySweep(quick),
-		E13ConnectivitySweep(quick),
-		E14SelfStabilization(quick),
-		E15DriftCompensation(quick),
-		E16MessageLoss(quick),
-		E17CachedEstimation(quick),
-		E18ProactiveSecurity(quick),
-		E19TightnessProbe(quick),
-		E20NetworkOutage(quick),
-		E21SamplingScaling(quick),
-		E22DelaySkew(quick),
-		E23ChurnBudget(quick),
-		E24FlashRejoin(quick),
-		E25ColdStart(quick),
+	out := make([]Table, len(Suite))
+	for i, e := range Suite {
+		out[i] = e.Run(quick)
 	}
+	return out
 }
 
 // scaled shrinks a full-length duration in quick mode.
