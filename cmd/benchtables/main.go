@@ -1,6 +1,6 @@
 // Command benchtables regenerates every table and figure of the
-// reproduction suite (EXPERIMENTS.md; the list is experiments.Suite) and prints them with their
-// machine-verified shape checks.
+// reproduction suite (EXPERIMENTS.md; the list is experiments.Suite) and
+// prints them with their machine-verified shape checks.
 //
 // Usage:
 //

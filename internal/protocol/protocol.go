@@ -127,8 +127,8 @@ type Harness struct {
 
 	// Obs receives the processor's observability stream (round events,
 	// estimation timeouts, its break-ins and releases as they happen); nil
-	// disables instrumentation. The scenario
-	// runner shares one observer across all processors of a run.
+	// disables instrumentation. The scenario runner shares one observer
+	// across all processors of a run.
 	Obs *obs.Observer
 
 	// SpanParent is the span every estimation started from here parents to.

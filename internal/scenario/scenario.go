@@ -103,13 +103,13 @@ type Scenario struct {
 	SkipValidation bool
 
 	// Observer, when non-nil, receives the run's observability stream: one
-	// shared counter Recorder and a structured event per clock adjustment
-	// (Sync's round events; a Builder that returns anything but a *core.Node
-	// gets a round event with fields.delta per Harness.Adjust), skipped round,
-	// estimation timeout, sample, corruption and release — written through an
-	// obs.JSONL sink, the run's recording. EventSink attaches one
-	// more sink to the run's observer (creating a fresh observer when
-	// Observer is nil) — the convenience path for "just give me the events".
+	// shared counter Recorder and a structured event per clock adjustment,
+	// skipped round, estimation timeout, sample, corruption and release. An
+	// adjustment is a round event: Sync emits its own, and a node built by
+	// any other Builder gets one with fields.delta per Harness.Adjust.
+	// EventSink attaches one more sink to the run's observer (creating a
+	// fresh observer when Observer is nil) — the convenience path for "just
+	// give me the events"; an obs.JSONL there is the run's recording.
 	Observer  *obs.Observer
 	EventSink obs.Sink
 	// SpanSink enables causal round tracing: every Sync execution emits a
