@@ -56,7 +56,6 @@ func run() error {
 		offset   = flag.Duration("offset", 0, "simulated initial clock offset")
 		drift    = flag.Float64("drift-ppm", 0, "simulated clock drift in ppm")
 		report   = flag.Duration("report", 5*time.Second, "offset report interval (0 = quiet)")
-		status   = cliutil.AddrVar(flag.CommandLine, "status", "", "HTTP address serving GET /status — the same endpoint as -metrics-addr (empty = off)")
 		metrics  = cliutil.AddrVar(flag.CommandLine, "metrics-addr", "", "HTTP address serving /metrics, /status and /debug/pprof (empty = off)")
 		serve    = cliutil.AddrVar(flag.CommandLine, "serve-addr", "", "dedicated UDP address answering time-service queries (empty = answer on the sync socket only)")
 		traceOut = flag.String("trace-out", "", "append the node's observability event stream as JSON lines to this file; readable with tracestat")
@@ -172,13 +171,8 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// -status is the older name of the same endpoint; each address given
-	// gets the full observability mux.
-	for _, listen := range []string{*status, *metrics} {
-		if listen == "" {
-			continue
-		}
-		addr, err := node.ServeMetrics(ctx, listen)
+	if *metrics != "" {
+		addr, err := node.ServeMetrics(ctx, *metrics)
 		if err != nil {
 			return err
 		}
@@ -194,21 +188,26 @@ func run() error {
 				case <-ctx.Done():
 					return
 				case <-ticker.C:
-					st := node.Status()
+					st := node.Statusz()
 					reachable := 0
 					for _, p := range st.Peers {
-						if p.Replies > 0 && time.Since(p.LastSeen) < 3**syncInt {
+						if p.Replies > 0 && p.AgeSec < 3*syncInt.Seconds() {
 							reachable++
 						}
 					}
 					log.Printf("node %d: offset %v after %d syncs, last adjust %v, %d/%d peers reachable",
-						*id, st.Offset.Round(time.Microsecond), st.Syncs,
-						st.Last.Round(time.Microsecond), reachable, len(st.Peers))
+						*id, seconds(st.OffsetSec), st.Syncs, seconds(st.LastAdjustSec), reachable, len(st.Peers))
 				}
 			}
 		}()
 	}
 	return node.Run(ctx)
+}
+
+// seconds renders a status document's seconds field as a duration, to the
+// microsecond.
+func seconds(s float64) time.Duration {
+	return time.Duration(s * float64(time.Second)).Round(time.Microsecond)
 }
 
 // transportOpts collects everything buildTransport needs, so tests can

@@ -6,6 +6,7 @@ import (
 	"clocksync/internal/protocol"
 	"clocksync/internal/scenario"
 	"clocksync/internal/simtime"
+	"clocksync/internal/stats"
 )
 
 // BoundedCFConfig parameterizes the bounded-correction synchronizer.
@@ -77,8 +78,20 @@ func (b *BoundedCF) finish(ests []protocol.Estimate) {
 // move halfway toward the trimmed range [m, M], keeping the own clock inside
 // the average.
 func trimmedMidpointStep(f int, ests []protocol.Estimate) (simtime.Duration, bool) {
-	if len(ests) < 2*f+1 {
+	m, mm, ok := trimmedExtremes(f, ests)
+	if !ok {
 		return 0, false
+	}
+	return simtime.Duration((math.Min(m, 0) + math.Max(mm, 0)) / 2), true
+}
+
+// trimmedExtremes is the selection every trimmed-range baseline shares: the
+// (f+1)-st smallest over-estimate m and the (f+1)-st largest under-estimate
+// M. ok is false with fewer than 2f+1 estimates, or when failed estimates
+// leave either end infinite.
+func trimmedExtremes(f int, ests []protocol.Estimate) (m, mm float64, ok bool) {
+	if len(ests) < 2*f+1 {
+		return 0, 0, false
 	}
 	overs := make([]float64, len(ests))
 	unders := make([]float64, len(ests))
@@ -86,12 +99,12 @@ func trimmedMidpointStep(f int, ests []protocol.Estimate) (simtime.Duration, boo
 		overs[i] = float64(e.Over())
 		unders[i] = float64(e.Under())
 	}
-	m := kthSmallest(overs, f+1)
-	mm := kthLargest(unders, f+1)
+	m = stats.KthSmallest(overs, f+1)
+	mm = stats.KthLargest(unders, f+1)
 	if math.IsInf(m, 0) || math.IsInf(mm, 0) {
-		return 0, false
+		return 0, 0, false
 	}
-	return simtime.Duration((math.Min(m, 0) + math.Max(mm, 0)) / 2), true
+	return m, mm, true
 }
 
 // BoundedCFBuilder adapts the node to the scenario engine. maxCorrection of
@@ -109,25 +122,5 @@ func BoundedCFBuilder(maxCorrection simtime.Duration) scenario.Builder {
 			MaxCorrection: mc,
 			FirstSync:     simtime.Duration(ctx.Rand.Float64() * float64(ctx.Scenario.SyncInt)),
 		}, ctx.Peers())
-	}
-}
-
-// kthSmallest returns the k-th smallest element (1-indexed). Baselines share
-// this plain-sort implementation; the hot-path quickselect lives in core.
-func kthSmallest(xs []float64, k int) float64 {
-	cp := append([]float64(nil), xs...)
-	insertionSort(cp)
-	return cp[k-1]
-}
-
-func kthLargest(xs []float64, k int) float64 {
-	return kthSmallest(xs, len(xs)-k+1)
-}
-
-func insertionSort(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
 	}
 }

@@ -135,18 +135,8 @@ func (b *BroadcastJoin) adjust() {
 		// the error bar.
 		ests = append(ests, protocol.Estimate{Peer: origin, D: s.offset, A: b.cfg.HopDelay, OK: true})
 	}
-	if len(ests) < 2*b.cfg.F+1 {
-		return
-	}
-	overs := make([]float64, len(ests))
-	unders := make([]float64, len(ests))
-	for i, e := range ests {
-		overs[i] = float64(e.Over())
-		unders[i] = float64(e.Under())
-	}
-	m := kthSmallest(overs, b.cfg.F+1)
-	mm := kthLargest(unders, b.cfg.F+1)
-	if math.IsInf(m, 0) || math.IsInf(mm, 0) {
+	m, mm, ok := trimmedExtremes(b.cfg.F, ests)
+	if !ok {
 		return
 	}
 	b.Syncs++

@@ -165,19 +165,8 @@ func (r *RoundMidpoint) finish(round int64) {
 	// Stale pings from this round are dead.
 	r.pending = make(map[uint64]roundPending)
 
-	if len(ests) < 2*r.cfg.F+1 {
-		r.NoQuorum++
-		return
-	}
-	overs := make([]float64, len(ests))
-	unders := make([]float64, len(ests))
-	for i, e := range ests {
-		overs[i] = float64(e.Over())
-		unders[i] = float64(e.Under())
-	}
-	m := kthSmallest(overs, r.cfg.F+1)
-	mm := kthLargest(unders, r.cfg.F+1)
-	if math.IsInf(m, 0) || math.IsInf(mm, 0) {
+	m, mm, ok := trimmedExtremes(r.cfg.F, ests)
+	if !ok {
 		r.NoQuorum++
 		return
 	}

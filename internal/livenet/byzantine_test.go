@@ -230,7 +230,7 @@ func TestEchoedNoncesCancelNothing(t *testing.T) {
 		if skipped := node.Metrics().RoundsSkipped.Load(); skipped != 0 {
 			t.Errorf("node %d skipped %d rounds: the liar pushed it below 2f+1", i, skipped)
 		}
-		for _, p := range node.Status().Peers {
+		for _, p := range node.Statusz().Peers {
 			if p.ID != liar && p.Failures != 0 {
 				t.Errorf("node %d: honest peer %d timed out %d times — its pings were cancelled", i, p.ID, p.Failures)
 			}
@@ -254,7 +254,7 @@ func TestStatusSnapshot(t *testing.T) {
 			break
 		}
 	}
-	st := nodes[0].Status()
+	st := nodes[0].Statusz()
 	if st.ID != 0 || st.Syncs < 2 {
 		t.Fatalf("status header: %+v", st)
 	}
@@ -265,8 +265,8 @@ func TestStatusSnapshot(t *testing.T) {
 	for _, p := range st.Peers {
 		if p.Replies > 0 {
 			sawReply = true
-			if time.Since(p.LastSeen) > 5*time.Second {
-				t.Fatalf("stale LastSeen: %+v", p)
+			if p.AgeSec > 5 {
+				t.Fatalf("stale AgeSec: %+v", p)
 			}
 		}
 	}

@@ -34,8 +34,9 @@ type ClusterConfig struct {
 	Logf     func(format string, args ...any)
 
 	// Metrics, when true, serves each node's observability endpoint
-	// (/metrics, /status, /debug/pprof) on a loopback port of its own from
-	// Start until Stop; read the bound addresses with Cluster.MetricsAddr.
+	// (/metrics, /status and /statusz, /debug/pprof) on a loopback port of
+	// its own from Start until Stop; read the bound addresses with
+	// Cluster.MetricsAddr.
 	Metrics bool
 	// Serve, when true, gives each node a dedicated UDP time-serving
 	// endpoint on a loopback port of its own; read the bound addresses

@@ -88,10 +88,10 @@ func (m *wireMsg) mac(key []byte) []byte {
 // interoperability.
 type OpsConfig struct {
 	// MetricsAddr, when non-empty, starts an HTTP listener there when the
-	// node Runs, serving GET /metrics (Prometheus text), GET /status (the
-	// node's StatusJSON) and the /debug/pprof profiling endpoints. Use
-	// "127.0.0.1:0" for an OS-assigned port (read it back via Node.
-	// MetricsAddr after Run starts).
+	// node Runs, serving GET /metrics (Prometheus text), GET /status and
+	// /statusz (the node's Statusz document) and the /debug/pprof profiling
+	// endpoints. Use "127.0.0.1:0" for an OS-assigned port (read it back via
+	// Node.MetricsAddr after Run starts).
 	MetricsAddr string
 
 	// Observer receives the node's structured event stream (round, skip,
@@ -271,7 +271,7 @@ type Node struct {
 	spanRing *obs.SpanRing // recent spans for /spanz (nil unless Ops.SpanBuffer > 0)
 
 	mu          sync.Mutex
-	peers       map[int]string // id → transport address
+	peers       []peerRecord // the peer table, sorted by id
 	adj         time.Duration
 	nonce       uint64
 	pending     map[uint64]pendingPing
@@ -279,8 +279,6 @@ type Node struct {
 	last        time.Duration
 	lastRound   core.Outcome // most recent round's verdict, decided at lastRoundAt
 	lastRoundAt time.Time    // zero before the first round
-	peerSeen    map[int]peerStats
-	health      map[int]*peerHealth
 	metricsAddr string
 
 	// round is the Sync round machine this node drives; ids, targets and
@@ -294,38 +292,18 @@ type Node struct {
 	wg sync.WaitGroup
 }
 
-type peerStats struct {
-	lastOffset time.Duration
-	lastSeen   time.Time
-	replies    int
-	failures   int
-}
-
-// peerHealth is the degradation state of one peer: consecutive round
-// failures, and whether the peer has been written off as dark.
-type peerHealth struct {
+// peerRecord is everything the node keeps about one peer: its address, what
+// its exchanges measured, and its health — consecutive round failures and
+// whether it has been written off as dark.
+type peerRecord struct {
+	id          int
+	addr        string
+	lastOffset  time.Duration // last measured C_peer − C_self
+	lastSeen    float64       // Unix seconds at the last reply's receipt; 0 before the first
+	replies     int
+	failures    int
 	consecFails int
-	dark        bool
-	darkSince   time.Time
-}
-
-// PeerStatus is one peer's view in a Status snapshot.
-type PeerStatus struct {
-	ID         int
-	LastOffset time.Duration // last measured C_peer − C_self
-	LastSeen   time.Time     // wall time of the last reply
-	Replies    int
-	Failures   int
-	Dark       bool // written off by health tracking; probed but not awaited
-}
-
-// Status is a point-in-time snapshot of the node's state.
-type Status struct {
-	ID     int
-	Syncs  int
-	Offset time.Duration // current offset from the host clock
-	Last   time.Duration // most recent adjustment
-	Peers  []PeerStatus  // sorted by id
+	dark        bool // probed but not awaited
 }
 
 // pendingPing maps a wire nonce back to the round slot it asked about.
@@ -349,9 +327,11 @@ type liveReply struct {
 	recvUnix float64
 }
 
-// unixNow is the wall clock in Unix seconds, the timebase of live events and
-// spans.
-func unixNow() float64 { return float64(time.Now().UnixNano()) / 1e9 }
+// unixSec is t in Unix seconds, the timebase of live events and spans.
+func unixSec(t time.Time) float64 { return float64(t.UnixNano()) / 1e9 }
+
+// unixNow is the wall clock in Unix seconds.
+func unixNow() float64 { return unixSec(time.Now()) }
 
 // wallDuration converts the machine's seconds to wall time.
 func wallDuration(d simtime.Duration) time.Duration {
@@ -399,31 +379,59 @@ func New(cfg Config) (*Node, error) {
 		tr:       tr,
 		serveTr:  serveTr,
 		spanRing: spanRing,
-		peers:    make(map[int]string, len(cfg.Peers)),
 		start:    time.Now(),
 		// Counters are always per-node (the /metrics endpoint labels them by
 		// id); Ops.Observer receives only the event stream.
-		rec:      obs.NewRecorder(),
-		pending:  make(map[uint64]pendingPing),
-		peerSeen: make(map[int]peerStats),
-		health:   make(map[int]*peerHealth),
-		round:    core.NewRound(cfg.ID, cfg.F, simtime.Duration(cfg.WayOff.Seconds())),
+		rec:     obs.NewRecorder(),
+		pending: make(map[uint64]pendingPing),
+		round:   core.NewRound(cfg.ID, cfg.F, simtime.Duration(cfg.WayOff.Seconds())),
 	}
 	// Before the first round the node can only vouch for its clock to
 	// within WayOff (anything worse would be rejected as its own): publish
 	// that as the epoch-0 prior so Read and the serve path work from birth.
 	n.publishReading(cfg.WayOff)
-	checker, _ := tr.(addrChecker)
-	for id, a := range cfg.Peers {
-		if checker != nil {
-			if err := checker.CheckAddr(a); err != nil {
-				n.closeTransports()
-				return nil, fmt.Errorf("livenet: peer %d (%s): %w", id, a, err)
-			}
-		}
-		n.peers[id] = a
+	if err := n.installPeers(cfg.Peers); err != nil {
+		n.closeTransports()
+		return nil, err
 	}
 	return n, nil
+}
+
+// installPeers vets peers' addresses and installs them as the peer table. A
+// peer that stays in the table keeps its record under its (possibly new)
+// address; a new peer starts from zero.
+func (n *Node) installPeers(peers map[int]string) error {
+	checker, _ := n.tr.(addrChecker)
+	table := make([]peerRecord, 0, len(peers))
+	for id, a := range peers {
+		if checker != nil {
+			if err := checker.CheckAddr(a); err != nil {
+				return fmt.Errorf("livenet: peer %d (%s): %w", id, a, err)
+			}
+		}
+		table = append(table, peerRecord{id: id, addr: a})
+	}
+	sort.Slice(table, func(i, j int) bool { return table[i].id < table[j].id })
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for i := range table {
+		if old := n.peer(table[i].id); old != nil {
+			old.addr = table[i].addr
+			table[i] = *old
+		}
+	}
+	n.peers = table
+	return nil
+}
+
+// peer returns the record of peer id, or nil when id is not in the table.
+// The caller holds n.mu.
+func (n *Node) peer(id int) *peerRecord {
+	i := sort.Search(len(n.peers), func(i int) bool { return n.peers[i].id >= id })
+	if i < len(n.peers) && n.peers[i].id == id {
+		return &n.peers[i]
+	}
+	return nil
 }
 
 // closeTransports releases the node's transports (sync and, when
@@ -463,48 +471,12 @@ func (n *Node) emit(kind string, fields map[string]float64) {
 	})
 }
 
-// StatusJSON renders the Status snapshot for monitoring endpoints.
-func (n *Node) StatusJSON() ([]byte, error) {
-	st := n.Status()
-	type peerJSON struct {
-		ID        int     `json:"id"`
-		OffsetSec float64 `json:"last_offset_sec"`
-		AgeSec    float64 `json:"last_seen_age_sec"`
-		Replies   int     `json:"replies"`
-		Failures  int     `json:"failures"`
-		Dark      bool    `json:"dark"`
-	}
-	out := struct {
-		ID        int        `json:"id"`
-		Syncs     int        `json:"syncs"`
-		OffsetSec float64    `json:"offset_sec"`
-		LastSec   float64    `json:"last_adjust_sec"`
-		Peers     []peerJSON `json:"peers"`
-	}{
-		ID:        st.ID,
-		Syncs:     st.Syncs,
-		OffsetSec: st.Offset.Seconds(),
-		LastSec:   st.Last.Seconds(),
-	}
-	for _, p := range st.Peers {
-		age := -1.0
-		if !p.LastSeen.IsZero() {
-			age = time.Since(p.LastSeen).Seconds()
-		}
-		out.Peers = append(out.Peers, peerJSON{
-			ID: p.ID, OffsetSec: p.LastOffset.Seconds(), AgeSec: age,
-			Replies: p.Replies, Failures: p.Failures, Dark: p.Dark,
-		})
-	}
-	return json.Marshal(out)
-}
-
 // ServeMetrics starts the node's observability endpoint on addr: GET
 // /metrics in Prometheus text format (counters labeled node="<id>"), GET
-// /status with the StatusJSON snapshot, and the net/http/pprof endpoints
-// under /debug/pprof/. It returns the bound address; the server stops when
-// ctx is cancelled. Run calls this automatically when Ops.MetricsAddr is
-// set.
+// /status and /statusz with the Statusz document, and the net/http/pprof
+// endpoints under /debug/pprof/. It returns the bound address; the server
+// stops when ctx is cancelled. Run calls this automatically when
+// Ops.MetricsAddr is set.
 func (n *Node) ServeMetrics(ctx context.Context, addr string) (string, error) {
 	labels := fmt.Sprintf("node=%q", fmt.Sprint(n.cfg.ID))
 	mux := obs.NewMux(func(w http.ResponseWriter) error {
@@ -529,32 +501,6 @@ func (n *Node) MetricsAddr() string {
 	return n.metricsAddr
 }
 
-// Status returns a snapshot of the node's synchronization state.
-func (n *Node) Status() Status {
-	offset := n.Offset() // before taking the lock; Offset locks internally
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	st := Status{ID: n.cfg.ID, Syncs: n.syncs, Last: n.last, Offset: offset}
-	ids := make([]int, 0, len(n.peers))
-	for id := range n.peers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		ps := n.peerSeen[id]
-		h := n.health[id]
-		st.Peers = append(st.Peers, PeerStatus{
-			ID:         id,
-			LastOffset: ps.lastOffset,
-			LastSeen:   ps.lastSeen,
-			Replies:    ps.replies,
-			Failures:   ps.failures,
-			Dark:       h != nil && h.dark,
-		})
-	}
-	return st
-}
-
 // Addr returns the node's bound transport address.
 func (n *Node) Addr() string { return n.tr.LocalAddr() }
 
@@ -562,28 +508,10 @@ func (n *Node) Addr() string { return n.tr.LocalAddr() }
 // Run when the configuration could not know peer addresses up front (e.g.
 // OS-assigned ports). The resulting cluster must satisfy n ≥ 3f+1.
 func (n *Node) SetPeers(peers map[int]string) error {
-	checker, _ := n.tr.(addrChecker)
-	cp := make(map[int]string, len(peers))
-	for id, a := range peers {
-		if checker != nil {
-			if err := checker.CheckAddr(a); err != nil {
-				return fmt.Errorf("livenet: peer %d (%s): %w", id, a, err)
-			}
-		}
-		cp[id] = a
+	if len(peers)+1 < 3*n.cfg.F+1 {
+		return fmt.Errorf("livenet: n=%d does not satisfy n ≥ 3f+1 for f=%d", len(peers)+1, n.cfg.F)
 	}
-	if len(cp)+1 < 3*n.cfg.F+1 {
-		return fmt.Errorf("livenet: n=%d does not satisfy n ≥ 3f+1 for f=%d", len(cp)+1, n.cfg.F)
-	}
-	n.mu.Lock()
-	n.peers = cp
-	for id := range n.health {
-		if _, keep := cp[id]; !keep {
-			delete(n.health, id)
-		}
-	}
-	n.mu.Unlock()
-	return nil
+	return n.installPeers(peers)
 }
 
 // localClock returns the node's logical clock as an offset from the host
@@ -632,13 +560,6 @@ func (n *Node) Syncs() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.syncs
-}
-
-// LastDelta returns the most recent adjustment.
-func (n *Node) LastDelta() time.Duration {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.last
 }
 
 // Run serves requests and executes the Sync loop until ctx is cancelled.
@@ -785,7 +706,7 @@ func (n *Node) send(msg wireMsg, to string) {
 // round has purged its nonces, nothing more can reach its queue.
 func (n *Node) handleResponse(msg wireMsg) {
 	now := time.Now()
-	rp := liveReply{clock: msg.Clock, recv: now.Add(n.localClock()), recvUnix: float64(now.UnixNano()) / 1e9}
+	rp := liveReply{clock: msg.Clock, recv: now.Add(n.localClock()), recvUnix: unixSec(now)}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	p, ok := n.pending[msg.Nonce]
@@ -841,19 +762,14 @@ func (n *Node) runSync(ctx context.Context) {
 		roundEpoch = uint64(n.Syncs())
 	}
 
-	// Snapshot the peer table and health state in id order; a target's index
-	// is its slot.
+	// Snapshot the peer table, kept in id order; a target's index is its
+	// slot.
 	ids, targets, bright := n.ids[:0], n.targets[:0], 0
 	n.mu.Lock()
-	for id := range n.peers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		h := n.health[id]
-		dark := h != nil && h.dark
-		targets = append(targets, roundTarget{id: id, addr: n.peers[id], dark: dark})
-		if !dark {
+	for _, p := range n.peers {
+		ids = append(ids, p.id)
+		targets = append(targets, roundTarget{id: p.id, addr: p.addr, dark: p.dark})
+		if !p.dark {
 			bright++
 		}
 	}
@@ -927,11 +843,10 @@ func (n *Node) runSync(ctx context.Context) {
 			})
 		}
 		n.mu.Lock()
-		ps := n.peerSeen[rp.peer]
-		ps.lastOffset = wallDuration(est.D)
-		ps.lastSeen = time.Now()
-		ps.replies++
-		n.peerSeen[rp.peer] = ps
+		if p := n.peer(rp.peer); p != nil {
+			p.lastOffset, p.lastSeen = wallDuration(est.D), rp.recvUnix
+			p.replies++
+		}
 		n.mu.Unlock()
 	}
 
@@ -1076,10 +991,9 @@ func (n *Node) purgePending() []pendingPing {
 	return outstanding
 }
 
-// updateHealth folds the closed round's outcomes into the per-peer health
-// state: an answer resets the failure streak (and rescues a dark peer); a
-// failure extends it and — at the DarkAfter threshold — writes the peer off
-// as dark. Transitions are emitted as peerdark/peerbright events and the
+// updateHealth folds the closed round's outcomes into the peer records: an
+// answer resets the failure streak (and rescues a dark peer); a failure
+// extends it and — at the DarkAfter threshold — writes the peer off as dark. Transitions are emitted as peerdark/peerbright events and the
 // dark population is kept on the PeersDark gauge.
 func (n *Node) updateHealth(targets []roundTarget) {
 	darkAfter := n.cfg.DarkAfter
@@ -1094,33 +1008,29 @@ func (n *Node) updateHealth(targets []roundTarget) {
 	var changes []transition
 	n.mu.Lock()
 	for slot, t := range targets {
-		h := n.health[t.id]
-		if h == nil {
-			h = &peerHealth{}
-			n.health[t.id] = h
+		p := n.peer(t.id)
+		if p == nil {
+			continue // removed from the table mid-round
 		}
 		if n.round.Answered(slot) {
-			h.consecFails = 0
-			if h.dark {
-				h.dark = false
+			p.consecFails = 0
+			if p.dark {
+				p.dark = false
 				n.rec.PeerRejoins.Inc()
 				changes = append(changes, transition{peer: t.id, dark: false})
 			}
 			continue
 		}
-		ps := n.peerSeen[t.id]
-		ps.failures++
-		n.peerSeen[t.id] = ps
-		h.consecFails++
-		if !h.dark && h.consecFails >= darkAfter {
-			h.dark = true
-			h.darkSince = time.Now()
-			changes = append(changes, transition{peer: t.id, dark: true, fails: h.consecFails})
+		p.failures++
+		p.consecFails++
+		if !p.dark && p.consecFails >= darkAfter {
+			p.dark = true
+			changes = append(changes, transition{peer: t.id, dark: true, fails: p.consecFails})
 		}
 	}
 	dark := 0
-	for _, h := range n.health {
-		if h.dark {
+	for _, p := range n.peers {
+		if p.dark {
 			dark++
 		}
 	}

@@ -188,7 +188,7 @@ func TestRunRequiresQuorumOfPeers(t *testing.T) {
 }
 
 // TestServeStatusEndpoint covers the /status route of the observability
-// endpoint (ServeMetrics), the only HTTP surface serving StatusJSON.
+// endpoint (ServeMetrics), the operator URL of the Statusz document.
 func TestServeStatusEndpoint(t *testing.T) {
 	nodes, cancel := startCluster(t, 4, 1, []time.Duration{5 * time.Millisecond}, []byte("k"))
 	defer cancel()

@@ -11,13 +11,14 @@ import (
 // The cluster status surface of the fleet telemetry plane. Every node with a
 // metrics endpoint additionally serves:
 //
-//	GET /statusz — one JSON document with everything a fleet aggregator
-//	               needs to merge this node into a cluster view: the current
+//	GET /statusz — the node's one status document (also on GET /status, the
+//	               operator URL): everything a fleet aggregator needs to
+//	               merge this node into a cluster view — the current
 //	               interval-valued reading *paired with the host wall clock
 //	               at the same instant* (the seam that lets remote span
 //	               timestamps be re-aligned onto the cluster timeline), the
-//	               sync epoch, the last round's verdict and the peer-health
-//	               map.
+//	               sync epoch, the last round's verdict and every peer's
+//	               record.
 //	GET /read    — the node's Reading alone (time, uncertainty, epoch), the
 //	               HTTP/JSON counterpart of the binary serve wire for
 //	               consumers that want interval-valued time over plain HTTP.
@@ -46,7 +47,8 @@ type StatuszPeer struct {
 	Dark      bool    `json:"dark"`
 }
 
-// Statusz is the merged-scrape status document served on GET /statusz.
+// Statusz is the node's status document, served on GET /statusz and
+// GET /status.
 //
 // TimeUnixNano and WallUnixNano are taken at the same instant: their
 // difference is the node's current correction (disciplined − host clock),
@@ -67,42 +69,42 @@ type Statusz struct {
 	Peers          []StatuszPeer `json:"peers"`
 }
 
-// Statusz builds the node's current status document.
+// Statusz builds the node's current status document from one acquisition of
+// the node lock, every age measured from one instant.
 func (n *Node) Statusz() Statusz {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	now := time.Now()
 	r := n.snap.Load().at(now)
-	st := n.Status() // peer table snapshot, sorted by id
 	out := Statusz{
-		ID:             st.ID,
+		ID:             n.cfg.ID,
 		Epoch:          r.Epoch,
-		Syncs:          st.Syncs,
+		Syncs:          n.syncs,
 		TimeUnixNano:   r.Time.UnixNano(),
 		WallUnixNano:   now.UnixNano(),
 		UncertaintySec: r.Uncertainty.Seconds(),
 		OffsetSec:      r.Time.Sub(now).Seconds(),
-		LastAdjustSec:  st.Last.Seconds(),
-		Peers:          make([]StatuszPeer, 0, len(st.Peers)),
+		LastAdjustSec:  n.last.Seconds(),
+		Peers:          make([]StatuszPeer, 0, len(n.peers)),
 	}
-	n.mu.Lock()
-	lr, at := n.lastRound, n.lastRoundAt
-	n.mu.Unlock()
-	if !at.IsZero() {
+	if lr := n.lastRound; !n.lastRoundAt.IsZero() {
 		out.LastRound = &StatuszRound{
-			AgeSec:   time.Since(at).Seconds(),
+			AgeSec:   now.Sub(n.lastRoundAt).Seconds(),
 			DeltaSec: float64(lr.Delta),
 			Failed:   lr.Failed,
 			WayOff:   lr.Jumped,
 			Skipped:  !lr.OK,
 		}
 	}
-	for _, p := range st.Peers {
+	nowU := unixSec(now)
+	for _, p := range n.peers {
 		age := -1.0
-		if !p.LastSeen.IsZero() {
-			age = time.Since(p.LastSeen).Seconds()
+		if p.lastSeen != 0 {
+			age = nowU - p.lastSeen
 		}
 		out.Peers = append(out.Peers, StatuszPeer{
-			ID: p.ID, OffsetSec: p.LastOffset.Seconds(), AgeSec: age,
-			Replies: p.Replies, Failures: p.Failures, Dark: p.Dark,
+			ID: p.id, OffsetSec: p.lastOffset.Seconds(), AgeSec: age,
+			Replies: p.replies, Failures: p.failures, Dark: p.dark,
 		})
 	}
 	return out
@@ -137,14 +139,12 @@ func (n *Node) registerTelemetry(mux *http.ServeMux) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(data)
 	}
-	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-		data, err := n.StatusJSON()
-		writeJSON(w, data, err)
-	})
-	mux.HandleFunc("/statusz", func(w http.ResponseWriter, r *http.Request) {
+	status := func(w http.ResponseWriter, r *http.Request) {
 		data, err := json.Marshal(n.Statusz())
 		writeJSON(w, data, err)
-	})
+	}
+	mux.HandleFunc("/status", status)
+	mux.HandleFunc("/statusz", status)
 	mux.HandleFunc("/read", func(w http.ResponseWriter, r *http.Request) {
 		data, err := marshalReading(n.Read())
 		writeJSON(w, data, err)

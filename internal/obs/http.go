@@ -15,7 +15,8 @@ type CollectFunc func(w http.ResponseWriter) error
 
 // NewMux builds the standard observability mux: GET /metrics served by
 // collect, the net/http/pprof endpoints under /debug/pprof/, and any extra
-// handlers the caller registers afterwards (livenet adds /status).
+// handlers the caller registers afterwards (livenet adds /status and
+// /statusz, one document on two routes).
 func NewMux(collect CollectFunc) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
