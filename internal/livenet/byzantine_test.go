@@ -2,7 +2,6 @@ package livenet
 
 import (
 	"context"
-	"encoding/json"
 	"math/rand"
 	"net"
 	"sync"
@@ -38,31 +37,23 @@ func startLiar(t *testing.T, key []byte, skew time.Duration) *liarResponder {
 
 func (l *liarResponder) serve() {
 	buf := make([]byte, 2048)
+	signer := newSyncSigner(l.key)
 	for {
 		nr, raddr, err := l.conn.ReadFromUDP(buf)
 		if err != nil {
 			return
 		}
-		var msg wireMsg
-		if json.Unmarshal(buf[:nr], &msg) != nil || msg.Type != "q" {
+		msg, _, err := decodeSync(buf[:nr])
+		if err != nil || msg.reply {
 			continue
 		}
-		resp := wireMsg{
-			V:     wireVersion,
-			Type:  "r",
-			From:  msg.From, // deliberately confusing, but nonce routing decides
-			Nonce: msg.Nonce,
-			Clock: time.Now().Add(l.skew).UnixNano(),
+		resp := syncMsg{
+			reply: true,
+			from:  3, // its own claimed id
+			nonce: msg.nonce,
+			clock: time.Now().Add(l.skew).UnixNano(),
 		}
-		resp.From = 3 // its own claimed id
-		if len(l.key) > 0 {
-			resp.MAC = resp.mac(l.key)
-		}
-		data, err := json.Marshal(resp)
-		if err != nil {
-			continue
-		}
-		l.conn.WriteToUDP(data, raddr)
+		l.conn.WriteToUDP(signer.encode(resp), raddr)
 	}
 }
 
@@ -164,22 +155,21 @@ func TestEchoedNoncesCancelNothing(t *testing.T) {
 	defer liarTr.Close()
 	go func() {
 		buf := make([]byte, 2048)
+		signer := newSyncSigner(key)
 		for {
 			nr, from, err := liarTr.ReadFrom(buf)
 			if err != nil {
 				return
 			}
-			var msg wireMsg
-			if json.Unmarshal(buf[:nr], &msg) != nil || msg.Type != "q" {
+			msg, _, err := decodeSync(buf[:nr])
+			if err != nil || msg.reply {
 				continue
 			}
 			for d := uint64(1); d <= 3; d++ {
-				for _, nonce := range []uint64{msg.Nonce - d, msg.Nonce + d} {
-					echo := wireMsg{V: wireVersion, Type: "r", From: liar, Nonce: nonce,
-						Clock: time.Now().Add(time.Hour).UnixNano()}
-					echo.MAC = echo.mac(key)
-					data, _ := json.Marshal(echo) // a struct of scalars cannot fail to marshal
-					liarTr.WriteTo(data, from)
+				for _, nonce := range []uint64{msg.nonce - d, msg.nonce + d} {
+					echo := syncMsg{reply: true, from: liar, nonce: nonce,
+						clock: time.Now().Add(time.Hour).UnixNano()}
+					liarTr.WriteTo(signer.encode(echo), from)
 				}
 			}
 		}
@@ -229,6 +219,9 @@ func TestEchoedNoncesCancelNothing(t *testing.T) {
 	for i, node := range nodes {
 		if skipped := node.Metrics().RoundsSkipped.Load(); skipped != 0 {
 			t.Errorf("node %d skipped %d rounds: the liar pushed it below 2f+1", i, skipped)
+		}
+		if node.Metrics().RepliesRefused.Load() == 0 {
+			t.Errorf("node %d refused none of the liar's echoes on its counter", i)
 		}
 		for _, p := range node.Statusz().Peers {
 			if p.ID != liar && p.Failures != 0 {

@@ -21,12 +21,9 @@ package livenet
 
 import (
 	"context"
-	"crypto/hmac"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -39,48 +36,6 @@ import (
 	"clocksync/internal/obs"
 	"clocksync/internal/simtime"
 )
-
-// wireMsg is the on-the-wire JSON message.
-//
-// Span and Epoch are the compact trace context of the fleet telemetry plane:
-// a requester with span tracing enabled stamps each query with the estimate
-// span's ID and its sync epoch, and the responder records its half of the
-// exchange (a "reply" span) under that same ID, so the two sides join across
-// process boundaries (origin = From). Both fields are omitted when tracing
-// is off — an untraced node emits wire bytes identical to earlier releases —
-// and are ignored by untraced receivers, so the extension is compatible in
-// both directions. They are deliberately outside the MAC: trace context is
-// observability metadata, never protocol input, and forging it can only
-// pollute telemetry, not clocks.
-type wireMsg struct {
-	V     int    `json:"v"`           // protocol version
-	Type  string `json:"t"`           // "q" request | "r" response
-	From  int    `json:"f"`           // sender id
-	Nonce uint64 `json:"n"`           // request/response pairing
-	Clock int64  `json:"c,omitempty"` // responder clock, unix nanoseconds
-	MAC   []byte `json:"m,omitempty"` // HMAC-SHA256 tag
-	Span  uint64 `json:"s,omitempty"` // trace context: requester's estimate-span ID
-	Epoch uint64 `json:"e,omitempty"` // trace context: requester's sync epoch at send
-}
-
-const wireVersion = 1
-
-// mac computes the authentication tag over the message's canonical fields.
-func (m *wireMsg) mac(key []byte) []byte {
-	h := hmac.New(sha256.New, key)
-	var buf [8 + 8 + 8 + 2]byte
-	binary.BigEndian.PutUint64(buf[0:], uint64(m.From))
-	binary.BigEndian.PutUint64(buf[8:], m.Nonce)
-	binary.BigEndian.PutUint64(buf[16:], uint64(m.Clock))
-	buf[24] = byte(m.V)
-	if m.Type == "q" {
-		buf[25] = 0
-	} else {
-		buf[25] = 1
-	}
-	h.Write(buf[:])
-	return h.Sum(nil)
-}
 
 // OpsConfig groups a node's operational settings — how it is observed and
 // logged — separate from the wire/protocol settings that must agree across a
@@ -202,6 +157,14 @@ func validateHostPort(field, addr string) error {
 	return nil
 }
 
+// checkWireID rejects an id the sync wire's 4-byte from field cannot carry.
+func checkWireID(what string, id int) error {
+	if id < 0 || uint64(id) > math.MaxUint32 {
+		return fmt.Errorf("livenet: %s id %d outside the wire's [0, 2³²−1]", what, id)
+	}
+	return nil
+}
+
 // Validate checks the configuration, returning actionable errors naming the
 // offending field. New calls it; callers constructing configs
 // programmatically can call it early to fail before sockets are opened.
@@ -227,8 +190,13 @@ func (c *Config) Validate() error {
 	if c.F < 0 {
 		return fmt.Errorf("livenet: negative fault budget f=%d", c.F)
 	}
-	if c.ID < 0 {
-		return fmt.Errorf("livenet: negative node id %d", c.ID)
+	if err := checkWireID("node", c.ID); err != nil {
+		return err
+	}
+	for id := range c.Peers {
+		if err := checkWireID("peer", id); err != nil {
+			return err
+		}
 	}
 	if c.Transport == nil {
 		if c.Listen == "" {
@@ -282,12 +250,14 @@ type Node struct {
 	metricsAddr string
 
 	// round is the Sync round machine this node drives; ids, targets and
-	// nonces are the driver's per-round buffers. All belong to the sync
-	// goroutine and are reused from round to round.
+	// nonces are the driver's per-round buffers, and signer signs its
+	// queries. All belong to the sync goroutine and are reused from round to
+	// round.
 	round   *core.Round
 	ids     []int
 	targets []roundTarget
 	nonces  []uint64
+	signer  *syncSigner
 
 	wg sync.WaitGroup
 }
@@ -385,6 +355,7 @@ func New(cfg Config) (*Node, error) {
 		rec:     obs.NewRecorder(),
 		pending: make(map[uint64]pendingPing),
 		round:   core.NewRound(cfg.ID, cfg.F, simtime.Duration(cfg.WayOff.Seconds())),
+		signer:  newSyncSigner(cfg.Key),
 	}
 	// Before the first round the node can only vouch for its clock to
 	// within WayOff (anything worse would be rejected as its own): publish
@@ -404,6 +375,9 @@ func (n *Node) installPeers(peers map[int]string) error {
 	checker, _ := n.tr.(addrChecker)
 	table := make([]peerRecord, 0, len(peers))
 	for id, a := range peers {
+		if err := checkWireID("peer", id); err != nil {
+			return err
+		}
 		if checker != nil {
 			if err := checker.CheckAddr(a); err != nil {
 				return fmt.Errorf("livenet: peer %d (%s): %w", id, a, err)
@@ -607,11 +581,12 @@ func (n *Node) logf(format string, args ...any) {
 }
 
 // readLoop answers time requests and routes responses to pending pings.
-// Serve queries (binary magic, serve.go) share the socket with the JSON
-// sync wire and are dispatched before JSON parsing is attempted.
 func (n *Node) readLoop(ctx context.Context) {
 	buf := make([]byte, 2048)
 	scratch := make([]byte, ServeReplyMaxSize)
+	// This goroutine's signer: it verifies every sync packet and signs the
+	// answers to queries.
+	signer := newSyncSigner(n.cfg.Key)
 	for {
 		nr, from, err := n.tr.ReadFrom(buf)
 		if err != nil {
@@ -621,60 +596,67 @@ func (n *Node) readLoop(ctx context.Context) {
 			n.logf("read error: %v", err)
 			continue
 		}
-		if isServePacket(buf[:nr]) {
-			n.answerServe(buf[:nr], from, scratch, n.tr)
-			continue
-		}
-		var msg wireMsg
-		if err := json.Unmarshal(buf[:nr], &msg); err != nil || msg.V != wireVersion {
-			n.rec.MessagesDropped.Inc()
-			continue // not ours
-		}
-		if len(n.cfg.Key) > 0 && !hmac.Equal(msg.MAC, msg.mac(n.cfg.Key)) {
-			n.rec.AuthFailures.Inc()
-			n.rec.MessagesDropped.Inc()
-			n.emit(obs.KindAuthFail, map[string]float64{"from": float64(msg.From)})
-			n.logf("dropping unauthenticated message from %v", from)
-			continue
-		}
-		n.rec.MessagesReceived.Inc()
-		switch msg.Type {
-		case "q":
-			n.answer(msg, from)
-		case "r":
-			n.handleResponse(msg)
-		default:
-			n.rec.MessagesDropped.Inc()
-		}
+		n.receive(buf[:nr], from, scratch, signer)
+	}
+}
+
+// receive handles one datagram from the sync socket. Serve and sync packets
+// share the socket and the "CS" header; the mode byte sends each to its own
+// decoder (serve.go, wire.go). Every datagram the sync decoder refuses —
+// wrong length, unknown version or mode, a JSON datagram of the retired
+// wire — is counted in MessagesDropped, and one that fails authentication in
+// AuthFailures as well. scratch and signer belong to the calling goroutine.
+func (n *Node) receive(b []byte, from string, scratch []byte, signer *syncSigner) {
+	switch packetMode(b) {
+	case serveModeQuery, serveModeReply:
+		n.answerServe(b, from, scratch, n.tr)
+		return
+	}
+	msg, tag, err := decodeSync(b)
+	if err != nil {
+		n.rec.MessagesDropped.Inc()
+		return
+	}
+	if !signer.verify(msg, tag) {
+		n.rec.AuthFailures.Inc()
+		n.rec.MessagesDropped.Inc()
+		n.emit(obs.KindAuthFail, map[string]float64{"from": float64(msg.from)})
+		n.logf("dropping unauthenticated message from %v", from)
+		return
+	}
+	n.rec.MessagesReceived.Inc()
+	if msg.reply {
+		n.handleResponse(msg)
+	} else {
+		n.answer(msg, from, signer)
 	}
 }
 
 // answer replies to a time request with the current clock — always the
-// current clock, per the paper's roundless design. A traced request (wire
-// Span ≠ 0) additionally records this node's half of the exchange as a
+// current clock, per the paper's roundless design. A traced request (span
+// ≠ 0) additionally records this node's half of the exchange as a
 // zero-duration "reply" span under the requester's propagated span ID, with
 // the reported clock value, this node's own uncertainty interval and epoch —
 // the responder-side data the fleet aggregator joins against the requester's
 // estimate span.
-func (n *Node) answer(req wireMsg, from string) {
-	resp := wireMsg{
-		V:     wireVersion,
-		Type:  "r",
-		From:  n.cfg.ID,
-		Nonce: req.Nonce,
-		Clock: n.clockNow().UnixNano(),
+func (n *Node) answer(req syncMsg, from string, signer *syncSigner) {
+	resp := syncMsg{
+		reply: true,
+		from:  uint32(n.cfg.ID),
+		nonce: req.nonce,
+		clock: n.clockNow().UnixNano(),
 	}
-	n.send(resp, from)
-	if req.Span != 0 {
+	n.send(signer, resp, from)
+	if req.span != 0 {
 		if o := n.cfg.Ops.Observer; o.SpansEnabled() {
 			r := n.Read()
 			nowU := unixNow()
 			o.EmitSpan(obs.Span{
-				ID: obs.SpanID(req.Span), Name: obs.SpanReply, Node: n.cfg.ID,
+				ID: obs.SpanID(req.span), Name: obs.SpanReply, Node: n.cfg.ID,
 				Start: nowU, End: nowU,
-				Fields: obs.F("origin", float64(req.From)).
-					F("origin_epoch", float64(req.Epoch)).
-					F("node_time", float64(resp.Clock)/1e9).
+				Fields: obs.F("origin", float64(req.from)).
+					F("origin_epoch", float64(req.epoch)).
+					F("node_time", float64(resp.clock)/1e9).
 					F("unc", r.Uncertainty.Seconds()).
 					F("epoch", float64(r.Epoch)),
 			})
@@ -682,16 +664,9 @@ func (n *Node) answer(req wireMsg, from string) {
 	}
 }
 
-func (n *Node) send(msg wireMsg, to string) {
-	if len(n.cfg.Key) > 0 {
-		msg.MAC = msg.mac(n.cfg.Key)
-	}
-	data, err := json.Marshal(msg)
-	if err != nil {
-		n.logf("marshal error: %v", err)
-		return
-	}
-	if err := n.tr.WriteTo(data, to); err != nil {
+// send signs msg with the calling goroutine's signer and writes it to to.
+func (n *Node) send(signer *syncSigner, msg syncMsg, to string) {
+	if err := n.tr.WriteTo(signer.encode(msg), to); err != nil {
 		n.rec.MessagesDropped.Inc()
 		n.logf("send to %v failed: %v", to, err)
 		return
@@ -702,18 +677,21 @@ func (n *Node) send(msg wireMsg, to string) {
 // handleResponse routes an answer to the round that asked. The nonce must be
 // outstanding and must have been sent to the peer now answering it — checked
 // before the entry is consumed, so a peer echoing other peers' nonces under
-// its own id cancels nothing. The reply is queued under the lock: once a
-// round has purged its nonces, nothing more can reach its queue.
-func (n *Node) handleResponse(msg wireMsg) {
+// its own id cancels nothing. A reply that fails either check — a replay, a
+// late duplicate, an answer from the wrong peer — is counted in
+// RepliesRefused. The reply is queued under the lock: once a round has
+// purged its nonces, nothing more can reach its queue.
+func (n *Node) handleResponse(msg syncMsg) {
 	now := time.Now()
-	rp := liveReply{clock: msg.Clock, recv: now.Add(n.localClock()), recvUnix: unixSec(now)}
+	rp := liveReply{clock: msg.clock, recv: now.Add(n.localClock()), recvUnix: unixSec(now)}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	p, ok := n.pending[msg.Nonce]
-	if !ok || p.peer != msg.From {
+	p, ok := n.pending[msg.nonce]
+	if !ok || p.peer != int(msg.from) {
+		n.rec.RepliesRefused.Inc()
 		return
 	}
-	delete(n.pending, msg.Nonce)
+	delete(n.pending, msg.nonce)
 	rp.pendingPing = p
 	select {
 	case p.ch <- rp:
@@ -808,11 +786,11 @@ func (n *Node) runSync(ctx context.Context) {
 		n.nonces = append(n.nonces, nonce)
 		n.round.Sent(slot, span)
 		// Traced queries carry the estimate span's ID and this node's epoch
-		// so the responder's reply span joins to ours; untraced queries
-		// (span 0) omit both fields and match the pre-telemetry wire bytes.
-		n.send(wireMsg{
-			V: wireVersion, Type: "q", From: n.cfg.ID, Nonce: nonce,
-			Span: uint64(span), Epoch: roundEpoch,
+		// in the trace trailer so the responder's reply span joins to ours;
+		// untraced queries (span 0) go without it.
+		n.send(n.signer, syncMsg{
+			from: uint32(n.cfg.ID), nonce: nonce,
+			traced: span != 0, span: uint64(span), epoch: roundEpoch,
 		}, t.addr)
 	}
 	// reply feeds one queued answer to the machine, S being the origin of the

@@ -125,11 +125,11 @@ func TestClusterServesMetrics(t *testing.T) {
 }
 
 // TestNodeMetricsCountAuthFailures checks the auth path increments the
-// HMAC-failure counter: a keyed node receiving an unauthenticated datagram
-// drops and counts it.
+// HMAC-failure counter: a keyed node receiving a well-formed sync query
+// signed with another key drops and counts it.
 func TestNodeMetricsCountAuthFailures(t *testing.T) {
 	nodes, _ := startCluster(t, 4, 1, nil, []byte("secret"))
-	// Speak the wire protocol without the key directly at node 0.
+	// Speak the wire protocol with the wrong key directly at node 0.
 	dst, err := net.ResolveUDPAddr("udp", nodes[0].Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestNodeMetricsCountAuthFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	payload := []byte(`{"v":1,"t":"q","f":9,"n":1}`)
+	payload := newSyncSigner([]byte("not-the-secret")).encode(syncMsg{from: 9, nonce: 1})
 	for i := 0; i < 5; i++ {
 		if _, err := conn.Write(payload); err != nil {
 			t.Fatal(err)

@@ -29,18 +29,19 @@ import (
 // node's own Theorem 5-derived envelope widened by the link, never a bare
 // timestamp.
 //
-// Serve packets are distinguished from the JSON sync wire by a leading magic
-// that can never open a JSON object, so both protocols share one socket.
-// They are unauthenticated by design — a public time service answers anyone,
-// and a reading's validity is judged by its uncertainty interval, not by who
-// transported it. Deployments that need authenticated time should front the
-// serve port the same way they would front an NTP pool.
+// Serve and sync packets are one family (wire.go): they share the magic
+// and header, and the mode byte splits the two wires, so both protocols
+// share one socket. Serve packets are unauthenticated by design — a public
+// time service answers anyone, and a reading's validity is judged by its
+// uncertainty interval, not by who transported it. Deployments that need
+// authenticated time should front the serve port the same way they would
+// front an NTP pool.
 
 // Serve wire constants. Packet sizes are exact at each of the two valid
 // lengths: the base layout, or the base layout plus the trace-context
 // extension. Any other length is rejected.
 const (
-	serveMagic   uint16 = 0x4353 // "CS"; first byte 0x43 ≠ '{' keeps JSON apart
+	serveMagic   uint16 = 0x4353 // "CS", shared with the sync wire
 	serveVersion byte   = 1
 
 	serveModeQuery byte = 1
@@ -120,17 +121,18 @@ const (
 	serveOffNode    = 52
 )
 
-// Serve codec errors. Decoders return them (wrapped with detail) instead of
-// panicking, whatever the input bytes — truncated, oversized or hostile.
+// Packet codec errors, shared by the serve and sync decoders. Decoders
+// return them (the serve ones wrapped with detail) instead of panicking,
+// whatever the input bytes — truncated, oversized or hostile.
 var (
-	ErrServeBadMagic   = errors.New("livenet: not a serve packet")
-	ErrServeBadLength  = errors.New("livenet: serve packet has wrong length")
-	ErrServeBadVersion = errors.New("livenet: unsupported serve packet version")
-	ErrServeBadMode    = errors.New("livenet: unexpected serve packet mode")
+	ErrServeBadMagic   = errors.New("livenet: not a serve or sync packet")
+	ErrServeBadLength  = errors.New("livenet: packet has wrong length")
+	ErrServeBadVersion = errors.New("livenet: unsupported packet version")
+	ErrServeBadMode    = errors.New("livenet: unexpected packet mode")
 )
 
-// isServePacket reports whether b plausibly starts a serve datagram (magic
-// check only; full validation happens in the decoders).
+// isServePacket reports whether b starts with the packet family's magic
+// (serve or sync; full validation happens in the decoders).
 func isServePacket(b []byte) bool {
 	return len(b) >= 2 && binary.BigEndian.Uint16(b[serveOffMagic:]) == serveMagic
 }

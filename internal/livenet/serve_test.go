@@ -166,9 +166,13 @@ func TestServePacketCodecAllocFree(t *testing.T) {
 	}
 }
 
-// FuzzServePacket throws arbitrary datagrams at both decoders: they must
-// never panic, and anything they accept must re-encode byte-identically
-// (the format has no don't-care bits).
+// FuzzServePacket throws arbitrary datagrams at every decoder of the "CS"
+// packet family — serve query, serve reply and sync: they must never panic,
+// and anything they accept must re-encode byte-identically (the format has
+// no don't-care bits). Each datagram then goes through a keyed node's
+// receive path with one ping outstanding: whatever reaches the round's
+// queue, and so core.Round.Reply, must be a whole, authenticated reply from
+// the peer the ping went to — never a refused or partly decoded packet.
 func FuzzServePacket(f *testing.F) {
 	f.Add(EncodeServeQuery(make([]byte, ServeQuerySize), ServeQuery{Nonce: 1, T1: -1}))
 	f.Add(EncodeServeReply(make([]byte, ServeReplySize), ServeReply{Nonce: 2, T2: 3, Node: 4}))
@@ -177,6 +181,27 @@ func FuzzServePacket(f *testing.F) {
 	f.Add([]byte{0x43, 0x53})
 	f.Add([]byte(`{"v":1,"t":"q"}`))
 	f.Add(bytes.Repeat([]byte{0x43}, 4096))
+	key := []byte("fuzz-key")
+	const peer, nonce = 3, 2
+	for _, s := range []*syncSigner{newSyncSigner(nil), newSyncSigner(key)} {
+		f.Add(append([]byte(nil), s.encode(syncMsg{from: 1, nonce: nonce})...))
+		f.Add(append([]byte(nil), s.encode(syncMsg{reply: true, from: peer, nonce: nonce, clock: -5})...))
+		f.Add(append([]byte(nil), s.encode(syncMsg{from: 1, nonce: nonce, traced: true, span: 77, epoch: 9})...))
+	}
+	f.Add([]byte(`{"v":1,"t":"r","f":3,"n":2,"c":1735689600123456789,"m":"AAAA"}`))
+	f.Add([]byte(`{"v":1,"t":"q","f":2,"n":7,"s":99,"e":5}`))
+
+	// The node is never run: receive is called directly, and its answers go
+	// to an address nobody owns.
+	node, err := New(Config{ID: 0, Key: key, Transport: NewMemNetwork(MemNetworkConfig{}).Transport(0),
+		SyncInt: time.Hour, MaxWait: time.Second, WayOff: time.Second})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { node.Close() })
+	signer := newSyncSigner(key)
+	scratch := make([]byte, ServeReplyMaxSize)
+	queue := make(chan liveReply, 1)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Re-encode buffers are Max-sized: any accepted packet — traced or
 		// not — must round-trip, and the encoder only uses the extension
@@ -192,6 +217,25 @@ func FuzzServePacket(f *testing.F) {
 			if !bytes.Equal(back, data) {
 				t.Fatalf("accepted reply does not re-encode to itself:\n in %x\nout %x", data, back)
 			}
+		}
+		m, tag, err := decodeSync(data)
+		if err == nil {
+			if back := encodeSync(make([]byte, syncMaxSize), m, tag); !bytes.Equal(back, data) {
+				t.Fatalf("accepted sync packet does not re-encode to itself:\n in %x\nout %x", data, back)
+			}
+		}
+
+		node.mu.Lock()
+		node.pending[nonce] = pendingPing{peer: peer, ch: queue}
+		node.mu.Unlock()
+		node.receive(data, MemAddr(99), scratch, signer)
+		select {
+		case rp := <-queue:
+			whole := err == nil && m.reply && m.from == peer && m.nonce == nonce && rp.clock == m.clock
+			if !whole || !bytes.Equal(tag, signer.tag(m)) {
+				t.Fatalf("%x reached the round without being peer %d's signed reply to nonce %d", data, peer, nonce)
+			}
+		default:
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package livenet
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -11,77 +10,6 @@ import (
 	"clocksync/internal/obs"
 	"clocksync/internal/trace"
 )
-
-// TestWireUntracedBytesUnchanged pins the sync wire's backward compatibility
-// from the sender side: a message without trace context marshals to exactly
-// the pre-extension byte sequence — an untraced node is indistinguishable on
-// the wire from one built before the telemetry plane existed.
-func TestWireUntracedBytesUnchanged(t *testing.T) {
-	q := wireMsg{V: 1, Type: "q", From: 2, Nonce: 7}
-	data, err := json.Marshal(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if golden := `{"v":1,"t":"q","f":2,"n":7}`; string(data) != golden {
-		t.Errorf("untraced query = %s, want %s", data, golden)
-	}
-	r := wireMsg{V: 1, Type: "r", From: 3, Nonce: 7, Clock: 1735689600123456789}
-	data, err = json.Marshal(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if golden := `{"v":1,"t":"r","f":3,"n":7,"c":1735689600123456789}`; string(data) != golden {
-		t.Errorf("untraced response = %s, want %s", data, golden)
-	}
-}
-
-// TestWireOldGoldenPacketsParse pins backward compatibility from the
-// receiver side: byte sequences emitted by pre-extension senders (no "s" or
-// "e" keys) still parse, with zero trace context; and traced packets parse
-// on any receiver, trace fields populated.
-func TestWireOldGoldenPacketsParse(t *testing.T) {
-	var m wireMsg
-	if err := json.Unmarshal([]byte(`{"v":1,"t":"q","f":2,"n":7}`), &m); err != nil {
-		t.Fatalf("old query failed to parse: %v", err)
-	}
-	if m.Span != 0 || m.Epoch != 0 {
-		t.Errorf("old packet sprouted trace context: span=%d epoch=%d", m.Span, m.Epoch)
-	}
-	if m.V != 1 || m.Type != "q" || m.From != 2 || m.Nonce != 7 {
-		t.Errorf("old packet misparsed: %+v", m)
-	}
-	var tm wireMsg
-	if err := json.Unmarshal([]byte(`{"v":1,"t":"q","f":2,"n":7,"s":99,"e":5}`), &tm); err != nil {
-		t.Fatalf("traced query failed to parse: %v", err)
-	}
-	if tm.Span != 99 || tm.Epoch != 5 {
-		t.Errorf("trace context lost in parse: span=%d epoch=%d", tm.Span, tm.Epoch)
-	}
-}
-
-// TestWireTraceContextOutsideMAC pins the authentication boundary: the HMAC
-// covers the protocol fields only, so adding (or forging) trace context
-// neither changes a message's tag nor invalidates it. Trace context is
-// observability metadata — a forger can pollute telemetry, never clocks.
-func TestWireTraceContextOutsideMAC(t *testing.T) {
-	key := []byte("wire-mac-key")
-	plain := wireMsg{V: 1, Type: "q", From: 2, Nonce: 7}
-	traced := wireMsg{V: 1, Type: "q", From: 2, Nonce: 7, Span: 99, Epoch: 5}
-	if !bytes.Equal(plain.mac(key), traced.mac(key)) {
-		t.Error("trace context changed the MAC; traced and untraced nodes cannot interoperate under one key")
-	}
-	forged := traced
-	forged.Span = 0xdeadbeef
-	if !bytes.Equal(traced.mac(key), forged.mac(key)) {
-		t.Error("span id is MAC-covered; it must not be (observability metadata only)")
-	}
-	// The protocol fields are covered.
-	other := plain
-	other.Nonce = 8
-	if bytes.Equal(plain.mac(key), other.mac(key)) {
-		t.Error("nonce not covered by MAC")
-	}
-}
 
 // TestMarshalReadingGolden pins the GET /read body byte-for-byte — it is a
 // public wire surface consumed outside this repository.

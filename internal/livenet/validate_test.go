@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -40,6 +41,8 @@ func TestConfigValidateTable(t *testing.T) {
 		// Identity and quorum.
 		{"negative F", func(c *Config) { c.F = -1 }, "fault budget"},
 		{"negative ID", func(c *Config) { c.ID = -2 }, "node id"},
+		{"ID above 32 bits", func(c *Config) { c.ID = math.MaxInt }, "node id"},
+		{"peer ID above 32 bits", func(c *Config) { c.Peers[math.MaxInt] = "127.0.0.1:9009" }, "peer id"},
 		{"self in peer table", func(c *Config) { c.Peers[0] = "127.0.0.1:9009" }, "own id"},
 		{"below 3f+1", func(c *Config) { delete(c.Peers, 3) }, "3f+1"},
 

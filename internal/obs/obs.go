@@ -62,8 +62,9 @@ type Recorder struct {
 	// Message-path counters (livenet UDP paths; simulator network totals).
 	MessagesSent     Counter // datagrams (or simulated messages) sent
 	MessagesReceived Counter // datagrams received and parsed as ours
-	MessagesDropped  Counter // received but discarded (parse error, stale nonce) or lost in transit
+	MessagesDropped  Counter // refused before the protocol (decode or MAC), unsent, or lost in transit
 	AuthFailures     Counter // messages rejected by HMAC verification
+	RepliesRefused   Counter // authenticated replies to an unknown or spent nonce, or from the wrong peer
 
 	// Protocol counters.
 	SyncRounds         Counter // completed Sync executions (Figure 1 runs)
@@ -124,6 +125,7 @@ func (r *Recorder) Snapshot() []Metric {
 		{"clocksync_messages_received_total", "counter", "Messages received and accepted.", float64(r.MessagesReceived.Load())},
 		{"clocksync_messages_dropped_total", "counter", "Messages lost in transit or discarded before the protocol.", float64(r.MessagesDropped.Load())},
 		{"clocksync_auth_failures_total", "counter", "Messages rejected by HMAC verification.", float64(r.AuthFailures.Load())},
+		{"clocksync_replies_refused_total", "counter", "Authenticated replies refused: unknown or spent nonce (replay, late duplicate) or wrong peer.", float64(r.RepliesRefused.Load())},
 		{"clocksync_sync_rounds_total", "counter", "Completed Sync executions.", float64(r.SyncRounds.Load())},
 		{"clocksync_rounds_skipped_total", "counter", "Sync executions skipped (faulty or no safe adjustment).", float64(r.RoundsSkipped.Load())},
 		{"clocksync_estimation_timeouts_total", "counter", "Per-peer estimations that timed out (a=∞ sentinel).", float64(r.EstimationTimeouts.Load())},
