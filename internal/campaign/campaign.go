@@ -183,6 +183,7 @@ type FamilyResult struct {
 // simulator between runs, so retaining Result.Sim would alias live state.
 type runOutcome struct {
 	completed  bool
+	family     FamilyWeight // the seed's pick, drawn once by the generator
 	schedule   adversary.Schedule
 	violations []check.Violation
 	dropped    int
@@ -222,7 +223,8 @@ func Run(cfg Config) (*Result, error) {
 				return
 			}
 			seed := cfg.Seed + int64(i)
-			s := cfg.Scenario(seed)
+			s, fw := cfg.generate(seed)
+			outcomes[i].family = fw
 			s.ReuseSim = sim
 			if col != nil {
 				col.Reset()
@@ -295,7 +297,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		res.Completed++
 		seed := cfg.Seed + int64(i)
-		family := cfg.pickFamily(seed).String()
+		family := o.family.String()
 		fr := perFamily[family] // nil only when Families is empty
 		if fr != nil {
 			fr.Runs++

@@ -25,10 +25,18 @@ import (
 // that family's generator; the generic path below is byte-for-byte the
 // pre-family generator.
 func (c Config) Scenario(seed int64) scenario.Scenario {
+	s, _ := c.generate(seed)
+	return s
+}
+
+// generate is Scenario that also returns the family it picked for the seed,
+// so a campaign reports each run under its family without drawing it again.
+func (c Config) generate(seed int64) (scenario.Scenario, FamilyWeight) {
 	c = c.withDefaults()
 	rng := rand.New(rand.NewSource(seed*0x9E3779B9 + 0x7F4A7C15))
-	if fw := c.pickFamily(seed); fw.Family != FamilyGeneric {
-		return c.familyScenario(fw, seed, rng)
+	fw := c.pickFamily(seed)
+	if fw.Family != FamilyGeneric {
+		return c.familyScenario(fw, seed, rng), fw
 	}
 	s := scenario.Scenario{
 		Name:     "campaign",
@@ -56,7 +64,7 @@ func (c Config) Scenario(seed int64) scenario.Scenario {
 	if c.Mutate != nil {
 		s.Builder = scenario.SyncBuilder(c.Mutate)
 	}
-	return s
+	return s, fw
 }
 
 // randomDelay draws one of three delay shapes, each with Bound() ≤ δ so the

@@ -310,6 +310,7 @@ type Ticker struct {
 	sim     *Sim
 	period  simtime.Duration
 	fn      func(simtime.Time)
+	fire    func() // bound once in NewTicker, so a tick allocates nothing
 	ev      Event
 	stopped bool
 }
@@ -321,19 +322,18 @@ func NewTicker(sim *Sim, period simtime.Duration, fn func(simtime.Time)) *Ticker
 		panic("des: ticker period must be positive")
 	}
 	t := &Ticker{sim: sim, period: period, fn: fn}
-	t.arm()
-	return t
-}
-
-func (t *Ticker) arm() {
-	t.ev = t.sim.After(t.period, func() {
+	t.fire = func() {
 		if t.stopped {
 			return
 		}
 		t.fn(t.sim.Now())
 		t.arm()
-	})
+	}
+	t.arm()
+	return t
 }
+
+func (t *Ticker) arm() { t.ev = t.sim.After(t.period, t.fire) }
 
 // Stop cancels the ticker.
 func (t *Ticker) Stop() {

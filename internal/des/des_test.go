@@ -207,6 +207,21 @@ func TestTicker(t *testing.T) {
 	}
 }
 
+// A tick re-arms with the callback bound in NewTicker: once the arena is warm,
+// ticking allocates nothing.
+func TestTickerAllocFree(t *testing.T) {
+	sim := New(1)
+	ticks := 0
+	NewTicker(sim, 10, func(simtime.Time) { ticks++ })
+	allocs := testing.AllocsPerRun(100, func() { sim.RunUntil(sim.Now() + 10) })
+	if allocs != 0 {
+		t.Errorf("ticker: %v allocs per tick, want 0", allocs)
+	}
+	if ticks != 101 {
+		t.Fatalf("%d ticks over 101 periods", ticks)
+	}
+}
+
 func TestTickerZeroPeriodPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

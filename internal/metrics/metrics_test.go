@@ -288,6 +288,65 @@ func TestMeasureMatchesTakeSample(t *testing.T) {
 	}
 }
 
+// Inside its reservation a measurement instant allocates nothing: the views
+// come off the recorder's slabs and the sample log has room.
+func TestTakeSampleAllocFree(t *testing.T) {
+	clocks := mkClocks([]simtime.Duration{0, 0.1, -0.2, 0.3, 5, -1, 0.05}, nil)
+	sched := adversary.Schedule{Corruptions: []adversary.Corruption{
+		{Node: 4, From: 10, To: 40, Behavior: adversary.Crash{}},
+	}}
+	rec := NewRecorder(des.New(1), clocks, sched, 100)
+	const runs = 100
+	rec.Reserve(runs+1, 0) // AllocsPerRun adds one warm-up call
+	at := simtime.Time(0)
+	allocs := testing.AllocsPerRun(runs, func() {
+		at++
+		rec.TakeSample(at)
+	})
+	if allocs != 0 {
+		t.Errorf("TakeSample inside the reservation: %v allocs per sample, want 0", allocs)
+	}
+	if got := len(rec.Samples()); got != runs+1 {
+		t.Fatalf("%d samples recorded, want %d", got, runs+1)
+	}
+}
+
+// A sample's views are capped at the processor count and never move: appending
+// to one sample's Biases cannot write into the next sample's, and a sample
+// taken before the recorder outgrew its slab keeps its values and its storage
+// after it did.
+func TestSampleViewsDoNotAlias(t *testing.T) {
+	clocks := mkClocks([]simtime.Duration{0, 0.1, -0.2}, nil)
+	for _, reserve := range []int{0, 2, 64} {
+		rec := NewRecorder(des.New(1), clocks, adversary.Schedule{}, 100)
+		rec.Reserve(reserve, 0)
+		var want [][]simtime.Duration
+		var first []*simtime.Duration
+		for i := 0; i < 3*minSlabSamples; i++ {
+			clocks[0].Adjust(0.5)
+			rec.TakeSample(simtime.Time(i))
+			s := rec.Samples()[i]
+			want = append(want, append([]simtime.Duration(nil), s.Biases...))
+			first = append(first, &s.Biases[0])
+		}
+		samples := rec.Samples()
+		for i := 0; i+1 < len(samples); i++ {
+			next := samples[i+1].Biases[0]
+			grown := append(samples[i].Biases, 99)
+			grownGood := append(samples[i].Good, false)
+			if samples[i+1].Biases[0] != next || !samples[i+1].Good[0] || &grown[0] == &samples[i].Biases[0] || &grownGood[0] == &samples[i].Good[0] {
+				t.Fatalf("reserve %d: appending to sample %d wrote into its own slab (next bias %v → %v)",
+					reserve, i, next, samples[i+1].Biases[0])
+			}
+		}
+		for i, s := range samples {
+			if !reflect.DeepEqual(s.Biases, want[i]) || &s.Biases[0] != first[i] {
+				t.Fatalf("reserve %d: sample %d changed after later samples: %v, want %v", reserve, i, s.Biases, want[i])
+			}
+		}
+	}
+}
+
 // One Envelope walked over a hand series reproduces the report's
 // AccuracyDrawdown/Runup: with a negligible ρ̃ both rate lines have slope 1,
 // so the drawdown is the largest fall of the bias from an earlier peak and

@@ -104,12 +104,12 @@ type Harness struct {
 	// est is the estimation round in flight (round.go); the fields after it
 	// are what driving it through the simulator takes: the nonce of slot 0
 	// (a round's pings go out back to back, so slot i has nonce roundFirst+i),
-	// the round's one timeout, and the caller's callback. A steady-state round
-	// costs one timeout closure, not one allocation per peer. roundFirst also
-	// guards the timeout against firing into a later round.
+	// the round's one timeout, its callback bound once in NewHarness, and the
+	// caller's callback. A steady-state round allocates nothing.
 	est        Round
 	roundFirst uint64
 	timeout    des.Event
+	roundAlarm func()
 	roundDone  func([]Estimate)
 
 	// Custom handles payloads other than TimeReq/TimeResp (round-based
@@ -149,6 +149,7 @@ func NewHarness(id int, sim *des.Sim, net *network.Network, clk *clock.Local) *H
 		reqs:  network.PayloadList[TimeReq](net, id),
 		resps: network.PayloadList[TimeResp](net, id),
 	}
+	h.roundAlarm = h.expireRound
 	net.Register(id, h.receive)
 	return h
 }
@@ -397,8 +398,8 @@ func (h *Harness) Ping(peer int, timeout simtime.Duration, done func(Estimate)) 
 //
 // The whole round shares a single timeout event: every ping is sent at the
 // same instant, so one alarm at maxWait expires all unanswered peers at
-// exactly the per-ping deadlines, in send order — without allocating a
-// timer closure per peer.
+// exactly the per-ping deadlines, in send order — and its callback is bound
+// once per harness, so a round allocates no timer closure at all.
 func (h *Harness) EstimateAll(peers []int, maxWait simtime.Duration, done func([]Estimate)) {
 	if h.est.Open() {
 		panic(fmt.Sprintf("protocol: processor %d started overlapping estimation rounds", h.id))
@@ -410,22 +411,22 @@ func (h *Harness) EstimateAll(peers []int, maxWait simtime.Duration, done func([
 	}
 	h.roundDone = done
 	h.pend.reserve(len(peers))
-	first := h.pend.next
-	h.roundFirst = first
+	h.roundFirst = h.pend.next
 	for i, peer := range peers {
 		h.sendPing(peer, i, nil)
 	}
-	h.timeout = h.ScheduleLocal(maxWait, func() { h.roundTimeout(first) })
+	h.timeout = h.ScheduleLocal(maxWait, h.roundAlarm)
 }
 
-// roundTimeout reports every still-unanswered peer of the round as timed
-// out, in send order, and completes the round. The alarm names the round by
-// its first nonce, which makes a stale one (from a round that was aborted
-// after its timeout was scheduled) a no-op.
-func (h *Harness) roundTimeout(first uint64) {
-	if !h.est.Open() || h.roundFirst != first {
-		return
-	}
+// expireRound is the round's alarm: it reports every still-unanswered peer as
+// timed out, in send order, and completes the round. The alarm carries no
+// round identity, so it must never outlive its round: every other path that
+// ends a round cancels it first — the reply that fills the last slot
+// (handleTimeResp) and abortEstimation (break-in, release) — and the alarm
+// itself is the only remaining way a round ends. A stale alarm would
+// otherwise expire whatever round is open when it fires.
+func (h *Harness) expireRound() {
+	first := h.roundFirst
 	for i := range h.est.Estimates() {
 		if e := h.pend.lookup(first + uint64(i)); e != nil {
 			h.observeTimeout(h.pend.claim(e))

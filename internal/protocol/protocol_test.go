@@ -221,6 +221,59 @@ func TestCorruptionAbortsInFlightEstimation(t *testing.T) {
 	}
 }
 
+// The round alarm names no round, so a round that ends any other way must
+// cancel it: here round one ends by replies — or by a break-in and release —
+// well before its 100 ms alarm, and round two, open across that instant
+// toward a silent peer, must still run to its own 200 ms timeout.
+func TestStaleRoundAlarmExpiresNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		abort bool
+	}{{"completed by replies", false}, {"aborted by a break-in", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 3, network.ConstantDelay{D: simtime.Millisecond})
+			r.hs[2].Corrupt(silent{})
+			h := r.hs[0]
+			r.sim.At(0, func() { h.EstimateAll([]int{1}, 100*simtime.Millisecond, func([]Estimate) {}) })
+			if tc.abort {
+				r.sim.At(0.0005, func() { h.Corrupt(silent{}) })
+				r.sim.At(0.001, func() { h.Release() })
+			}
+			var ended []simtime.Time
+			r.sim.At(0.05, func() {
+				h.EstimateAll([]int{2}, 200*simtime.Millisecond, func([]Estimate) { ended = append(ended, r.sim.Now()) })
+			})
+			r.sim.Run()
+			if len(ended) != 1 || math.Abs(float64(ended[0])-0.25) > 1e-9 {
+				t.Fatalf("round two ended at %v, want once, at its own timeout 0.25 (0.1 is round one's stale alarm)", ended)
+			}
+		})
+	}
+}
+
+// A steady-state round that ends by timeout allocates nothing: the pings ride
+// pooled payloads, the pending window and round scratch are sized, and the one
+// alarm's callback was bound when the harness was built.
+func TestRoundTimeoutAllocFree(t *testing.T) {
+	r := newRig(t, 3, network.ConstantDelay{D: simtime.Millisecond})
+	r.hs[2].Corrupt(silent{})
+	peers := []int{1, 2}
+	var last []Estimate
+	done := func(es []Estimate) { last = es }
+	round := func() {
+		r.hs[0].EstimateAll(peers, 50*simtime.Millisecond, done)
+		r.sim.Run()
+	}
+	round() // sizes the arena, the payload lists and the round scratch
+	allocs := testing.AllocsPerRun(100, round)
+	if allocs != 0 {
+		t.Errorf("round ending by timeout: %v allocs per round, want 0", allocs)
+	}
+	if len(last) != 2 || !last[0].OK || last[1].OK {
+		t.Fatalf("round did not end by timeout with peer 1 answered: %+v", last)
+	}
+}
+
 func TestCorruptReleaseLifecycle(t *testing.T) {
 	r := newRig(t, 2, network.ConstantDelay{D: simtime.Millisecond})
 	h := r.hs[0]

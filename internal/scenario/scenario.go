@@ -7,6 +7,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"clocksync/internal/adversary"
@@ -234,6 +235,20 @@ func (s *Scenario) shardedIncompat() error {
 	return nil
 }
 
+// logSizes is what the run's recorder reserves: a sample per SamplePeriod
+// (the ticker's, plus one spare), and an adjustment per processor per SyncInt
+// — one Sync round each — which the serial engine also samples. The fit is
+// tight on purpose: every reserved sample costs N biases whether or not it
+// is taken, and a run that outgrows the reservation only pays an allocation.
+func (s *Scenario) logSizes(sharded bool) (samples, adjusts int) {
+	samples = max(0, int(s.Duration/s.SamplePeriod)+1)
+	adjusts = max(0, s.N*int(math.Ceil(float64(s.Duration/s.SyncInt))))
+	if !sharded {
+		samples += adjusts
+	}
+	return samples, adjusts
+}
+
 // Run executes the scenario and returns its result.
 func Run(s Scenario) (*Result, error) {
 	if s.N < 1 {
@@ -356,6 +371,7 @@ func Run(s Scenario) (*Result, error) {
 		// runs on the global barrier queue with every shard quiesced.
 		rec.EnableSharded()
 	}
+	rec.Reserve(s.logSizes(ps != nil))
 	res := &Result{Scenario: &s, Bounds: bounds, Recorder: rec, Sim: sim,
 		SyncStats: make([]*core.Stats, s.N)}
 
