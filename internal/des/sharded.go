@@ -162,25 +162,9 @@ func (p *ShardedSim) RunUntil(horizon simtime.Time) {
 		helpers = AcquireWorkers(len(p.shards) - 1)
 	}
 	if helpers > 0 {
-		startCh = make(chan simtime.Time)
-		// One slot per helper: a helper's send never blocks, so a helper
-		// cannot outlive a coordinator that stopped receiving.
-		doneCh = make(chan *shardPanic, helpers)
-		var exited sync.WaitGroup
-		exited.Add(helpers)
-		for i := 0; i < helpers; i++ {
-			go func() {
-				defer exited.Done()
-				for w := range startCh {
-					doneCh <- p.claimShards(w)
-				}
-			}()
-		}
-		defer func() {
-			close(startCh)
-			exited.Wait()
-			ReleaseWorkers(helpers)
-		}()
+		var stop func()
+		startCh, doneCh, stop = p.startHelpers(helpers)
+		defer stop()
 	}
 
 	infTime := simtime.Time(math.Inf(1))
@@ -264,6 +248,32 @@ func (p *ShardedSim) RunUntil(horizon simtime.Time) {
 		sh.advanceTo(horizon)
 	}
 	p.global.advanceTo(horizon)
+}
+
+// startHelpers starts helpers goroutines that each run claimShards for every
+// window bound sent on start and report on done. stop ends them and returns
+// their worker tokens. It is its own function so that a run whose shards go
+// inline allocates no channels.
+func (p *ShardedSim) startHelpers(helpers int) (start chan simtime.Time, done chan *shardPanic, stop func()) {
+	start = make(chan simtime.Time)
+	// One slot per helper: a helper's send never blocks, so a helper cannot
+	// outlive a coordinator that stopped receiving.
+	done = make(chan *shardPanic, helpers)
+	var exited sync.WaitGroup
+	exited.Add(helpers)
+	for i := 0; i < helpers; i++ {
+		go func() {
+			defer exited.Done()
+			for w := range start {
+				done <- p.claimShards(w)
+			}
+		}()
+	}
+	return start, done, func() {
+		close(start)
+		exited.Wait()
+		ReleaseWorkers(helpers)
+	}
 }
 
 // shardPanic is a panic recovered from one shard's events, held until the

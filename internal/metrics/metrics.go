@@ -154,8 +154,9 @@ func (e *Envelope) Advance(at simtime.Time, bias simtime.Duration, rhoTilde floa
 // capped at the processor count, so appending to one never writes into the
 // next. A slab that runs out is followed by a new one; what a sample already
 // taken points to is never copied or moved, so every Sample a caller holds
-// stays valid. With
-// Reserve sized to the run, a measurement instant allocates nothing.
+// stays valid. The per-processor adjustment logs are cut from one slab the
+// same way. With Reserve sized to the run, a measurement instant allocates
+// nothing.
 type Recorder struct {
 	Measurer
 	sim *des.Sim
@@ -165,15 +166,15 @@ type Recorder struct {
 	// sample takes its views off their front.
 	biasFree []simtime.Duration
 	goodFree []bool
-	// adjustLog records every adjustment with its instant so BuildReport
-	// can classify it (good vs recovering, warm-up vs steady state).
-	adjustLog []adjustRecord
-	onSample  func(Sample)
-
-	// shardAdj is non-nil on sharded runs: per-node adjust buffers, each
-	// written only by the shard goroutine that owns the node, merged into
-	// adjustLog by FinalizeSharded after the run.
-	shardAdj [][]adjustRecord
+	// adjusts holds one log per processor of every adjustment with its
+	// instant, so BuildReport can classify it (good vs recovering, warm-up
+	// vs steady state). A processor's log is appended to only by the event
+	// queue that runs the processor, so the logs need no lock on either
+	// engine.
+	adjusts [][]adjustRecord
+	// sharded turns off sampling at adjustments (EnableSharded).
+	sharded  bool
+	onSample func(Sample)
 }
 
 // minSlabSamples is the smallest slab an unreserved recorder adds: with no
@@ -183,7 +184,6 @@ const minSlabSamples = 16
 
 type adjustRecord struct {
 	at    simtime.Time
-	node  int
 	delta simtime.Duration
 }
 
@@ -197,77 +197,43 @@ func NewRecorder(sim *des.Sim, clocks []*clock.Local, sched adversary.Schedule, 
 	return &Recorder{
 		Measurer: Measurer{Clocks: FromClocks(clocks), Schedule: sched, Theta: theta},
 		sim:      sim,
+		adjusts:  make([][]adjustRecord, len(clocks)),
 	}
 }
 
 // Reserve sizes the recorder for a run that takes up to samples measurement
-// instants and logs up to adjusts clock adjustments: within those counts,
-// neither allocates. It is for a fresh recorder — call it before the first
-// sample or adjustment, and after EnableSharded on a sharded run, where each
-// node's buffer gets an equal share of adjusts. A run that outgrows either
-// count stays correct and only pays the allocation.
+// instants and logs up to adjusts clock adjustments per processor: within
+// those counts, neither allocates. It is for a fresh recorder — call it
+// before the first sample or adjustment. A run that outgrows either count
+// stays correct and only pays the allocation.
 func (r *Recorder) Reserve(samples, adjusts int) {
 	n := len(r.Clocks)
 	r.samples = make([]Sample, 0, samples)
 	r.biasFree = make([]simtime.Duration, samples*n)
 	r.goodFree = make([]bool, samples*n)
-	r.adjustLog = make([]adjustRecord, 0, adjusts)
-	if r.shardAdj != nil && n > 0 {
-		per := (adjusts + n - 1) / n
-		slab := make([]adjustRecord, n*per)
-		for i := range r.shardAdj {
-			r.shardAdj[i] = slab[i*per : i*per : (i+1)*per]
-		}
+	slab := make([]adjustRecord, n*adjusts)
+	for i := range r.adjusts {
+		r.adjusts[i] = slab[i*adjusts : i*adjusts : (i+1)*adjusts]
 	}
 }
 
 // AdjustHook returns a function suitable for protocol.Harness.OnAdjust for
 // processor id.
 func (r *Recorder) AdjustHook(id int) func(simtime.Time, simtime.Duration) {
-	if r.shardAdj != nil {
-		// Sharded run: node id's adjustments happen on exactly one shard
-		// goroutine, so its private buffer needs no lock. No adjust-triggered
-		// sampling either — a consistent cross-shard snapshot only exists at
-		// barriers, and BuildReport's adjustment aggregates are
-		// order-independent, so the merged log is equivalent.
-		return func(at simtime.Time, delta simtime.Duration) {
-			r.shardAdj[id] = append(r.shardAdj[id], adjustRecord{at: at, node: id, delta: delta})
-		}
-	}
 	return func(at simtime.Time, delta simtime.Duration) {
-		r.adjustLog = append(r.adjustLog, adjustRecord{at: at, node: id, delta: delta})
-		r.TakeSample(at)
-	}
-}
-
-// EnableSharded switches the recorder to sharded mode before hooks are
-// handed out: adjustments land in per-node buffers (race-free by node
-// ownership) and take no sample — deviation sampling happens only on the
-// periodic ticker, which the sharded scenario runner schedules on the global
-// barrier queue where every shard is quiesced. Call FinalizeSharded after the
-// run, before BuildReport.
-func (r *Recorder) EnableSharded() {
-	r.shardAdj = make([][]adjustRecord, len(r.Clocks))
-}
-
-// FinalizeSharded merges the per-node adjustment buffers into the main log,
-// ordered by (instant, node) — a deterministic, partition-independent order.
-func (r *Recorder) FinalizeSharded() {
-	if r.shardAdj == nil {
-		return
-	}
-	for _, buf := range r.shardAdj {
-		r.adjustLog = append(r.adjustLog, buf...)
-	}
-	sort.Slice(r.adjustLog, func(i, j int) bool {
-		a, b := r.adjustLog[i], r.adjustLog[j]
-		if a.at != b.at {
-			return a.at < b.at
+		r.adjusts[id] = append(r.adjusts[id], adjustRecord{at: at, delta: delta})
+		if !r.sharded {
+			r.TakeSample(at)
 		}
-		return a.node < b.node
-	})
-	r.shardAdj = nil
+	}
 }
+
+// EnableSharded switches off sampling at adjustments, before hooks run: on
+// a sharded run a consistent snapshot of every processor exists only at
+// barriers, so deviation sampling happens only on the periodic ticker, which
+// the sharded scenario runner schedules on the global barrier queue where
+// every shard is quiesced.
+func (r *Recorder) EnableSharded() { r.sharded = true }
 
 // OnSample registers a hook invoked with every recorded sample (periodic and
 // adjustment-triggered alike); the scenario runner bridges it into the
@@ -374,17 +340,19 @@ func (r *Recorder) BuildReport(opts ReportOptions) Report {
 	}
 	rep := Report{}
 	rep.MaxDeviation, rep.MeanDeviation = r.deviationStats(opts.SkipBefore)
-	for _, a := range r.adjustLog {
-		d := a.delta.Abs()
-		if d > rep.MaxAdjustment {
-			rep.MaxAdjustment = d
-		}
-		if a.at < opts.SkipBefore {
-			continue // warm-up convergence; the guarantees assume a synchronized start
-		}
-		lookback := simtime.Interval{Lo: a.at.Add(-r.Theta), Hi: a.at}
-		if !r.Schedule.ControlledWithin(a.node, lookback) && d > rep.MaxDiscontinuity {
-			rep.MaxDiscontinuity = d
+	for id, log := range r.adjusts {
+		for _, a := range log {
+			d := a.delta.Abs()
+			if d > rep.MaxAdjustment {
+				rep.MaxAdjustment = d
+			}
+			if a.at < opts.SkipBefore {
+				continue // warm-up convergence; the guarantees assume a synchronized start
+			}
+			lookback := simtime.Interval{Lo: a.at.Add(-r.Theta), Hi: a.at}
+			if !r.Schedule.ControlledWithin(id, lookback) && d > rep.MaxDiscontinuity {
+				rep.MaxDiscontinuity = d
+			}
 		}
 	}
 	rep.WorstRate = r.worstRate(opts)

@@ -133,6 +133,36 @@ func TestDiscontinuityExcludesRecoveringProcessors(t *testing.T) {
 	}
 }
 
+// TestPerNodeAdjustLogs: each processor's adjustments go to its own log, cut
+// from one reserved slab. A log that outgrows its share moves out without
+// touching its neighbour's, a sharded recorder logs without sampling, and the
+// report reads every log — its maxima do not depend on the order of the logs.
+func TestPerNodeAdjustLogs(t *testing.T) {
+	sim := des.New(1)
+	clocks := mkClocks([]simtime.Duration{0, 0, 0}, nil)
+	sched := adversary.Schedule{Corruptions: []adversary.Corruption{
+		{Node: 2, From: 10, To: 20, Behavior: adversary.Crash{}},
+	}}
+	rec := NewRecorder(sim, clocks, sched, 100)
+	rec.EnableSharded()
+	rec.Reserve(4, 1)
+	rec.AdjustHook(0)(150, 0.03)
+	for i, d := range []simtime.Duration{0.01, -0.05, 0.02} { // two past node 1's share
+		rec.AdjustHook(1)(simtime.Time(130+i), d)
+	}
+	rec.AdjustHook(2)(25, 9) // a recovery jump: counts only as an adjustment
+	if got := len(rec.Samples()); got != 0 {
+		t.Fatalf("a sharded recorder took %d samples at adjustments, want 0", got)
+	}
+	if got := rec.adjusts[0]; len(got) != 1 || got[0].delta != 0.03 {
+		t.Fatalf("node 0's log %v was overwritten by node 1's", got)
+	}
+	rep := rec.BuildReport(ReportOptions{})
+	if rep.MaxAdjustment != 9 || rep.MaxDiscontinuity != 0.05 {
+		t.Fatalf("MaxAdjustment %v, MaxDiscontinuity %v; want 9 and 0.05", rep.MaxAdjustment, rep.MaxDiscontinuity)
+	}
+}
+
 func TestReportDeviationStats(t *testing.T) {
 	sim := des.New(1)
 	clocks := mkClocks([]simtime.Duration{0, 0.4}, nil)

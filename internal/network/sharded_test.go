@@ -152,7 +152,7 @@ func (noMinModel) Bound() simtime.Duration                        { return 1 }
 
 // TestPayloadListsPerShardAndType: processors on one shard share one list
 // per payload type, other shards and other types get their own, a serial
-// network is one shard, and a list hands back whatever it was given —
+// network is one lane, and a list hands back whatever it was given —
 // including a payload it never handed out.
 func TestPayloadListsPerShardAndType(t *testing.T) {
 	type req struct{ n uint64 }

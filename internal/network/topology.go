@@ -199,15 +199,3 @@ func NewRing(n int) *Graph {
 	}
 	return g
 }
-
-// MinDegree returns the smallest vertex degree of the topology — a cheap
-// lower-bound proxy for connectivity used in scenario validation.
-func MinDegree(t Topology) int {
-	min := t.N()
-	for i := 0; i < t.N(); i++ {
-		if d := t.Degree(i); d < min {
-			min = d
-		}
-	}
-	return min
-}
