@@ -78,8 +78,6 @@ type Config struct {
 	// SkipBefore disables deviation/step/accuracy checks before this instant
 	// (warm-up convergence from a scattered start).
 	SkipBefore simtime.Time
-	// Slack multiplies every checked bound; 0 means 1 (exact bounds).
-	Slack float64
 	// Limit caps the number of recorded violations (0 means 64); further
 	// breaches are counted in Dropped.
 	Limit int
@@ -91,7 +89,7 @@ type Config struct {
 // simulation loop, or a live harness's lock — and must not be shared across
 // runs.
 type Checker struct {
-	cfg Config // Slack and Limit defaulted
+	cfg Config // Limit defaulted
 
 	viols   []Violation
 	dropped int
@@ -111,9 +109,6 @@ type recoveryTrack struct {
 
 // New builds a checker for one run.
 func New(cfg Config) *Checker {
-	if cfg.Slack <= 0 {
-		cfg.Slack = 1
-	}
 	if cfg.Limit <= 0 {
 		cfg.Limit = 64
 	}
@@ -195,9 +190,10 @@ func (c *Checker) report(v Violation) {
 	c.viols = append(c.viols, v)
 }
 
-// exceeds applies the slack and a 1 ns absolute tolerance for float noise.
+// exceeds compares against the exact bound with a 1 ns absolute tolerance
+// for float noise.
 func (c *Checker) exceeds(observed, bound float64) bool {
-	return observed > bound*c.cfg.Slack+1e-9
+	return observed > bound+1e-9
 }
 
 // checkStep asserts the per-execution adjustment bound for good processors.

@@ -76,9 +76,6 @@ type ChaosConfig struct {
 	Retry     RetryConfig
 	DarkAfter int
 
-	// CheckSlack multiplies every checked bound (0 means exact bounds).
-	CheckSlack float64
-
 	// Observer, when non-nil, additionally receives every node's event
 	// stream (the checker is attached internally either way).
 	Observer *obs.Observer
@@ -252,7 +249,6 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 		Measure:    measure,
 		Bounds:     bounds,
 		SkipBefore: skip,
-		Slack:      cfg.CheckSlack,
 	})
 
 	// The checker assumes single-threaded use; a live cluster emits from many
