@@ -3,10 +3,10 @@ package baseline
 import (
 	"math"
 
+	"clocksync/internal/core"
 	"clocksync/internal/protocol"
 	"clocksync/internal/scenario"
 	"clocksync/internal/simtime"
-	"clocksync/internal/stats"
 )
 
 // BoundedCFConfig parameterizes the bounded-correction synchronizer.
@@ -85,22 +85,14 @@ func trimmedMidpointStep(f int, ests []protocol.Estimate) (simtime.Duration, boo
 	return simtime.Duration((math.Min(m, 0) + math.Max(mm, 0)) / 2), true
 }
 
-// trimmedExtremes is the selection every trimmed-range baseline shares: the
-// (f+1)-st smallest over-estimate m and the (f+1)-st largest under-estimate
-// M. ok is false with fewer than 2f+1 estimates, or when failed estimates
-// leave either end infinite.
+// trimmedExtremes is the selection every trimmed-range baseline shares —
+// Sync's own, core.TrimmedExtremes. ok is false with fewer than 2f+1
+// estimates, or when failed estimates leave either end infinite.
 func trimmedExtremes(f int, ests []protocol.Estimate) (m, mm float64, ok bool) {
 	if len(ests) < 2*f+1 {
 		return 0, 0, false
 	}
-	overs := make([]float64, len(ests))
-	unders := make([]float64, len(ests))
-	for i, e := range ests {
-		overs[i] = float64(e.Over())
-		unders[i] = float64(e.Under())
-	}
-	m = stats.KthSmallest(overs, f+1)
-	mm = stats.KthLargest(unders, f+1)
+	m, mm = core.TrimmedExtremes(f, ests)
 	if math.IsInf(m, 0) || math.IsInf(mm, 0) {
 		return 0, 0, false
 	}

@@ -9,6 +9,7 @@ import (
 
 	"clocksync/internal/protocol"
 	"clocksync/internal/simtime"
+	"clocksync/internal/stats"
 )
 
 // est builds an exact estimate (a=0) of offset d.
@@ -292,12 +293,12 @@ func TestKthSelectAdversarialInputs(t *testing.T) {
 			cp1 := append([]float64(nil), in...)
 			cp2 := append([]float64(nil), in...)
 			sort.Float64s(cp2)
-			if got := kthSmallest(cp1, k); got != cp2[k-1] {
-				t.Fatalf("kthSmallest(%v, %d) = %v, want %v", in, k, got, cp2[k-1])
+			if got := stats.KthSmallest(cp1, k); got != cp2[k-1] {
+				t.Fatalf("stats.KthSmallest(%v, %d) = %v, want %v", in, k, got, cp2[k-1])
 			}
 			cp3 := append([]float64(nil), in...)
-			if got := kthLargest(cp3, k); got != cp2[len(in)-k] {
-				t.Fatalf("kthLargest(%v, %d) = %v, want %v", in, k, got, cp2[len(in)-k])
+			if got := stats.KthLargest(cp3, k); got != cp2[len(in)-k] {
+				t.Fatalf("stats.KthLargest(%v, %d) = %v, want %v", in, k, got, cp2[len(in)-k])
 			}
 		}
 	}

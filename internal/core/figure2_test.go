@@ -7,6 +7,7 @@ import (
 
 	"clocksync/internal/protocol"
 	"clocksync/internal/simtime"
+	"clocksync/internal/stats"
 )
 
 // figure2Step implements the bias formulation of Figure 2 literally: given
@@ -27,8 +28,8 @@ func figure2Step(f int, wayOff, bp float64, ests []protocol.Estimate) float64 {
 		overs[i] = bp + float64(e.Over())
 		unders[i] = bp + float64(e.Under())
 	}
-	bm := kthSmallest(overs, f+1)
-	bM := kthLargest(unders, f+1)
+	bm := stats.KthSmallest(overs, f+1)
+	bM := stats.KthLargest(unders, f+1)
 	if bp-bm <= wayOff && bM-bp <= wayOff {
 		return (math.Min(bm, bp) + math.Max(bM, bp)) / 2
 	}

@@ -5,9 +5,12 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"clocksync/internal/stats"
 )
 
-// TestQuickselectMatchesSort pins kthSmallest/kthLargest against a sort-based
+// TestQuickselectMatchesSort pins the convergence function's selection,
+// stats.KthSmallest/KthLargest, against a sort-based
 // oracle on random vectors: every rank of every vector must match the sorted
 // order, including vectors with duplicates, adversarial orderings and ±Inf
 // sentinels (the convergence function feeds infinities for missing readings).
@@ -69,12 +72,12 @@ func TestQuickselectMatchesSort(t *testing.T) {
 				sort.Float64s(sorted)
 				for k := 1; k <= n; k++ {
 					small := append([]float64(nil), xs...)
-					if got, want := kthSmallest(small, k), sorted[k-1]; got != want {
-						t.Fatalf("kthSmallest(%v, %d) = %v, want %v", xs, k, got, want)
+					if got, want := stats.KthSmallest(small, k), sorted[k-1]; got != want {
+						t.Fatalf("stats.KthSmallest(%v, %d) = %v, want %v", xs, k, got, want)
 					}
 					large := append([]float64(nil), xs...)
-					if got, want := kthLargest(large, k), sorted[n-k]; got != want {
-						t.Fatalf("kthLargest(%v, %d) = %v, want %v", xs, k, got, want)
+					if got, want := stats.KthLargest(large, k), sorted[n-k]; got != want {
+						t.Fatalf("stats.KthLargest(%v, %d) = %v, want %v", xs, k, got, want)
 					}
 				}
 			}
@@ -91,7 +94,7 @@ func TestQuickselectPermutesInPlace(t *testing.T) {
 		xs[i] = rng.NormFloat64()
 	}
 	orig := append([]float64(nil), xs...)
-	kthSmallest(xs, 9)
+	stats.KthSmallest(xs, 9)
 
 	sort.Float64s(orig)
 	perm := append([]float64(nil), xs...)

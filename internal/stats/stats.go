@@ -10,20 +10,61 @@ import (
 )
 
 // KthSmallest returns the k-th smallest value of xs, 1-indexed (k=1 is the
-// minimum). It copies its input; callers keep their slices.
+// minimum), by quickselect. It is the one selection routine of the
+// repository: the convergence function selects its trimmed extremes with it
+// (core.TrimmedExtremes). CONTRACT: xs is scratch space owned by the caller
+// and is permuted in place — callers that need the original order select on
+// a copy. Order statistics are exact, so the result is the value a sort
+// would put at rank k.
 func KthSmallest(xs []float64, k int) float64 {
 	if k < 1 || k > len(xs) {
 		panic(fmt.Sprintf("stats: k=%d out of range for %d values", k, len(xs)))
 	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	return cp[k-1]
+	lo, hi := 0, len(xs)-1
+	k-- // 0-indexed rank
+	for lo < hi {
+		p := partition(xs, lo, hi)
+		switch {
+		case k == p:
+			return xs[p]
+		case k < p:
+			hi = p - 1
+		default:
+			lo = p + 1
+		}
+	}
+	return xs[k]
 }
 
 // KthLargest returns the k-th largest value of xs, 1-indexed (k=1 is the
-// maximum).
+// maximum), under KthSmallest's contract: xs is permuted in place.
 func KthLargest(xs []float64, k int) float64 {
 	return KthSmallest(xs, len(xs)-k+1)
+}
+
+func partition(xs []float64, lo, hi int) int {
+	// Median-of-three pivot keeps adversarially sorted inputs O(n).
+	mid := lo + (hi-lo)/2
+	if xs[mid] < xs[lo] {
+		xs[mid], xs[lo] = xs[lo], xs[mid]
+	}
+	if xs[hi] < xs[lo] {
+		xs[hi], xs[lo] = xs[lo], xs[hi]
+	}
+	if xs[hi] < xs[mid] {
+		xs[hi], xs[mid] = xs[mid], xs[hi]
+	}
+	pivot := xs[mid]
+	xs[mid], xs[hi] = xs[hi], xs[mid]
+	i := lo
+	for j := lo; j < hi; j++ {
+		if xs[j] < pivot {
+			xs[i], xs[j] = xs[j], xs[i]
+			i++
+		}
+	}
+	xs[i], xs[hi] = xs[hi], xs[i]
+	return i
 }
 
 // Summary holds descriptive statistics of a sample.
@@ -82,17 +123,6 @@ func Percentile(sorted []float64, p float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// MaxAbs returns the largest |x| in xs (0 for empty input).
-func MaxAbs(xs []float64) float64 {
-	m := 0.0
-	for _, x := range xs {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // Mean returns the arithmetic mean (0 for empty input).
