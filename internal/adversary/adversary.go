@@ -113,15 +113,6 @@ func (s Schedule) Validate(n, f int, theta simtime.Duration) error {
 	return nil
 }
 
-// MustValidate panics on an invalid schedule; generators use it so that an
-// experiment can never silently run with an over-powered adversary.
-func (s Schedule) MustValidate(n, f int, theta simtime.Duration) Schedule {
-	if err := s.Validate(n, f, theta); err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // ActiveAt reports whether node is controlled at instant t.
 func (s Schedule) ActiveAt(node int, t simtime.Time) bool {
 	for _, c := range s.Corruptions {

@@ -227,23 +227,6 @@ func TestApplyDrivesHarness(t *testing.T) {
 	}
 }
 
-func TestMustValidatePanics(t *testing.T) {
-	s := Schedule{Corruptions: []Corruption{
-		{Node: 0, From: 0, To: 10, Behavior: Crash{}},
-		{Node: 1, From: 20, To: 30, Behavior: Crash{}},
-	}}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected panic")
-		}
-		if !strings.Contains(r.(error).Error(), "not 1-limited") {
-			t.Fatalf("unexpected panic: %v", r)
-		}
-	}()
-	s.MustValidate(4, 1, 100)
-}
-
 func TestBehaviors(t *testing.T) {
 	sim := des.New(1)
 	net := network.New(sim, network.NewFullMesh(2), network.ConstantDelay{D: simtime.Millisecond})

@@ -110,33 +110,6 @@ func Line(xs []float64, series map[string][]float64, opts Options) string {
 	return b.String()
 }
 
-// Bars renders a horizontal bar chart of labeled values.
-func Bars(labels []string, values []float64, opts Options) string {
-	opts = opts.withDefaults()
-	if len(labels) != len(values) || len(labels) == 0 {
-		return "(no data)\n"
-	}
-	maxVal := 0.0
-	maxLabel := 0
-	for i, v := range values {
-		if math.Abs(v) > maxVal {
-			maxVal = math.Abs(v)
-		}
-		if len(labels[i]) > maxLabel {
-			maxLabel = len(labels[i])
-		}
-	}
-	if maxVal == 0 {
-		maxVal = 1
-	}
-	var b strings.Builder
-	for i, v := range values {
-		n := int(math.Round(math.Abs(v) / maxVal * float64(opts.Width)))
-		fmt.Fprintf(&b, "%-*s |%s %.4g\n", maxLabel, labels[i], strings.Repeat("#", n), v)
-	}
-	return b.String()
-}
-
 func minMax(xs []float64) (lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
 	for _, x := range xs {

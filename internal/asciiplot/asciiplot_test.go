@@ -57,32 +57,3 @@ func TestLineDegenerateInputs(t *testing.T) {
 		t.Fatalf("NaN/Inf handling broken:\n%s", out)
 	}
 }
-
-func TestBars(t *testing.T) {
-	out := Bars([]string{"sync", "broadcast"}, []float64{12, 144}, Options{Width: 24})
-	if !strings.Contains(out, "sync") || !strings.Contains(out, "broadcast") {
-		t.Fatalf("labels missing:\n%s", out)
-	}
-	// The larger value gets the longer bar.
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if strings.Count(lines[0], "#") >= strings.Count(lines[1], "#") {
-		t.Fatalf("bar lengths not proportional:\n%s", out)
-	}
-	if !strings.Contains(out, "144") {
-		t.Fatalf("values missing:\n%s", out)
-	}
-}
-
-func TestBarsDegenerate(t *testing.T) {
-	if out := Bars(nil, nil, Options{}); !strings.Contains(out, "no data") {
-		t.Fatal("empty bars not handled")
-	}
-	if out := Bars([]string{"a"}, []float64{1, 2}, Options{}); !strings.Contains(out, "no data") {
-		t.Fatal("mismatched lengths not handled")
-	}
-	// All-zero values must not divide by zero.
-	out := Bars([]string{"z"}, []float64{0}, Options{})
-	if !strings.Contains(out, "z") {
-		t.Fatalf("zero bars broken:\n%s", out)
-	}
-}

@@ -106,14 +106,6 @@ type Interval struct {
 // Contains reports whether t lies inside the interval.
 func (iv Interval) Contains(t Time) bool { return t >= iv.Lo && t <= iv.Hi }
 
-// Overlaps reports whether the two closed intervals intersect.
-func (iv Interval) Overlaps(other Interval) bool {
-	return iv.Lo <= other.Hi && other.Lo <= iv.Hi
-}
-
-// Length returns the interval's span; it is negative for an empty interval.
-func (iv Interval) Length() Duration { return iv.Hi.Sub(iv.Lo) }
-
 // String formats the interval.
 func (iv Interval) String() string {
 	return fmt.Sprintf("[%v, %v]", iv.Lo, iv.Hi)

@@ -83,34 +83,4 @@ func TestInterval(t *testing.T) {
 	if iv.Contains(9.999) || iv.Contains(20.001) {
 		t.Fatal("Contains should exclude exterior")
 	}
-	if iv.Length() != 10 {
-		t.Fatalf("Length: got %v", iv.Length())
-	}
-	if !iv.Overlaps(Interval{Lo: 20, Hi: 30}) {
-		t.Fatal("closed intervals sharing an endpoint must overlap")
-	}
-	if iv.Overlaps(Interval{Lo: 20.5, Hi: 30}) {
-		t.Fatal("disjoint intervals must not overlap")
-	}
-}
-
-func TestIntervalOverlapSymmetry(t *testing.T) {
-	f := func(a, b, c, d float64) bool {
-		norm := func(x, y float64) Interval {
-			x = math.Mod(x, 1e6)
-			y = math.Mod(y, 1e6)
-			if x > y {
-				x, y = y, x
-			}
-			return Interval{Lo: Time(x), Hi: Time(y)}
-		}
-		if math.IsNaN(a) || math.IsNaN(b) || math.IsNaN(c) || math.IsNaN(d) {
-			return true
-		}
-		i1, i2 := norm(a, b), norm(c, d)
-		return i1.Overlaps(i2) == i2.Overlaps(i1)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -67,17 +67,6 @@ func (s *Snapshot) Ok() []NodeScrape {
 	return out
 }
 
-// Down returns the targets that failed this round.
-func (s *Snapshot) Down() []Target {
-	var out []Target
-	for _, n := range s.Nodes {
-		if n.Err != nil {
-			out = append(out, n.Target)
-		}
-	}
-	return out
-}
-
 // Merged returns the fleet-wide metric merge: counters and histogram buckets
 // summed across every reachable node. Gauges are summed too — right for
 // occupancy-style gauges (peers dark), meaningless for signed per-node ones
