@@ -7,9 +7,9 @@
 //
 //	(τ2−τ1)/(1+ρ) ≤ H_p(τ2) − H_p(τ1) ≤ (τ2−τ1)·(1+ρ)
 //
-// The simulator realizes hardware clocks as piecewise-linear functions of
-// real time, which covers the full envelope of allowed behaviours including
-// drift rates that change during the run.
+// The simulator's runs realize hardware clocks as Drifting lines, one slope
+// per processor drawn inside that envelope; Piecewise can also express drift
+// rates that change during a run, though no scenario builds one.
 package clock
 
 import (
