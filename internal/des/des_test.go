@@ -1,6 +1,7 @@
 package des
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -76,6 +77,33 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		sim.At(5, func() {})
 	})
 	sim.Run()
+}
+
+// A NaN instant orders neither before nor after anything, so it is refused
+// like one in the past. An event at −0 is an event at 0: scheduled at time 0
+// among events at +0, it fires in scheduling order.
+func TestSchedulingNaNPanics(t *testing.T) {
+	sim := New(1)
+	mustPanic(t, "At(NaN)", func() { sim.At(simtime.Time(math.NaN()), func() {}) })
+	mustPanic(t, "After(NaN)", func() { sim.After(simtime.Duration(math.NaN()), func() {}) })
+	if sim.Pending() != 0 {
+		t.Fatalf("a refused event left %d pending", sim.Pending())
+	}
+
+	var order []int
+	for i, at := range []float64{0, math.Copysign(0, -1), 0, math.Copysign(0, -1), 0} {
+		i := i
+		sim.At(simtime.Time(at), func() { order = append(order, i) })
+	}
+	sim.Run()
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("events at −0 and +0 fired in order %v, want scheduling order", order)
+		}
+	}
+	if len(order) != 5 || sim.Now() != 0 {
+		t.Fatalf("fired %v, now %v", order, sim.Now())
+	}
 }
 
 func TestCancel(t *testing.T) {

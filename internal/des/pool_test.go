@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"clocksync/internal/simtime"
 )
@@ -145,15 +146,15 @@ type oracleEvent struct {
 	cancelled bool
 }
 
+// after inserts the event behind every event at or before its instant: its
+// sequence number is the largest yet, so that is its (at, seq) place.
 func (o *oracleQueue) after(d simtime.Duration, id int) {
-	o.events = append(o.events, oracleEvent{at: o.now.Add(d), seq: o.seq, id: id})
+	ev := oracleEvent{at: o.now.Add(d), seq: o.seq, id: id}
 	o.seq++
-	sort.SliceStable(o.events, func(i, j int) bool {
-		if o.events[i].at != o.events[j].at {
-			return o.events[i].at < o.events[j].at
-		}
-		return o.events[i].seq < o.events[j].seq
-	})
+	i := sort.Search(len(o.events), func(i int) bool { return o.events[i].at > ev.at })
+	o.events = append(o.events, oracleEvent{})
+	copy(o.events[i+1:], o.events[i:])
+	o.events[i] = ev
 }
 
 func (o *oracleQueue) cancel(id int) {
@@ -180,8 +181,10 @@ func (o *oracleQueue) step() int {
 
 // checkAgainstOracle drives the pooled queue and the oracle through the same
 // randomized interleaving of schedule/cancel/step operations and fails on the
-// first divergence in firing order.
-func checkAgainstOracle(t *testing.T, seed int64, ops int) {
+// first divergence in firing order. The first prefill operations all
+// schedule; every event is scheduled a whole number of time units from now,
+// fewer than span.
+func checkAgainstOracle(t *testing.T, seed int64, ops, prefill, span int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	sim := New(seed)
@@ -192,11 +195,15 @@ func checkAgainstOracle(t *testing.T, seed int64, ops int) {
 	var simFired, oracleFired []int
 
 	for op := 0; op < ops; op++ {
-		switch r := rng.Intn(10); {
+		r := rng.Intn(10)
+		if op < prefill {
+			r = 0
+		}
+		switch {
 		case r < 5: // schedule
 			id := nextID
 			nextID++
-			d := simtime.Duration(rng.Intn(50))
+			d := simtime.Duration(rng.Intn(span))
 			handles[id] = sim.After(d, func() { simFired = append(simFired, id) })
 			oracle.after(d, id)
 		case r < 7: // cancel a random outstanding handle (possibly stale)
@@ -247,7 +254,18 @@ func TestEventPoolOracle(t *testing.T) {
 		seeds = 40
 	}
 	for seed := int64(0); seed < int64(seeds); seed++ {
-		checkAgainstOracle(t, seed, 400)
+		checkAgainstOracle(t, seed, 400, 0, 50)
+	}
+}
+
+// TestEventQueueOracleDeepTies checks a deep queue against the oracle: 1,500
+// events scheduled up front and more as it runs, all within eight time units
+// of now, so the heap has several levels of full sets of four children, each
+// instant holds hundreds of events, and the tie-break on sequence number
+// decides most tournaments.
+func TestEventQueueOracleDeepTies(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		checkAgainstOracle(t, seed, 4000, 1500, 8)
 	}
 }
 
@@ -258,6 +276,54 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add(int64(1234567))
 	f.Add(int64(-99))
 	f.Fuzz(func(t *testing.T, seed int64) {
-		checkAgainstOracle(t, seed, 300)
+		checkAgainstOracle(t, seed, 300, 0, 50)
 	})
+}
+
+// The heap moves 16-byte entries: the whole key and the slot in two words.
+func TestHeapEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(heapEnt{}); got != 16 {
+		t.Fatalf("heapEnt is %d bytes, want 16", got)
+	}
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+// At refuses to schedule what a heap entry cannot encode: a sequence number
+// past 2^40 − 1, or a slot past the arena's 2^24 limit (lowered here, so the
+// test does not allocate 16 million slots). Reset restores the sequence, and
+// a fired event's slot is free again.
+func TestSchedulingLimitsPanic(t *testing.T) {
+	sim := New(1)
+	sim.seq = maxSeq - 1
+	fired := false
+	sim.At(1, func() { fired = true })
+	mustPanic(t, "At past the last sequence number", func() { sim.At(1, func() {}) })
+	sim.Run()
+	if !fired {
+		t.Fatal("the event with the last sequence number did not fire")
+	}
+	sim.Reset(1)
+	sim.At(2, func() {})
+
+	defer func(n int) { maxSlots = n }(maxSlots)
+	maxSlots = 4
+	sim = New(1)
+	for i := 0; i < maxSlots; i++ {
+		sim.At(simtime.Time(i), func() {})
+	}
+	mustPanic(t, "At past the last arena slot", func() { sim.At(9, func() {}) })
+	sim.Step()
+	sim.At(9, func() {})
+	if sim.Pending() != maxSlots {
+		t.Fatalf("%d events pending, want %d", sim.Pending(), maxSlots)
+	}
 }

@@ -87,7 +87,7 @@ func (p *ShardedSim) Reset(seed int64) {
 		sh.Reset(seed + int64(i) + 1)
 	}
 	p.global.Reset(seed)
-	p.setup = rand.New(rand.NewSource(seed))
+	p.setup.Seed(seed)
 	p.hooks = p.hooks[:0]
 }
 
