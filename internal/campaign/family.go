@@ -165,8 +165,9 @@ func (c Config) pickFamily(seed int64) FamilyWeight {
 	for _, w := range c.Families {
 		total += w.Weight
 	}
-	rng := rand.New(rand.NewSource(seed*0x51ED2701 + 0x2545F491))
+	rng := seededRand(seed*0x51ED2701 + 0x2545F491)
 	k := rng.Intn(total)
+	sourcePool.Put(rng)
 	for _, w := range c.Families {
 		if k < w.Weight {
 			return w

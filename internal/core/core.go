@@ -108,46 +108,39 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// convergeScratch holds the reusable buffers one convergence computation
-// needs: the per-estimate overestimates and underestimates in their original
-// order (span emission indexes into them after selection), and a selection
-// buffer the quickselect is free to permute. A Round owns one scratch and
-// reuses it every round; the pure Converge entry point borrows one from a
-// pool. The zero value is ready to use: the three vectors are cut from one
-// allocation sized by the first vector seen (a node's rounds all have the
-// same length) and re-cut only for a longer one.
+// convergeScratch is the one buffer a convergence computation needs: the
+// values the quickselect permutes, first the overestimates, then the
+// underestimates. A Round owns one scratch and reuses it every round; the
+// pure entry points borrow one from a pool. The zero value is ready to use:
+// the buffer is sized by the first vector seen (a node's rounds all have the
+// same length) and replaced only for a longer one.
 type convergeScratch struct {
-	overs  []float64
-	unders []float64
-	sel    []float64 // quickselect operand; permuted in place by stats.KthSmallest
+	sel []float64 // quickselect operand; permuted in place by stats.KthSmallest
 }
 
-// size makes each vector hold n values without growing.
-func (sc *convergeScratch) size(n int) {
-	if cap(sc.overs) >= n {
-		return
+// extremes returns the (f+1)-st smallest overestimate m and the (f+1)-st
+// largest underestimate M of ests — followed, when self is set, by the exact
+// self-estimate 0±0 — the trimmed extremes of Figure 1, lines 6–7. ests is
+// read, never permuted.
+func (sc *convergeScratch) extremes(f int, ests []protocol.Estimate, self bool) (m, mm float64) {
+	n := len(ests)
+	if self {
+		n++
 	}
-	buf := make([]float64, 3*n)
-	sc.overs, sc.unders, sc.sel = buf[0:0:n], buf[n:n:2*n], buf[2*n:2*n:3*n]
-}
-
-// extremes fills overs/unders from ests (original order preserved) and
-// returns the (f+1)-st smallest overestimate m and the (f+1)-st largest
-// underestimate M — the trimmed extremes of Figure 1, lines 6–7. Selection
-// runs on the scratch's sel buffer, so overs and unders stay in estimate
-// order for the caller.
-func (sc *convergeScratch) extremes(f int, ests []protocol.Estimate) (m, mm float64) {
-	sc.size(len(ests))
-	sc.overs = sc.overs[:0]
-	sc.unders = sc.unders[:0]
-	for _, e := range ests {
-		sc.overs = append(sc.overs, float64(e.Over()))
-		sc.unders = append(sc.unders, float64(e.Under()))
+	if cap(sc.sel) < n {
+		sc.sel = make([]float64, n)
 	}
-	sc.sel = append(sc.sel[:0], sc.overs...)
-	m = stats.KthSmallest(sc.sel, f+1)
-	sc.sel = append(sc.sel[:0], sc.unders...)
-	mm = stats.KthLargest(sc.sel, f+1)
+	sel := sc.sel[:n]
+	for i, e := range ests {
+		sel[i] = float64(e.Over())
+	}
+	clear(sel[len(ests):])
+	m = stats.KthSmallest(sel, f+1)
+	for i, e := range ests {
+		sel[i] = float64(e.Under())
+	}
+	clear(sel[len(ests):])
+	mm = stats.KthLargest(sel, f+1)
 	return m, mm
 }
 
@@ -193,7 +186,7 @@ func Converge(f int, wayOff simtime.Duration, ests []protocol.Estimate) (delta s
 // scratch.
 func TrimmedExtremes(f int, ests []protocol.Estimate) (m, mm float64) {
 	sc := scratchPool.Get().(*convergeScratch)
-	m, mm = sc.extremes(f, ests)
+	m, mm = sc.extremes(f, ests, false)
 	scratchPool.Put(sc)
 	return m, mm
 }
@@ -205,7 +198,7 @@ func TrimmedExtremes(f int, ests []protocol.Estimate) (m, mm float64) {
 // observable.
 func ConvergeVerdict(f int, wayOff simtime.Duration, ests []protocol.Estimate) (delta simtime.Duration, jumped, ok bool) {
 	sc := scratchPool.Get().(*convergeScratch)
-	out := sc.decide(f, wayOff, ests)
+	out := sc.decide(f, wayOff, ests, false)
 	scratchPool.Put(sc)
 	return out.Delta, out.Jumped, out.OK
 }

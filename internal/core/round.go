@@ -9,8 +9,8 @@ import (
 )
 
 // Outcome is what one Sync round decided. The scalar fields are a plain
-// value a driver may keep; Trimmed reads the machine's buffers and is valid
-// only until that machine's next round.
+// value a driver may keep; Trimmed reads the estimates the round decided over
+// and is valid only until that machine's next round.
 type Outcome struct {
 	Delta  simtime.Duration // the adjustment to apply; 0 when !OK
 	OK     bool             // false: no safe adjustment exists and the round is skipped
@@ -23,22 +23,35 @@ type Outcome struct {
 	// envelope is within it too — the uncertainty a served reading owes.
 	Unc simtime.Duration
 
-	overs, unders []float64 // d+a and d−a per reading, in reading order
+	ests []protocol.Estimate // the readings decided over, self-estimate excluded
 }
 
 // Trimmed reports the convergence function's verdict on reading i: low when
 // its overestimate is among the f smallest, high when its underestimate is
 // among the f largest. A reading trimmed on neither side was accepted.
+// Readings are the round's estimates in order, then the self-estimate.
 func (o *Outcome) Trimmed(i int) (low, high bool) {
-	return o.overs[i] < o.M, o.unders[i] > o.MM
+	over, under := o.reading(i)
+	return over < o.M, under > o.MM
 }
 
-// decide is Figure 1, lines 6–12, over one reading per processor (self
-// included): the trimmed extremes, the adjustment, which branch produced it,
-// and what the round observed along the way. Fewer than 2f+1 readings cannot
-// be trimmed by f on both sides and decide nothing.
-func (sc *convergeScratch) decide(f int, wayOff simtime.Duration, ests []protocol.Estimate) Outcome {
-	var out Outcome
+// reading recomputes reading i's overestimate d+a and underestimate d−a; the
+// one past the last estimate is the self-estimate, exactly 0±0.
+func (o *Outcome) reading(i int) (over, under float64) {
+	if i < len(o.ests) {
+		return float64(o.ests[i].Over()), float64(o.ests[i].Under())
+	}
+	return 0, 0
+}
+
+// decide is Figure 1, lines 6–12, over one reading per processor: ests, and
+// after them, when self is set, the exact and free self-estimate 0±0 (a Round
+// adds it; the pure entry points take it inside ests). It returns the trimmed
+// extremes, the adjustment, which branch produced it, and what the round
+// observed along the way. Fewer than 2f+1 readings cannot be trimmed by f on
+// both sides and decide nothing.
+func (sc *convergeScratch) decide(f int, wayOff simtime.Duration, ests []protocol.Estimate, self bool) Outcome {
+	out := Outcome{ests: ests}
 	for _, e := range ests {
 		if !e.OK {
 			out.Failed++
@@ -46,10 +59,13 @@ func (sc *convergeScratch) decide(f int, wayOff simtime.Duration, ests []protoco
 			out.Unc = u
 		}
 	}
-	if len(ests) >= 2*f+1 {
-		out.M, out.MM = sc.extremes(f, ests)
+	readings := len(ests)
+	if self {
+		readings++
+	}
+	if readings >= 2*f+1 {
+		out.M, out.MM = sc.extremes(f, ests, self)
 		out.Delta, out.Jumped, out.OK = convergeFromExtremes(out.M, out.MM, wayOff)
-		out.overs, out.unders = sc.overs, sc.unders
 	}
 	return out
 }
@@ -69,7 +85,6 @@ type Round struct {
 	id      int
 	f       int
 	wayOff  simtime.Duration
-	all     []protocol.Estimate // the estimates plus the self-estimate
 	scratch convergeScratch
 	out     Outcome
 }
@@ -82,13 +97,10 @@ func NewRound(id, f int, wayOff simtime.Duration) *Round {
 
 // Decide applies the convergence function to one estimate per peer. Figure 1
 // iterates over all of {1..n} including p itself; the self-estimate is exact
-// and free, and is added here.
+// and free, so it enters the selection as one more value, and ests is not
+// copied. The Outcome reads ests until the machine's next round.
 func (r *Round) Decide(ests []protocol.Estimate) Outcome {
-	if cap(r.all) <= len(ests) {
-		r.all = make([]protocol.Estimate, 0, len(ests)+1)
-	}
-	r.all = append(append(r.all[:0], ests...), protocol.Estimate{Peer: r.id, OK: true})
-	r.out = r.scratch.decide(r.f, r.wayOff, r.all)
+	r.out = r.scratch.decide(r.f, r.wayOff, ests, true)
 	return r.out
 }
 
@@ -146,8 +158,13 @@ func (r *Round) Record(o *obs.Observer, rec *obs.Recorder, span obs.SpanID, star
 	if span == 0 {
 		return
 	}
-	for i, e := range r.all {
+	for i := range len(out.ests) + 1 {
+		e := protocol.Estimate{Peer: r.id} // the self-estimate comes last
+		if i < len(out.ests) {
+			e = out.ests[i]
+		}
 		low, high := out.Trimmed(i)
+		over, under := out.reading(i)
 		lowTrim, highTrim := flag(low), flag(high)
 		fields := obs.F("peer", float64(e.Peer)).
 			F("accepted", 1-math.Max(lowTrim, highTrim)).
@@ -155,10 +172,10 @@ func (r *Round) Record(o *obs.Observer, rec *obs.Recorder, span obs.SpanID, star
 			F("hightrim", highTrim)
 		// Failed estimates carry infinite over/under; JSON cannot encode
 		// those, so only finite readings are recorded.
-		if over := out.overs[i]; !math.IsInf(over, 0) {
+		if !math.IsInf(over, 0) {
 			fields = fields.F("over", over)
 		}
-		if under := out.unders[i]; !math.IsInf(under, 0) {
+		if !math.IsInf(under, 0) {
 			fields = fields.F("under", under)
 		}
 		parent := e.Span

@@ -161,7 +161,8 @@ func TestRoundMachine(t *testing.T) {
 				t.Fatalf("outcome %+v, want ok=%v jumped=%v failed=%d delta=%v unc=%v",
 					out, tc.ok, tc.jumped, tc.failed, tc.delta, tc.unc)
 			}
-			if d, j, ok := ConvergeVerdict(tc.f, w, r.all); d != out.Delta || j != out.Jumped || ok != out.OK {
+			all := append(append([]protocol.Estimate(nil), r.Estimates()...), protocol.Estimate{OK: true})
+			if d, j, ok := ConvergeVerdict(tc.f, w, all); d != out.Delta || j != out.Jumped || ok != out.OK {
 				t.Fatalf("pure function disagrees with the machine: (%v, %v, %v) vs %+v", d, j, ok, out)
 			}
 		})

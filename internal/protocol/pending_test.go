@@ -10,17 +10,18 @@ import (
 	"clocksync/internal/simtime"
 )
 
-// refHarness is the oracle the pending window is compared against: the
-// estimation engine as it was before the window existed, with its pings in
-// flight in a map[uint64]pendingPing — an assign per ping, a lookup and a
-// delete per answer or timeout, the whole map discarded on abort. It borrows
-// identity, clock and alarms from an embedded Harness and none of that
-// Harness's pending state. Observability is left out; the scripts run untraced.
+// refHarness is the oracle the pending window and the round are compared
+// against: the estimation engine as it was before the window existed, with
+// every ping in flight, a round's included, in a map[uint64]refPing — an
+// assign per ping, a lookup and a delete per answer or timeout, the whole map
+// discarded on abort. It borrows identity, clock and alarms from an embedded
+// Harness and none of that Harness's pending state. Observability is left
+// out; the scripts run untraced.
 type refHarness struct {
 	*Harness
 	faulty    bool
 	nonce     uint64
-	pending   map[uint64]pendingPing
+	pending   map[uint64]refPing
 	est       Round
 	nonces    []uint64
 	timeout   des.Event
@@ -28,9 +29,17 @@ type refHarness struct {
 	roundGen  uint64
 }
 
+// refPing is one of the reference's pings in flight.
+type refPing struct {
+	peer   int
+	idx    int // slot in the round's results, -1 for standalone pings
+	sentAt simtime.Time
+	done   func(Estimate) // standalone pings only; rounds route via idx
+}
+
 func (r *refHarness) sendPing(peer, idx int, done func(Estimate)) uint64 {
 	r.nonce++
-	r.pending[r.nonce] = pendingPing{peer: peer, idx: idx, sentAt: r.LocalNow(), done: done}
+	r.pending[r.nonce] = refPing{peer: peer, idx: idx, sentAt: r.LocalNow(), done: done}
 	r.Net().Send(r.ID(), peer, &TimeReq{Nonce: r.nonce})
 	return r.nonce
 }
@@ -168,7 +177,7 @@ func newPingWorld(reference bool) *pingWorld {
 		})
 	}
 	if reference {
-		w.p = &refHarness{Harness: h, pending: make(map[uint64]pendingPing)}
+		w.p = &refHarness{Harness: h, pending: make(map[uint64]refPing)}
 	} else {
 		w.p = h
 	}
@@ -249,18 +258,33 @@ func (w *pingWorld) step(op, a, b byte) {
 	}
 }
 
-// checkWindow compares the window's contents with the reference map: the
-// same nonces live, for the same peers and slots, and nothing else in the
-// ring.
+// checkWindow compares what the harness has in flight — the window's live
+// entries and the open round's unanswered slots — with the reference map: the
+// same nonces, for the same peers and slots, sent at the same instants, and
+// nothing else in the ring. One difference is allowed: a processor measures
+// nothing while faulty, so a round begun under the adversary refuses the
+// answers the reference consumes, and may leave more slots unanswered than
+// the reference holds nonces of it.
 func checkWindow(t *testing.T, at int, h *Harness, ref *refHarness) {
 	t.Helper()
 	w := &h.pend
 	if w.next-1 != ref.nonce {
 		t.Fatalf("op %d: last nonce %d, reference %d", at, w.next-1, ref.nonce)
 	}
+	standalone, round := 0, 0
 	for nonce, want := range ref.pending {
+		if want.idx >= 0 {
+			round++
+			if !h.est.Open() || nonce-h.roundFirst != uint64(want.idx) || h.est.Answered(want.idx) ||
+				h.est.ests[want.idx].Peer != want.peer || h.roundSentAt != want.sentAt {
+				t.Fatalf("op %d: nonce %d: round (open %v, first nonce %d, sent at %v) lacks reference %+v",
+					at, nonce, h.est.Open(), h.roundFirst, h.roundSentAt, want)
+			}
+			continue
+		}
+		standalone++
 		e := w.lookup(nonce)
-		if e == nil || e.peer != want.peer || e.idx != want.idx || e.sentAt != want.sentAt {
+		if e == nil || e.peer != want.peer || e.sentAt != want.sentAt {
 			t.Fatalf("op %d: nonce %d: window has %+v, reference %+v", at, nonce, e, want)
 		}
 	}
@@ -268,13 +292,22 @@ func checkWindow(t *testing.T, at int, h *Harness, ref *refHarness) {
 	for i := range w.ring {
 		if w.ring[i].live {
 			live++
-		} else if e := w.ring[i]; e.peer != 0 || e.idx != 0 || e.sentAt != 0 || e.sentSim != 0 ||
+		} else if e := w.ring[i]; e.peer != 0 || e.sentAt != 0 || e.sentSim != 0 ||
 			e.span != 0 || e.parent != 0 || e.done != nil {
 			t.Fatalf("op %d: dead slot %d still holds %+v", at, i, w.ring[i])
 		}
 	}
-	if live != len(ref.pending) {
-		t.Fatalf("op %d: %d live slots, reference holds %d", at, live, len(ref.pending))
+	if live != standalone {
+		t.Fatalf("op %d: %d live slots, reference holds %d standalone pings", at, live, standalone)
+	}
+	unanswered := 0
+	for i := range h.est.Estimates() {
+		if h.est.Open() && !h.est.Answered(i) {
+			unanswered++
+		}
+	}
+	if unanswered != round && !(h.Faulty() && unanswered > round) {
+		t.Fatalf("op %d: the round leaves %d slots unanswered, reference holds %d of its pings", at, unanswered, round)
 	}
 	if span := int(w.next - w.base); span > len(w.ring) || (live == 0 && span != 0) {
 		t.Fatalf("op %d: window [%d,%d) over a ring of %d with %d live", at, w.base, w.next, len(w.ring), live)
@@ -340,6 +373,11 @@ var pendingScripts = [][]byte{
 	{opRound, 4, 30, opNonce, 0, 0, opNonce, 6, 0, opNonce, 7, 2, opNonce, 1, 1, opNonce, 0, 1, opNonce, 200, 3, opAdvance, 2, 0, opAnswer, 0, 0},
 	// 11: pings interleaved with a round, answered newest first
 	{opPing, 0, 30, opRound, 3, 30, opPing, 1, 30, opBest, 7, 30, opAdvance, 2, 0, opAnswer, 6, 0, opAnswer, 5, 0, opAnswer, 4, 0, opAnswer, 3, 0, opAnswer, 2, 0, opAnswer, 1, 0, opAnswer, 0, 0},
+	// 12: pings sent before and during a round, answered after the round's
+	// own nonces, late and twice: the window spans the round's nonces, which
+	// have no entries in it, while the round is open and after it expires
+	{opPing, 0, 39, opRound, 4, 10, opPing, 1, 39, opAdvance, 2, 0, opAnswer, 2, 0, opAnswer, 4, 1,
+		opAdvance, 20, 0, opAnswer, 6, 1, opAnswer, 0, 1, opAnswer, 3, 0, opAdvance, 30, 0, opAnswer, 6, 1, opAnswer, 0, 1},
 }
 
 // FuzzPendingWindow interleaves rounds, standalone pings, best-of-k pings,
@@ -404,5 +442,42 @@ func TestPendingWindowStaysBounded(t *testing.T) {
 	// after 6,000 sweeps and 42,000 pings.
 	if got := len(hs[0].pend.ring); got != 32 {
 		t.Errorf("ring grew to %d slots (window peaked at %d), want 32", got, maxLive)
+	}
+}
+
+// TestSyncRoundsTakeNoWindowSlots: a round is the only record of its pings,
+// so a harness that runs nothing but rounds — answered, expired with a silent
+// peer, aborted by a break-in and begun again after the release — never builds
+// the window's ring, while its nonces still advance one per ping.
+func TestSyncRoundsTakeNoWindowSlots(t *testing.T) {
+	r := newRig(t, 5, network.ConstantDelay{D: simtime.Millisecond})
+	r.hs[4].Corrupt(silent{})
+	h, peers := r.hs[0], []int{1, 2, 3, 4}
+	started, ended := 0, 0
+	var tick func()
+	tick = func() {
+		h.ScheduleLocal(100*simtime.Millisecond, tick)
+		if h.Faulty() {
+			return
+		}
+		started++
+		h.EstimateAll(peers, 20*simtime.Millisecond, func(es []Estimate) {
+			if ended++; !es[0].OK || es[3].OK {
+				t.Errorf("round %d: %+v, want peer 1 answered and peer 4 timed out", ended, es)
+			}
+		})
+	}
+	r.sim.At(0, tick)
+	r.sim.At(0.5005, func() { h.Corrupt(silent{}) }) // mid-round
+	r.sim.At(0.75, func() { h.Release() })
+	r.sim.RunUntil(2)
+	if h.pend.ring != nil {
+		t.Fatalf("Sync-only harness built a %d-slot ring", len(h.pend.ring))
+	}
+	if got, want := h.pend.next-1, uint64(len(peers)*started); got != want || h.pend.base != h.pend.next {
+		t.Fatalf("nonces [%d, %d) after %d rounds, want %d used and the window empty", h.pend.base, h.pend.next, started, want)
+	}
+	if ended < started-2 || ended < 15 {
+		t.Fatalf("%d of %d rounds ended", ended, started)
 	}
 }

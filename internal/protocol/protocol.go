@@ -93,7 +93,8 @@ type Harness struct {
 	faulty   bool
 	behavior Behavior
 
-	// pend holds the pings in flight (pending.go).
+	// pend holds the standalone pings in flight and numbers every request
+	// (pending.go).
 	pend pendingWindow
 	// reqs and resps recycle wire payloads: pings travel as pointers, and the
 	// receiver puts them back after dispatch. The lists belong to the network,
@@ -101,16 +102,21 @@ type Harness struct {
 	// processor and are shared by all that run on the shard.
 	reqs  *network.FreeList[TimeReq]
 	resps *network.FreeList[TimeResp]
-	// est is the estimation round in flight (round.go); the fields after it
-	// are what driving it through the simulator takes: the nonce of slot 0
-	// (a round's pings go out back to back, so slot i has nonce roundFirst+i),
-	// the round's one timeout, its callback bound once in NewHarness, and the
+	// est is the estimation round in flight (round.go) and the only record of
+	// its pings; the fields after it are what driving it through the
+	// simulator takes. A round's pings go out back to back at one instant, so
+	// slot i has nonce roundFirst+i, and every slot shares the send instant in
+	// local and in simulation time and the span the pings parent to. Then the
+	// round's one timeout, its callback bound once in NewHarness, and the
 	// caller's callback. A steady-state round allocates nothing.
-	est        Round
-	roundFirst uint64
-	timeout    des.Event
-	roundAlarm func()
-	roundDone  func([]Estimate)
+	est          Round
+	roundFirst   uint64
+	roundSentAt  simtime.Time
+	roundSentSim simtime.Time
+	roundParent  obs.SpanID
+	timeout      des.Event
+	roundAlarm   func()
+	roundDone    func([]Estimate)
 
 	// Custom handles payloads other than TimeReq/TimeResp (round-based
 	// baselines exchange their own message types). Nil for Sync.
@@ -284,11 +290,16 @@ func (h *Harness) answerTimeReq(from int, req TimeReq) {
 	}
 }
 
-// handleTimeResp accepts an answer only for a nonce still in flight and only
-// from the peer that nonce was sent to; anything else — a duplicate, a nonce
+// handleTimeResp accepts an answer only for a request still in flight and
+// only from the peer it was sent to; anything else — a duplicate, a nonce
 // from a finished or aborted round, the right nonce under the wrong identity
-// — is dropped without consuming the entry.
+// — is dropped without consuming anything. A nonce in the open round's range
+// goes straight to its slot; any other can only be a standalone ping's.
 func (h *Harness) handleTimeResp(from int, resp TimeResp) {
+	if slot := resp.Nonce - h.roundFirst; h.est.Open() && slot < uint64(len(h.est.ests)) {
+		h.roundReply(from, int(slot), resp.Clock)
+		return
+	}
 	e := h.pend.lookup(resp.Nonce)
 	if e == nil || e.peer != from {
 		return
@@ -298,64 +309,83 @@ func (h *Harness) handleTimeResp(from int, resp TimeResp) {
 		return
 	}
 	r := h.LocalNow()
-	var est Estimate
-	if p.idx < 0 {
-		est = measure(from, p.sentAt, r, resp.Clock, p.span)
-	} else if reply, ok := h.est.Reply(p.idx, p.sentAt, r, resp.Clock, p.span); ok {
-		est = reply
-	} else {
-		return // response outlived its round
+	est := measure(from, p.sentAt, r, resp.Clock, p.span)
+	h.observeReply(est, r.Sub(p.sentAt), p.sentSim, p.parent)
+	p.done(est)
+}
+
+// roundReply feeds the open round an answer to slot, refused unless the slot's
+// peer sent it and the slot is unanswered. A faulty processor measures
+// nothing: a round open while it is faulty was begun under the adversary
+// (Corrupt and Release abort any other) and ends by its alarm.
+func (h *Harness) roundReply(from, slot int, c simtime.Time) {
+	if h.faulty || h.est.ests[slot].Peer != from {
+		return
 	}
-	rtt := float64(r.Sub(p.sentAt))
-	if rec := h.Obs.Recorder(); rec != nil {
-		rec.RTT.Observe(rtt)
-		rec.EstError.Observe(float64(est.A))
+	r := h.LocalNow()
+	est, ok := h.est.Reply(slot, h.roundSentAt, r, c, h.est.ests[slot].Span)
+	if !ok {
+		return // the slot was answered already
 	}
-	if p.span != 0 {
-		h.Obs.EmitSpan(obs.Span{
-			ID: p.span, Parent: p.parent, Name: obs.SpanEstimate, Node: h.id,
-			Start: float64(p.sentSim), End: float64(h.sim.Now()),
-			Fields: obs.F("peer", float64(from)).
-				F("d", float64(est.D)).
-				F("a", float64(est.A)).
-				F("rtt", rtt).
-				F("ok", 1),
-		})
-	}
-	if p.idx < 0 {
-		p.done(est)
-	} else if !h.est.Open() {
+	h.observeReply(est, r.Sub(h.roundSentAt), h.roundSentSim, h.roundParent)
+	if !h.est.Open() {
 		h.timeout.Cancel()
 		h.roundDone(h.est.Estimates())
 	}
 }
 
-// sendPing issues one clock request and registers it as pending. Exactly-once
-// completion is guaranteed by the pending window alone: whichever of response
-// or timeout claims the nonce first kills it, and abortEstimation kills every
-// nonce in flight.
-func (h *Harness) sendPing(peer, idx int, done func(Estimate)) uint64 {
-	var span obs.SpanID
+// observeReply emits the observations of one answered ping: its round-trip
+// time and error bound, and its estimation span, which began at sentSim.
+func (h *Harness) observeReply(est Estimate, rtt simtime.Duration, sentSim simtime.Time, parent obs.SpanID) {
+	if rec := h.Obs.Recorder(); rec != nil {
+		rec.RTT.Observe(float64(rtt))
+		rec.EstError.Observe(float64(est.A))
+	}
+	if est.Span != 0 {
+		h.Obs.EmitSpan(obs.Span{
+			ID: est.Span, Parent: parent, Name: obs.SpanEstimate, Node: h.id,
+			Start: float64(sentSim), End: float64(h.sim.Now()),
+			Fields: obs.F("peer", float64(est.Peer)).
+				F("d", float64(est.D)).
+				F("a", float64(est.A)).
+				F("rtt", float64(rtt)).
+				F("ok", 1),
+		})
+	}
+}
+
+// nextSpan opens the estimation span of one request, 0 when tracing is off.
+func (h *Harness) nextSpan() obs.SpanID {
 	if h.Obs.SpansEnabled() {
-		span = h.Obs.NextSpanID()
+		return h.Obs.NextSpanID()
 	}
-	if span != 0 && idx >= 0 {
-		h.est.Sent(idx, span)
-	}
-	nonce := h.pend.add(pendingPing{
-		peer: peer, idx: idx, sentAt: h.LocalNow(), sentSim: h.sim.Now(),
-		span: span, parent: h.SpanParent, done: done,
-	})
+	return 0
+}
+
+// request sends peer a clock request under nonce, carrying its span.
+func (h *Harness) request(peer int, nonce uint64, span obs.SpanID) {
 	req := h.reqs.Get()
 	req.Nonce, req.Span = nonce, span
 	h.net.Send(h.id, peer, req)
+}
+
+// sendPing issues one standalone clock request and registers it in the
+// window. Exactly-once completion is guaranteed by the window alone:
+// whichever of response or timeout claims the nonce first kills it, and
+// abortEstimation kills every nonce in flight.
+func (h *Harness) sendPing(peer int, done func(Estimate)) uint64 {
+	span := h.nextSpan()
+	nonce := h.pend.add(pendingPing{
+		peer: peer, sentAt: h.LocalNow(), sentSim: h.sim.Now(),
+		span: span, parent: h.SpanParent, done: done,
+	})
+	h.request(peer, nonce, span)
 	return nonce
 }
 
-// observeTimeout emits the observations of one expired ping. The caller has
-// already claimed the nonce.
-func (h *Harness) observeTimeout(p pendingPing) {
-	peer := p.peer
+// observeTimeout emits the observations of one expired ping to peer, sent at
+// sentSim under span. The caller has already settled the ping.
+func (h *Harness) observeTimeout(peer int, span, parent obs.SpanID, sentSim simtime.Time) {
 	if rec := h.Obs.Recorder(); rec != nil {
 		rec.EstimationTimeouts.Inc()
 		h.Obs.Emit(obs.Event{
@@ -363,10 +393,10 @@ func (h *Harness) observeTimeout(p pendingPing) {
 			Fields: map[string]float64{"peer": float64(peer)},
 		})
 	}
-	if p.span != 0 {
+	if span != 0 {
 		h.Obs.EmitSpan(obs.Span{
-			ID: p.span, Parent: p.parent, Name: obs.SpanEstimate, Node: h.id,
-			Start: float64(p.sentSim), End: float64(h.sim.Now()),
+			ID: span, Parent: parent, Name: obs.SpanEstimate, Node: h.id,
+			Start: float64(sentSim), End: float64(h.sim.Now()),
 			Fields: obs.F("peer", float64(peer)).F("ok", 0).F("timeout", 1),
 		})
 	}
@@ -374,14 +404,14 @@ func (h *Harness) observeTimeout(p pendingPing) {
 
 // Ping sends a single clock request to peer and invokes done exactly once:
 // with the measured estimate, or with FailedEstimate after timeout on the
-// local clock. It is the primitive beneath estimation rounds and the
-// min-RTT-of-k refinement.
+// local clock. It is the primitive beneath the min-RTT-of-k refinement and
+// the estimate cache.
 func (h *Harness) Ping(peer int, timeout simtime.Duration, done func(Estimate)) {
-	nonce := h.sendPing(peer, -1, done)
+	nonce := h.sendPing(peer, done)
 	h.ScheduleLocal(timeout, func() {
 		if e := h.pend.lookup(nonce); e != nil {
 			p := h.pend.claim(e)
-			h.observeTimeout(p)
+			h.observeTimeout(p.peer, p.span, p.parent, p.sentSim)
 			fe := FailedEstimate(peer)
 			fe.Span = p.span
 			p.done(fe)
@@ -396,10 +426,12 @@ func (h *Harness) Ping(peer int, timeout simtime.Duration, done func(Estimate)) 
 // may be in flight per processor; the results slice is reused by the next
 // round, so done must copy anything it keeps.
 //
-// The whole round shares a single timeout event: every ping is sent at the
-// same instant, so one alarm at maxWait expires all unanswered peers at
-// exactly the per-ping deadlines, in send order — and its callback is bound
-// once per harness, so a round allocates no timer closure at all.
+// The round is the only record of its pings: they take consecutive nonces
+// and no window entries, and since every ping is sent at the same instant
+// the harness keeps that instant once. For the same reason the whole round
+// shares a single timeout event: one alarm at maxWait expires all unanswered
+// peers at exactly the per-ping deadlines, in send order — and its callback
+// is bound once per harness, so a round allocates no timer closure at all.
 func (h *Harness) EstimateAll(peers []int, maxWait simtime.Duration, done func([]Estimate)) {
 	if h.est.Open() {
 		panic(fmt.Sprintf("protocol: processor %d started overlapping estimation rounds", h.id))
@@ -410,10 +442,12 @@ func (h *Harness) EstimateAll(peers []int, maxWait simtime.Duration, done func([
 		return
 	}
 	h.roundDone = done
-	h.pend.reserve(len(peers))
-	h.roundFirst = h.pend.next
+	h.roundFirst = h.pend.take(len(peers))
+	h.roundSentAt, h.roundSentSim, h.roundParent = h.LocalNow(), h.sim.Now(), h.SpanParent
 	for i, peer := range peers {
-		h.sendPing(peer, i, nil)
+		span := h.nextSpan()
+		h.est.Sent(i, span)
+		h.request(peer, h.roundFirst+uint64(i), span)
 	}
 	h.timeout = h.ScheduleLocal(maxWait, h.roundAlarm)
 }
@@ -422,14 +456,13 @@ func (h *Harness) EstimateAll(peers []int, maxWait simtime.Duration, done func([
 // timed out, in send order, and completes the round. The alarm carries no
 // round identity, so it must never outlive its round: every other path that
 // ends a round cancels it first — the reply that fills the last slot
-// (handleTimeResp) and abortEstimation (break-in, release) — and the alarm
+// (roundReply) and abortEstimation (break-in, release) — and the alarm
 // itself is the only remaining way a round ends. A stale alarm would
 // otherwise expire whatever round is open when it fires.
 func (h *Harness) expireRound() {
-	first := h.roundFirst
-	for i := range h.est.Estimates() {
-		if e := h.pend.lookup(first + uint64(i)); e != nil {
-			h.observeTimeout(h.pend.claim(e))
+	for _, e := range h.est.Estimates() {
+		if !e.OK {
+			h.observeTimeout(e.Peer, e.Span, h.roundParent, h.roundSentSim)
 		}
 	}
 	h.est.Expire()
