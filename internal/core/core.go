@@ -110,10 +110,10 @@ func (c Config) Validate() error {
 
 // convergeScratch is the one buffer a convergence computation needs: the
 // values the quickselect permutes, first the overestimates, then the
-// underestimates. A Round owns one scratch and reuses it every round; the
-// pure entry points borrow one from a pool. The zero value is ready to use:
-// the buffer is sized by the first vector seen (a node's rounds all have the
-// same length) and replaced only for a longer one.
+// underestimates. Every selection — a Round's Decide and the pure entry
+// points alike — borrows one from scratchPool for the length of the call, so
+// no node owns one. The zero value is ready to use: the buffer is sized by
+// the first vector seen and replaced only for a longer one.
 type convergeScratch struct {
 	sel []float64 // quickselect operand; permuted in place by stats.KthSmallest
 }
@@ -159,8 +159,9 @@ func convergeFromExtremes(m, mm float64, wayOff simtime.Duration) (delta simtime
 	return simtime.Duration((m + mm) / 2), true, true
 }
 
-// scratchPool backs the pure Converge entry point so it stays allocation-free
-// without changing its signature.
+// scratchPool is the one source of selection scratch: it keeps every
+// selection allocation-free in steady state without any caller owning a
+// buffer.
 var scratchPool = sync.Pool{New: func() any { return new(convergeScratch) }}
 
 // Converge is the convergence function of Figure 1, lines 6–12, as a pure
@@ -226,14 +227,17 @@ type Node struct {
 	cache *protocol.EstimateCache
 
 	// sampler draws each round's peers from the node's topology neighbours:
-	// cfg.SamplePeers of them in the sparse-estimation mode — then the node
-	// holds no neighbour list at all — and every one of them otherwise.
+	// cfg.SamplePeers of them in the sparse-estimation mode, and every one of
+	// them otherwise. Either way it writes them into a buffer of the node's
+	// lane, so the node holds no peer list at all.
 	sampler *protocol.PeerSampler
 
-	// round is the Sync round machine (round.go); its buffers are reused
-	// every round, which keeps the tick path allocation-free. roundSpan and
-	// roundStart are the open round span and its start instant — only one
-	// round is in flight per node, so plain fields suffice.
+	// round is the Sync round machine (round.go). It owns no buffer: the
+	// estimates are lent by the harness for the length of the round and the
+	// selection scratch is pooled, which keeps the tick path allocation-free
+	// and a node's memory independent of how many peers it estimates.
+	// roundSpan and roundStart are the open round span and its start instant —
+	// only one round is in flight per node, so plain fields suffice.
 	round      Round
 	roundSpan  obs.SpanID
 	roundStart float64
@@ -254,7 +258,7 @@ func New(h *protocol.Harness, cfg Config) *Node {
 	}
 	n := &Node{h: h, cfg: cfg,
 		round:   Round{id: h.ID(), f: cfg.F, wayOff: cfg.WayOff},
-		sampler: protocol.NewNeighborSampler(h.Net().Topology(), h.ID(), cfg.SamplePeers, cfg.SampleSeed)}
+		sampler: protocol.NewNeighborSampler(h.Net(), h.ID(), cfg.SamplePeers, cfg.SampleSeed)}
 	n.tickCB = n.tick
 	n.applyCB = n.apply
 	return n
@@ -333,6 +337,7 @@ func (n *Node) apply(ests []protocol.Estimate) {
 		n.stats.Skipped++
 	}
 	n.round.Record(n.h.Obs, n.h.Obs.Recorder(), n.roundSpan, n.roundStart, float64(n.h.Sim().Now()))
+	n.round.forget() // the harness hands ests to another round once apply returns
 	n.roundSpan, n.h.SpanParent = 0, 0
 	if !out.OK {
 		return

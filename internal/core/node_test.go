@@ -224,3 +224,28 @@ func (oscillatingLiar) RespondTime(h *protocol.Harness, peer int, now simtime.Ti
 
 func (oscillatingLiar) OnCorrupt(*protocol.Harness, simtime.Time) {}
 func (oscillatingLiar) OnRelease(*protocol.Harness, simtime.Time) {}
+
+// TestNodeForgetsLentEstimates: a simulated round's estimates are lent by the
+// lane and go back once apply returns, to serve another processor's round. So
+// apply leaves the machine's Outcome without them, and a stale Trimmed call
+// panics instead of reading whichever round the buffer serves next.
+func TestNodeForgetsLentEstimates(t *testing.T) {
+	tc := newTestCluster(t, 4, defaultTestConfig(1), nil, nil)
+	tc.sim.RunUntil(35)
+	for i, n := range tc.nodes {
+		if n.Stats().Syncs == 0 {
+			t.Fatalf("node %d ran no round", i)
+		}
+		if n.round.out.ests != nil {
+			t.Fatalf("node %d: the decided round still refers to its %d lent estimates", i, len(n.round.out.ests))
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("node %d: Trimmed on a round whose estimates went back did not panic", i)
+				}
+			}()
+			n.round.out.Trimmed(0)
+		}()
+	}
+}

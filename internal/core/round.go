@@ -10,7 +10,9 @@ import (
 
 // Outcome is what one Sync round decided. The scalar fields are a plain
 // value a driver may keep; Trimmed reads the estimates the round decided over
-// and is valid only until that machine's next round.
+// and is valid only while the driver keeps them — until the machine's next
+// round at most, and in the simulator only until the round's callback
+// returns.
 type Outcome struct {
 	Delta  simtime.Duration // the adjustment to apply; 0 when !OK
 	OK     bool             // false: no safe adjustment exists and the round is skipped
@@ -23,7 +25,8 @@ type Outcome struct {
 	// envelope is within it too — the uncertainty a served reading owes.
 	Unc simtime.Duration
 
-	ests []protocol.Estimate // the readings decided over, self-estimate excluded
+	ests  []protocol.Estimate // the readings decided over, self-estimate excluded
+	spent bool                // ests went back to their lender; Trimmed panics
 }
 
 // Trimmed reports the convergence function's verdict on reading i: low when
@@ -31,6 +34,9 @@ type Outcome struct {
 // among the f largest. A reading trimmed on neither side was accepted.
 // Readings are the round's estimates in order, then the self-estimate.
 func (o *Outcome) Trimmed(i int) (low, high bool) {
+	if o.spent {
+		panic("core: Trimmed on a round whose estimates went back to their lender")
+	}
 	over, under := o.reading(i)
 	return over < o.M, under > o.MM
 }
@@ -82,11 +88,10 @@ func (sc *convergeScratch) decide(f int, wayOff simtime.Duration, ests []protoco
 // vector to Decide; livenet drives the whole machine.
 type Round struct {
 	protocol.Round
-	id      int
-	f       int
-	wayOff  simtime.Duration
-	scratch convergeScratch
-	out     Outcome
+	id     int
+	f      int
+	wayOff simtime.Duration
+	out    Outcome
 }
 
 // NewRound builds the machine of processor id with trimming depth f and
@@ -98,11 +103,20 @@ func NewRound(id, f int, wayOff simtime.Duration) *Round {
 // Decide applies the convergence function to one estimate per peer. Figure 1
 // iterates over all of {1..n} including p itself; the self-estimate is exact
 // and free, so it enters the selection as one more value, and ests is not
-// copied. The Outcome reads ests until the machine's next round.
+// copied. The selection runs in pooled scratch. The Outcome reads ests for as
+// long as the driver keeps them.
 func (r *Round) Decide(ests []protocol.Estimate) Outcome {
-	r.out = r.scratch.decide(r.f, r.wayOff, ests, true)
+	sc := scratchPool.Get().(*convergeScratch)
+	r.out = sc.decide(r.f, r.wayOff, ests, true)
+	scratchPool.Put(sc)
 	return r.out
 }
+
+// forget drops the decided round's reference to its estimates, once the
+// driver has recorded the round and is about to hand them back to their
+// lender. A stale Trimmed on the machine's Outcome then panics instead of
+// reading whichever round the storage serves next.
+func (r *Round) forget() { r.out.ests, r.out.spent = nil, true }
 
 // Close expires whatever the estimation half still waits for and decides the
 // round from what it gathered.

@@ -131,7 +131,7 @@ func TestRoundMachine(t *testing.T) {
 			for i, st := range tc.steps {
 				switch st.op {
 				case "begin":
-					r.Begin(st.peers)
+					r.Begin(st.peers, nil)
 				case "expire":
 					r.Expire()
 				case "abort":
@@ -201,7 +201,7 @@ func TestRoundRecordsOneSpanSet(t *testing.T) {
 	o := obs.NewObserver(ring)
 	o.AddSpanSink(spans)
 	r := NewRound(0, 1, 100)
-	r.Begin([]int{1, 2, 3})
+	r.Begin([]int{1, 2, 3}, nil)
 	r.Sent(2, 77) // the ping that will time out
 	r.Reply(0, 0, 2, 3, 41)
 	r.Reply(1, 0, 2, 5, 42)
@@ -244,7 +244,7 @@ func TestRoundRecordsOneSpanSet(t *testing.T) {
 		t.Fatalf("SyncRounds = %d", got)
 	}
 
-	r.Begin([]int{1, 2, 3})
+	r.Begin([]int{1, 2, 3}, nil)
 	r.Close()
 	r.Record(o, o.Recorder(), 8, 20, 21)
 	all := spans.Spans()
@@ -271,9 +271,10 @@ func TestRoundSteadyStateAllocFree(t *testing.T) {
 	}
 	r := NewRound(0, 5, 1)
 	rec := obs.NewRecorder()
+	ests := make([]protocol.Estimate, 0, n) // the driver's storage, lent every round
 	var sink Outcome
 	round := func() {
-		r.Begin(peers)
+		r.Begin(peers, ests)
 		for slot := range peers {
 			r.Reply(slot, 0, 0.002, simtime.Time(0.001*float64(slot)), 0)
 		}

@@ -34,6 +34,7 @@ import (
 
 	"clocksync/internal/core"
 	"clocksync/internal/obs"
+	"clocksync/internal/protocol"
 	"clocksync/internal/simtime"
 )
 
@@ -249,14 +250,15 @@ type Node struct {
 	lastRoundAt time.Time    // zero before the first round
 	metricsAddr string
 
-	// round is the Sync round machine this node drives; ids, targets and
-	// nonces are the driver's per-round buffers, and signer signs its
-	// queries. All belong to the sync goroutine and are reused from round to
-	// round.
+	// round is the Sync round machine this node drives; ids, targets, nonces
+	// and ests are the driver's per-round buffers — ests the storage it lends
+	// the machine for the round's estimates — and signer signs its queries.
+	// All belong to the sync goroutine and are reused from round to round.
 	round   *core.Round
 	ids     []int
 	targets []roundTarget
 	nonces  []uint64
+	ests    []protocol.Estimate
 	signer  *syncSigner
 
 	wg sync.WaitGroup
@@ -753,7 +755,8 @@ func (n *Node) runSync(ctx context.Context) {
 	}
 	n.mu.Unlock()
 	n.ids, n.targets, n.nonces = ids, targets, n.nonces[:0]
-	n.round.Begin(ids)
+	n.round.Begin(ids, n.ests)
+	n.ests = n.round.Estimates() // keep what Begin grew
 
 	retryCfg := n.cfg.Retry.withDefaults(n.cfg.MaxWait)
 	// Sized to the sends of one round: each outstanding nonce is answered at

@@ -17,13 +17,15 @@ import (
 func MemAddr(id int) string { return fmt.Sprintf("mem://%d", id) }
 
 // memAddrID parses a memory address back to its node id (-1 when foreign).
+// Only the exact spelling MemAddr(id) names node id: the fabric routes by
+// that string, so "mem://05", "mem://+5" or "mem://-0" would reach nobody.
 func memAddrID(addr string) int {
 	s, ok := strings.CutPrefix(addr, "mem://")
 	if !ok {
 		return -1
 	}
 	id, err := strconv.Atoi(s)
-	if err != nil || id < 0 {
+	if err != nil || id < 0 || strconv.Itoa(id) != s {
 		return -1
 	}
 	return id
@@ -197,7 +199,8 @@ func (t *MemTransport) WriteTo(data []byte, to string) error {
 	return nil
 }
 
-// CheckAddr implements addrChecker: memory addresses must parse.
+// CheckAddr implements addrChecker: a memory address must be MemAddr of some
+// node id, exactly.
 func (t *MemTransport) CheckAddr(addr string) error {
 	if memAddrID(addr) < 0 {
 		return fmt.Errorf("livenet: bad memory address %q (want mem://<id>)", addr)

@@ -5,6 +5,36 @@ import (
 	"testing"
 )
 
+// TestMemAddrExactSpelling: the fabric routes by the exact string MemAddr(id),
+// so CheckAddr — and NewClient, which vets its server through it — accept
+// that spelling and nothing else. "mem://05" used to pass as node 5, and a
+// client aimed at it timed out on every query.
+func TestMemAddrExactSpelling(t *testing.T) {
+	mn := NewMemNetwork(MemNetworkConfig{})
+	tr := mn.Transport(99)
+	for i, tc := range []struct {
+		addr string
+		ok   bool
+	}{
+		{"mem://0", true}, {"mem://5", true}, {"mem://1234", true},
+		{"mem://05", false}, {"mem://+5", false}, {"mem://-0", false}, {"mem://-5", false},
+		{"mem:// 5", false}, {"mem://5 ", false}, {"mem://", false}, {"mem://x", false},
+		{"udp://5", false}, {"5", false},
+	} {
+		if err := tr.CheckAddr(tc.addr); (err == nil) != tc.ok {
+			t.Errorf("CheckAddr(%q) = %v, want ok=%v", tc.addr, err, tc.ok)
+		}
+		// The client owns its transport and closes it on failure or Close.
+		c, err := NewClient(ClientConfig{Server: tc.addr, Transport: mn.Transport(100 + i)})
+		if (err == nil) != tc.ok {
+			t.Errorf("NewClient(Server: %q) = %v, want ok=%v", tc.addr, err, tc.ok)
+		}
+		if c != nil {
+			c.Close()
+		}
+	}
+}
+
 // TestMemTransportPayloadShapes checks that payloads of every size arrive
 // intact, and that the writer may reuse its buffer as soon as WriteTo
 // returns.

@@ -82,7 +82,7 @@ type lane struct {
 	rng      *rand.Rand
 	key      *SplitMix64
 	free     []*envelope
-	payloads []any // the lane's FreeLists, one per payload type
+	payloads []any // the lane's FreeLists, one per payload or buffer type
 	outbox   []pending
 }
 
@@ -145,7 +145,9 @@ func newNetwork(topo Topology, delay DelayModel, lanes int) *Network {
 	}
 }
 
-// FreeList recycles the wire payloads of one type on one lane. The protocol
+// FreeList recycles the wire payloads of one type on one lane — and, under
+// the same rule, the round-sized buffers the protocol layer borrows for the
+// length of an estimation round (a FreeList[[]T] lends *[]T). The protocol
 // layer sends payloads as pointers (boxing a value per message dominated the
 // simulator's allocation profile) and the handler that consumed one puts it
 // back after it has read the fields — handlers never retain the pointer. The
@@ -168,6 +170,9 @@ func (l *FreeList[T]) Get() *T {
 
 // Put recycles a payload whose handler has returned.
 func (l *FreeList[T]) Put(p *T) { l.free = append(l.free, p) }
+
+// Len reports how many items the list holds for the next Get.
+func (l *FreeList[T]) Len() int { return len(l.free) }
 
 // PayloadList returns the free list for payloads of type T on the lane that
 // runs processor id, creating it on first use. Call it while wiring the run

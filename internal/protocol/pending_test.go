@@ -97,7 +97,7 @@ func (r *refHarness) EstimateAll(peers []int, maxWait simtime.Duration, done fun
 	if r.est.Open() {
 		panic("reference: overlapping estimation rounds")
 	}
-	r.est.Begin(peers)
+	r.est.Begin(peers, nil) // the reference allocates every round afresh
 	if !r.est.Open() {
 		done(r.est.Estimates())
 		return

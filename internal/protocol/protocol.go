@@ -104,12 +104,18 @@ type Harness struct {
 	resps *network.FreeList[TimeResp]
 	// est is the estimation round in flight (round.go) and the only record of
 	// its pings; the fields after it are what driving it through the
-	// simulator takes. A round's pings go out back to back at one instant, so
-	// slot i has nonce roundFirst+i, and every slot shares the send instant in
-	// local and in simulation time and the span the pings parent to. Then the
-	// round's one timeout, its callback bound once in NewHarness, and the
-	// caller's callback. A steady-state round allocates nothing.
+	// simulator takes. The round's slots live in estBuf, borrowed from the
+	// lane's list ests when the round begins and given back when it ends, so
+	// a processor holds no estimate storage between rounds and a lane holds
+	// as many buffers as it ever had rounds open at once. A round's pings go
+	// out back to back at one instant, so slot i has nonce roundFirst+i, and
+	// every slot shares the send instant in local and in simulation time and
+	// the span the pings parent to. Then the round's one timeout, its callback
+	// bound once in NewHarness, and the caller's callback. A steady-state
+	// round allocates nothing.
 	est          Round
+	ests         *network.FreeList[[]Estimate]
+	estBuf       *[]Estimate
 	roundFirst   uint64
 	roundSentAt  simtime.Time
 	roundSentSim simtime.Time
@@ -154,6 +160,7 @@ func NewHarness(id int, sim *des.Sim, net *network.Network, clk *clock.Local) *H
 		pend:  pendingWindow{base: 1, next: 1}, // nonces start at 1
 		reqs:  network.PayloadList[TimeReq](net, id),
 		resps: network.PayloadList[TimeResp](net, id),
+		ests:  network.PayloadList[[]Estimate](net, id),
 	}
 	h.roundAlarm = h.expireRound
 	net.Register(id, h.receive)
@@ -330,7 +337,7 @@ func (h *Harness) roundReply(from, slot int, c simtime.Time) {
 	h.observeReply(est, r.Sub(h.roundSentAt), h.roundSentSim, h.roundParent)
 	if !h.est.Open() {
 		h.timeout.Cancel()
-		h.roundDone(h.est.Estimates())
+		h.endRound()
 	}
 }
 
@@ -423,8 +430,10 @@ func (h *Harness) Ping(peer int, timeout simtime.Duration, done func(Estimate)) 
 // estimate per peer (results[i] answers peers[i]) once all have answered or
 // timed out. All estimations run concurrently, as the analysis assumes
 // (§3.2), so a round occupies at most MaxWait of local time. Only one round
-// may be in flight per processor; the results slice is reused by the next
-// round, so done must copy anything it keeps.
+// may be in flight per processor. The results slice is lent by the lane for
+// the length of the round and goes back once done returns, to serve whichever
+// round on the lane begins next, so done must copy anything it keeps. done
+// may begin the next round itself; that round borrows a buffer of its own.
 //
 // The round is the only record of its pings: they take consecutive nonces
 // and no window entries, and since every ping is sent at the same instant
@@ -436,12 +445,14 @@ func (h *Harness) EstimateAll(peers []int, maxWait simtime.Duration, done func([
 	if h.est.Open() {
 		panic(fmt.Sprintf("protocol: processor %d started overlapping estimation rounds", h.id))
 	}
-	h.est.Begin(peers)
+	buf := h.ests.Get()
+	h.est.Begin(peers, *buf)
+	*buf = h.est.Estimates() // keep what Begin grew
+	h.estBuf, h.roundDone = buf, done
 	if !h.est.Open() {
-		done(h.est.Estimates())
+		h.endRound()
 		return
 	}
-	h.roundDone = done
 	h.roundFirst = h.pend.take(len(peers))
 	h.roundSentAt, h.roundSentSim, h.roundParent = h.LocalNow(), h.sim.Now(), h.SpanParent
 	for i, peer := range peers {
@@ -466,15 +477,33 @@ func (h *Harness) expireRound() {
 		}
 	}
 	h.est.Expire()
+	h.endRound()
+}
+
+// endRound hands the closed round's estimates to its callback, then gives
+// their buffer back to the lane. The buffer goes back only after done has
+// returned, so done reads its estimates intact whatever it does; and a round
+// done begins in the meantime has borrowed another buffer, which stays its
+// own. Once the buffer is back no closed round refers to it: a late or
+// duplicate reply finds no open round to route to, and is dropped.
+func (h *Harness) endRound() {
+	buf := h.estBuf
 	h.roundDone(h.est.Estimates())
+	if !h.est.Open() {
+		h.est.Abort()
+		h.estBuf = nil
+	}
+	h.ests.Put(buf)
 }
 
 // abortEstimation invalidates any in-flight round and pings; their callbacks
-// will never fire.
+// will never fire, and the round's buffer goes back to the lane.
 func (h *Harness) abortEstimation() {
 	if h.est.Open() {
 		h.timeout.Cancel()
 		h.est.Abort()
+		h.ests.Put(h.estBuf)
+		h.estBuf = nil
 	}
 	h.pend.clear()
 }

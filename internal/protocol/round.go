@@ -21,22 +21,27 @@ func measure(peer int, s, r, c simtime.Time, span obs.SpanID) Estimate {
 // feeds it Begin, Sent, Reply and Expire or Abort, and keeps for itself
 // whatever maps a wire nonce to a slot and whatever decides when to expire.
 //
-// The zero value is ready to use; buffers are reused across rounds.
+// The zero value is ready to use. A Round owns no buffer: its slots live in
+// storage the driver lends to Begin — the simulator's harness borrows it from
+// its lane for as long as the round is open, a live node lends its own.
 type Round struct {
 	ests []Estimate // slot i answers peers[i]; FailedEstimate until answered
 	left int        // slots still unanswered
 	open bool
 }
 
-// Begin opens a round over peers: slot i answers peers[i]. Every slot starts
-// as the §3.1 failure sentinel (d = 0, a = ∞), so a slot nobody answers
-// already holds what expiry owes it. A round without targets is complete at
-// once. Beginning over a round still open abandons that round.
-func (r *Round) Begin(peers []int) {
-	if cap(r.ests) < len(peers) {
-		r.ests = make([]Estimate, 0, len(peers))
+// Begin opens a round over peers in buf's storage: slot i answers peers[i].
+// Every slot starts as the §3.1 failure sentinel (d = 0, a = ∞), so a slot
+// nobody answers already holds what expiry owes it. buf's contents are
+// overwritten; when it is too short Begin grows it, and Estimates returns the
+// storage the round ended up in, for the driver to keep. A round without
+// targets is complete at once. Beginning over a round still open abandons
+// that round.
+func (r *Round) Begin(peers []int, buf []Estimate) {
+	if cap(buf) < len(peers) {
+		buf = make([]Estimate, 0, len(peers)) // sized once, not doubled up from nil
 	}
-	r.ests = r.ests[:0]
+	r.ests = buf[:0]
 	for _, p := range peers {
 		r.ests = append(r.ests, FailedEstimate(p))
 	}
@@ -72,11 +77,13 @@ func (r *Round) Reply(slot int, s, recv, c simtime.Time, span obs.SpanID) (Estim
 // Expire closes the round: slots still unanswered keep the failure sentinel.
 func (r *Round) Expire() { r.open = false }
 
-// Abort closes the round and discards what it gathered — the processor was
-// taken over or is shutting down, and nothing may be decided from it.
+// Abort closes the round and lets go of its storage: what it gathered can no
+// longer be read. A driver aborts when nothing may be decided from the round
+// — the processor was taken over or is shutting down — and when it hands the
+// storage back after the round was decided.
 func (r *Round) Abort() {
 	r.open = false
-	r.ests = r.ests[:0]
+	r.ests = nil
 }
 
 // Open reports whether the round still accepts replies.
@@ -85,6 +92,7 @@ func (r *Round) Open() bool { return r.open }
 // Answered reports whether slot has been answered.
 func (r *Round) Answered(slot int) bool { return r.ests[slot].OK }
 
-// Estimates returns one estimate per slot, in Begin's order. The slice is
-// reused by the next round; callers keeping anything must copy it.
+// Estimates returns one estimate per slot, in Begin's order, in the storage
+// the driver lent. It is valid until the driver reuses that storage; callers
+// keeping anything must copy it.
 func (r *Round) Estimates() []Estimate { return r.ests }

@@ -17,75 +17,83 @@ import "clocksync/internal/network"
 // promises that a node hears every peer within a Θ window (at n=1024, k=31
 // and twelve rounds per window it reaches at most 372 of its 1,023 peers).
 //
-// The universe is a size and an index function, never a list: the sampler's
-// state is the k picks and nothing else, whatever the size — no per-node
-// permutation and no per-node neighbour slice, which matters at n=4096.
+// The universe is a size and an index function, never a list, and the picks
+// are written into a buffer the sampler borrows for the length of a Sample
+// call: the sampler's state is a handful of words whatever k and the size —
+// no per-node permutation, no per-node neighbour slice, no per-node picks.
 type PeerSampler struct {
 	size  int             // peers in the universe
 	at    func(i int) int // the i-th of them, 0 ≤ i < size
-	all   []int           // the whole universe, set when sampling is a no-op
 	k     int
 	seed  int64
 	node  int
 	round uint64
-	out   []int
+	lend  *network.FreeList[[]int] // where the picks are written
 }
 
 // NewPeerSampler samples k of the given peers per round. When k ≤ 0 or
-// k ≥ len(peers) sampling is a no-op: Sample returns the full universe.
+// k ≥ len(peers) sampling is a no-op: Sample returns the full universe. The
+// sampler writes its picks into a buffer of its own list, so a returned slice
+// is valid until its next Sample.
 func NewPeerSampler(peers []int, k int, seed int64, node int) *PeerSampler {
-	s := &PeerSampler{size: len(peers), k: k, seed: seed, node: node}
-	if k > 0 && k < len(peers) {
-		s.at = func(i int) int { return peers[i] }
-		s.out = make([]int, 0, k)
-	} else {
-		s.all = peers
-	}
-	return s
+	return &PeerSampler{size: len(peers), at: func(i int) int { return peers[i] },
+		k: k, seed: seed, node: node, lend: new(network.FreeList[[]int])}
 }
 
-// NewNeighborSampler samples k of node's topology neighbours per round,
-// reading them through Topology.Neighbor so that no neighbour list is built.
-// When k ≤ 0 or k ≥ the node's degree sampling is a no-op: the node estimates
-// all of its neighbours, and the list is materialised once, here.
-func NewNeighborSampler(topo network.Topology, node, k int, seed int64) *PeerSampler {
-	s := &PeerSampler{size: topo.Degree(node), k: k, seed: seed, node: node}
-	if k > 0 && k < s.size {
-		s.at = func(i int) int { return topo.Neighbor(node, i) }
-		s.out = make([]int, 0, k)
-	} else {
-		s.all = topo.Neighbors(node)
-	}
-	return s
+// NewNeighborSampler samples k of node's neighbours in net's topology per
+// round, reading them through Topology.Neighbor so that no neighbour list is
+// built. When k ≤ 0 or k ≥ the node's degree sampling is a no-op: the node
+// estimates all of its neighbours, written out afresh every round. The picks
+// are written into a buffer of node's lane (network.PayloadList), which every
+// sampler there shares: a returned slice is valid until the next Sample on
+// the lane, which is enough for Harness.EstimateAll — it copies the picks into
+// its round before anything else on the lane runs.
+func NewNeighborSampler(net *network.Network, node, k int, seed int64) *PeerSampler {
+	topo := net.Topology()
+	return &PeerSampler{size: topo.Degree(node), at: func(i int) int { return topo.Neighbor(node, i) },
+		k: k, seed: seed, node: node, lend: network.PayloadList[[]int](net, node)}
 }
 
-// Sample returns this round's peer subset and advances the round counter.
-// The returned slice is reused by the next call; callers must not retain it
-// across rounds (EstimateAll's contract already demands the same of its
-// results).
+// Sample returns this round's peer subset and advances the round counter. The
+// slice lives in a buffer the sampler borrows and gives back before returning
+// it, so callers must not retain it (EstimateAll's contract already demands
+// the same of its results); see the constructors for how long it stays valid.
 func (s *PeerSampler) Sample() []int {
-	if s.at == nil {
-		return s.all
+	buf := s.lend.Get()
+	picks := (*buf)[:0]
+	if s.k <= 0 || s.k >= s.size {
+		for i := range s.size {
+			picks = append(picks, s.at(i))
+		}
+	} else {
+		picks = s.draw(picks)
 	}
+	*buf = picks
+	s.lend.Put(buf)
+	return picks
+}
+
+// draw appends this round's k-subset of the universe to picks and advances
+// the round counter.
+func (s *PeerSampler) draw(picks []int) []int {
 	round := s.round
 	s.round++
 	// Floyd's algorithm: k uniform draws, no rejection loop beyond the
 	// single duplicate fallback. The universe's index function is injective,
-	// so "index t already picked" is "peer at(t) already in out" — a scan of
+	// so "index t already picked" is "peer at(t) already in picks" — a scan of
 	// at most k entries, which at the k a sampled round uses beats hashing.
 	src := network.SplitMix64{State: samplerKey(s.seed, s.node, round)}
-	s.out = s.out[:0]
 	for j := s.size - s.k; j < s.size; j++ {
 		p := s.at(int(src.Uint64() % uint64(j+1)))
-		for _, q := range s.out {
+		for _, q := range picks {
 			if q == p {
 				p = s.at(j)
 				break
 			}
 		}
-		s.out = append(s.out, p)
+		picks = append(picks, p)
 	}
-	return s.out
+	return picks
 }
 
 // samplerKey hashes (seed, node, round) into the round's draw-stream seed.

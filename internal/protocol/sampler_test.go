@@ -4,8 +4,16 @@ import (
 	"math"
 	"testing"
 
+	"clocksync/internal/des"
 	"clocksync/internal/network"
+	"clocksync/internal/simtime"
 )
+
+// onNet wires topo into a one-lane network, the neighbour sampler's source of
+// topology and of the buffer it writes its picks into.
+func onNet(topo network.Topology) *network.Network {
+	return network.New(des.New(1), topo, network.ConstantDelay{D: simtime.Millisecond})
+}
 
 func TestPeerSamplerSubset(t *testing.T) {
 	peers := make([]int, 20)
@@ -106,7 +114,7 @@ func TestPeerSamplerNoAllocsSteadyState(t *testing.T) {
 // that by themselves, and at n=16, k=7 no peer goes unseen for 30 rounds.
 func TestPeerSamplerUniformCoverage(t *testing.T) {
 	const n, k, rounds, self = 1024, 31, 3000, 5
-	s := NewNeighborSampler(network.NewFullMesh(n), self, k, 1)
+	s := NewNeighborSampler(onNet(network.NewFullMesh(n)), self, k, 1)
 	counts := make([]int, n)
 	for r := 0; r < rounds; r++ {
 		for _, p := range s.Sample() {
@@ -125,7 +133,7 @@ func TestPeerSamplerUniformCoverage(t *testing.T) {
 	}
 
 	const small, ks, window = 16, 7, 30
-	s = NewNeighborSampler(network.NewFullMesh(small), 0, ks, 1)
+	s = NewNeighborSampler(onNet(network.NewFullMesh(small)), 0, ks, 1)
 	lastSeen := make([]int, small)
 	var prev [small]bool
 	repeats := 0
@@ -158,9 +166,10 @@ func TestPeerSamplerUniformCoverage(t *testing.T) {
 // graph — and a no-op k hands back the whole neighbourhood.
 func TestNeighborSamplerMatchesListSampler(t *testing.T) {
 	for _, topo := range []network.Topology{network.NewFullMesh(40), network.NewCirculant(40, 12)} {
+		net := onNet(topo)
 		for _, node := range []int{0, 17, 39} {
 			list := topo.Neighbors(node)
-			a, b := NewNeighborSampler(topo, node, 5, 99), NewPeerSampler(list, 5, 99, node)
+			a, b := NewNeighborSampler(net, node, 5, 99), NewPeerSampler(list, 5, 99, node)
 			for round := 0; round < 100; round++ {
 				x, y := a.Sample(), b.Sample()
 				if len(x) != 5 {
@@ -173,7 +182,7 @@ func TestNeighborSamplerMatchesListSampler(t *testing.T) {
 				}
 			}
 			for _, k := range []int{0, len(list), len(list) + 3} {
-				got := NewNeighborSampler(topo, node, k, 99).Sample()
+				got := NewNeighborSampler(net, node, k, 99).Sample()
 				if len(got) != len(list) {
 					t.Fatalf("%T node %d k=%d: %d peers, want all %d", topo, node, k, len(got), len(list))
 				}

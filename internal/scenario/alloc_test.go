@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"clocksync/internal/des"
@@ -72,11 +73,11 @@ func TestClusterMinuteAllocBudget(t *testing.T) {
 }
 
 // sampledMinuteBytesPerNode is what one simulated minute of an n-processor
-// cluster in sparse-estimation mode (k=31, f=10) allocates, per processor, on
-// a reused one-shard simulator — the benchmark's sim_sampled_n1024 regime at
-// other sizes.
-func sampledMinuteBytesPerNode(t *testing.T, n int) float64 {
-	s := sampledMinute("sampled-minute", n, 10, 31, 1)
+// cluster in sparse-estimation mode (k sampled peers, f = min(10, (k−1)/2))
+// allocates, per processor, on a reused one-shard simulator — the benchmark's
+// sim_sampled_n1024 regime (k=31) at other sizes.
+func sampledMinuteBytesPerNode(t *testing.T, n, k int) float64 {
+	s := sampledMinute("sampled-minute", n, min(10, (k-1)/2), k, 1)
 	var before, after runtime.MemStats
 	for seed := int64(0); seed < 2; seed++ { // the first run sizes the event arena
 		s.Seed = seed
@@ -90,34 +91,51 @@ func sampledMinuteBytesPerNode(t *testing.T, n int) float64 {
 }
 
 // TestSampledStateAllocFlatInN pins the property E21's "per-node cost flat in
-// n" rests on: a processor that samples k peers holds O(k) state — k picks,
-// k estimates, one (k+1)-vector of selection scratch — and nothing that grows
-// with the cluster, no neighbour list included. Measured 8.1–8.3 KB per
-// processor per simulated minute at n = 256, 2048 and 4096 alike with a
-// pending-window entry per ping and a copy of the estimates per round; with
-// the two (n−1)-long neighbour slices and the per-processor ping map this
-// replaced it was 24 KB at n=256 and 84 KB at n=4096. Since a round became
-// the only record of its pings and readings — no window ring, no copy of the
-// estimates, one selection buffer — it is 3.8 / 3.7 / 3.7 KB.
+// n" rests on, and that the cost is flat in k too: a processor that samples k
+// peers owns no round-sized state at all. Its picks, estimates and selection
+// scratch are lent for the length of a round — by its lane, and by the
+// convergence function's pool — so what grows with k is per lane, not per
+// processor, and no neighbour list exists. Measured 8.1–8.3 KB per processor
+// per simulated minute at n = 256, 2048 and 4096 alike with a pending-window
+// entry per ping and a copy of the estimates per round (24 KB at n=256 and
+// 84 KB at n=4096 with the two (n−1)-long neighbour slices and the
+// per-processor ping map before that); 3.8 / 3.7 / 3.7 KB once a round became
+// the only record of its pings and readings, when k = 7 / 31 / 63 at n=1024
+// took 2.3 / 3.7 / 5.7 KB; and 2.1 / 1.9 / 1.9 KB, with k = 7 / 31 / 63 at
+// 1.9 / 2.0 / 2.0 KB, since the round's buffers are lent.
 func TestSampledStateAllocFlatInN(t *testing.T) {
 	if raceEnabled {
 		t.Skip("byte counts include race-detector bookkeeping")
 	}
-	const budget = 5 << 10
+	const budget = 2560
 	sizes := []int{2048}
 	if !testing.Short() {
 		sizes = append(sizes, 4096)
 	}
-	base := sampledMinuteBytesPerNode(t, 256)
+	base := sampledMinuteBytesPerNode(t, 256, 31)
 	if base > budget {
 		t.Errorf("n=256: %.0f bytes per node per minute over budget %d", base, budget)
 	}
 	for _, n := range sizes {
-		if got := sampledMinuteBytesPerNode(t, n); got > 1.1*base || got > budget {
+		if got := sampledMinuteBytesPerNode(t, n, 31); got > 1.1*base || got > budget {
 			t.Errorf("n=%d: %.0f bytes per node per minute, n=256 took %.0f — want within 10%% and under %d: per-node state grows with n",
 				n, got, base, budget)
 		} else {
 			t.Logf("n=%d: %.0f bytes per node per minute (n=256: %.0f)", n, got, base)
 		}
+	}
+	var perK []float64
+	for _, k := range []int{7, 31, 63} {
+		got := sampledMinuteBytesPerNode(t, 1024, k)
+		if got > budget {
+			t.Errorf("n=1024 k=%d: %.0f bytes per node per minute over budget %d", k, got, budget)
+		}
+		perK = append(perK, got)
+	}
+	if lo, hi := slices.Min(perK), slices.Max(perK); hi > 1.1*lo {
+		t.Errorf("n=1024, k = 7 / 31 / 63: %.0f / %.0f / %.0f bytes per node per minute — want within 10%%: per-node state grows with k",
+			perK[0], perK[1], perK[2])
+	} else {
+		t.Logf("n=1024, k = 7 / 31 / 63: %.0f / %.0f / %.0f bytes per node per minute", perK[0], perK[1], perK[2])
 	}
 }

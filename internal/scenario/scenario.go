@@ -469,10 +469,14 @@ func Run(s Scenario) (*Result, error) {
 		sim.RunUntil(simtime.Time(s.Duration))
 	}
 
+	var stats []core.Stats // one slice behind every SyncStats entry
 	for i, sn := range syncNodes {
 		if sn != nil {
-			st := sn.Stats()
-			res.SyncStats[i] = &st
+			if stats == nil {
+				stats = make([]core.Stats, s.N)
+			}
+			stats[i] = sn.Stats()
+			res.SyncStats[i] = &stats[i]
 		}
 	}
 
@@ -513,7 +517,11 @@ func SyncBuilder(mutate func(*core.Config, BuildContext)) Builder {
 			SampleSeed:  sc.Seed,
 		}
 		if mutate != nil {
-			mutate(&cfg, ctx)
+			// Only this copy's address leaves the builder, so only a mutated
+			// build moves a Config to the heap.
+			mutated := cfg
+			mutate(&mutated, ctx)
+			return core.New(ctx.Harness, mutated)
 		}
 		return core.New(ctx.Harness, cfg)
 	}
