@@ -260,9 +260,10 @@ func TestRoundRecordsOneSpanSet(t *testing.T) {
 	}
 }
 
-// TestRoundSteadyStateAllocFree pins the machine's buffer reuse: once warm,
-// begin → n replies → close → record costs no allocation (an untraced live
-// node runs exactly this every round).
+// TestRoundSteadyStateAllocFree pins the machine's steady state: once warm,
+// with the driver lending the same storage every round and the selection
+// drawing pooled scratch, begin → n replies → close → record costs no
+// allocation (an untraced live node runs exactly this every round).
 func TestRoundSteadyStateAllocFree(t *testing.T) {
 	const n = 16
 	peers := make([]int, n)

@@ -252,8 +252,8 @@ func TestStaleRoundAlarmExpiresNothing(t *testing.T) {
 }
 
 // A steady-state round that ends by timeout allocates nothing: the pings ride
-// pooled payloads, the pending window and round scratch are sized, and the one
-// alarm's callback was bound when the harness was built.
+// pooled payloads, the estimates a buffer the lane lends again every round,
+// and the one alarm's callback was bound when the harness was built.
 func TestRoundTimeoutAllocFree(t *testing.T) {
 	r := newRig(t, 3, network.ConstantDelay{D: simtime.Millisecond})
 	r.hs[2].Corrupt(silent{})
@@ -264,7 +264,7 @@ func TestRoundTimeoutAllocFree(t *testing.T) {
 		r.hs[0].EstimateAll(peers, 50*simtime.Millisecond, done)
 		r.sim.Run()
 	}
-	round() // sizes the arena, the payload lists and the round scratch
+	round() // sizes the arena, the payload lists and the lane's round buffer
 	allocs := testing.AllocsPerRun(100, round)
 	if allocs != 0 {
 		t.Errorf("round ending by timeout: %v allocs per round, want 0", allocs)

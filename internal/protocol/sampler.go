@@ -17,13 +17,15 @@ import "clocksync/internal/network"
 // promises that a node hears every peer within a Θ window (at n=1024, k=31
 // and twelve rounds per window it reaches at most 372 of its 1,023 peers).
 //
-// The universe is a size and an index function, never a list, and the picks
-// are written into a buffer the sampler borrows for the length of a Sample
-// call: the sampler's state is a handful of words whatever k and the size —
-// no per-node permutation, no per-node neighbour slice, no per-node picks.
+// The universe is the caller's list or, for a topology node, its i-th-neighbour
+// function — never a list built for it — and the picks are written into a
+// buffer the sampler borrows for the length of a Sample call: the sampler's
+// state is a handful of words whatever k and the size — no per-node
+// permutation, no per-node neighbour slice, no per-node picks.
 type PeerSampler struct {
-	size  int             // peers in the universe
-	at    func(i int) int // the i-th of them, 0 ≤ i < size
+	peers []int            // the universe, when it was given as a list
+	topo  network.Topology // otherwise node's neighbours in topo
+	size  int              // peers in the universe
 	k     int
 	seed  int64
 	node  int
@@ -36,8 +38,8 @@ type PeerSampler struct {
 // sampler writes its picks into a buffer of its own list, so a returned slice
 // is valid until its next Sample.
 func NewPeerSampler(peers []int, k int, seed int64, node int) *PeerSampler {
-	return &PeerSampler{size: len(peers), at: func(i int) int { return peers[i] },
-		k: k, seed: seed, node: node, lend: new(network.FreeList[[]int])}
+	return &PeerSampler{peers: peers, size: len(peers), k: k, seed: seed, node: node,
+		lend: new(network.FreeList[[]int])}
 }
 
 // NewNeighborSampler samples k of node's neighbours in net's topology per
@@ -50,8 +52,16 @@ func NewPeerSampler(peers []int, k int, seed int64, node int) *PeerSampler {
 // its round before anything else on the lane runs.
 func NewNeighborSampler(net *network.Network, node, k int, seed int64) *PeerSampler {
 	topo := net.Topology()
-	return &PeerSampler{size: topo.Degree(node), at: func(i int) int { return topo.Neighbor(node, i) },
-		k: k, seed: seed, node: node, lend: network.PayloadList[[]int](net, node)}
+	return &PeerSampler{topo: topo, size: topo.Degree(node), k: k, seed: seed, node: node,
+		lend: network.PayloadList[[]int](net, node)}
+}
+
+// at returns the i-th peer of the universe, 0 ≤ i < size.
+func (s *PeerSampler) at(i int) int {
+	if s.peers != nil {
+		return s.peers[i]
+	}
+	return s.topo.Neighbor(s.node, i)
 }
 
 // Sample returns this round's peer subset and advances the round counter. The
