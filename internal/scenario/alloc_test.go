@@ -48,7 +48,8 @@ func clusterMinuteAllocs(t *testing.T, n, runs int, check bool) float64 {
 // the report without a second copy took n=7 from ~504 to ~187 and n=256 from
 // ~14,250 to ~9,690, and keeping a round's pings and readings in the round
 // alone (no window ring, no estimate copy, one selection buffer) n=7 to ~174
-// and n=256 to ~9,180. What is left is per run, not per ping or per sample: the
+// and n=256 to ~9,180, and lending a round's buffers from the lane n=7 to
+// ~153 and n=256 to ~7,930. What is left is per run, not per ping or per sample: the
 // envelopes and payloads in flight at the peak (the network is rebuilt every
 // run), each node's state and the reserved logs. The last row budgets the cost
 // of observing itself: the online checker reads the recorder's samples, so it
@@ -60,11 +61,11 @@ func TestClusterMinuteAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts include race-detector bookkeeping")
 	}
-	plain := clusterMinuteAllocs(t, 7, 50, false) // measured 174
+	plain := clusterMinuteAllocs(t, 7, 50, false) // measured 153
 	if plain > 240 {
 		t.Errorf("cluster minute n=7: %v allocs per run over budget 240 — a payload, event or sample path stopped pooling", plain)
 	}
-	if big := clusterMinuteAllocs(t, 256, 2, false); big > 12_000 { // measured 9,176
+	if big := clusterMinuteAllocs(t, 256, 2, false); big > 12_000 { // measured 7,932
 		t.Errorf("cluster minute n=256: %v allocs per run over budget 12000 — a payload, event or sample path stopped pooling", big)
 	}
 	if extra := clusterMinuteAllocs(t, 7, 50, true) - plain; extra > 32 { // measured +9
@@ -101,8 +102,8 @@ func sampledMinuteBytesPerNode(t *testing.T, n, k int) float64 {
 // 84 KB at n=4096 with the two (n−1)-long neighbour slices and the
 // per-processor ping map before that); 3.8 / 3.7 / 3.7 KB once a round became
 // the only record of its pings and readings, when k = 7 / 31 / 63 at n=1024
-// took 2.3 / 3.7 / 5.7 KB; and 2.1 / 1.9 / 1.9 KB, with k = 7 / 31 / 63 at
-// 1.9 / 2.0 / 2.0 KB, since the round's buffers are lent.
+// took 2.3 / 3.7 / 5.7 KB; and 2.0 / 1.8 / 1.8 KB, with k = 7 / 31 / 63 at
+// 1.75 / 1.83 / 1.93 KB, since the round's buffers are lent.
 func TestSampledStateAllocFlatInN(t *testing.T) {
 	if raceEnabled {
 		t.Skip("byte counts include race-detector bookkeeping")

@@ -469,12 +469,9 @@ func Run(s Scenario) (*Result, error) {
 		sim.RunUntil(simtime.Time(s.Duration))
 	}
 
-	var stats []core.Stats // one slice behind every SyncStats entry
+	stats := make([]core.Stats, s.N) // one slice behind every SyncStats entry
 	for i, sn := range syncNodes {
 		if sn != nil {
-			if stats == nil {
-				stats = make([]core.Stats, s.N)
-			}
 			stats[i] = sn.Stats()
 			res.SyncStats[i] = &stats[i]
 		}
