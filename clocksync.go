@@ -167,7 +167,8 @@ func RunScenario(s Scenario, opts ...RunOption) (*Result, error) {
 // Sweep runs independently-built scenarios, one per seed, concurrently,
 // returning results in seed order. When some seeds fail, the successful
 // results are still returned (failed seeds leave nil slots) alongside an
-// error joining one descriptive error per failed seed.
+// error joining one descriptive error per failed seed. Each worker reuses
+// one simulator across its seeds, so a result run on it has a nil Sim.
 func Sweep(mk func(seed int64) Scenario, seeds []int64) ([]*Result, error) {
 	return scenario.Sweep(mk, seeds)
 }

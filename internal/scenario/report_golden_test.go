@@ -16,15 +16,21 @@ import (
 	"clocksync/internal/simtime"
 )
 
-// reportFingerprint reduces one run's measurement plane to a line: a SHA-256
-// over every sample (instant, biases, good set and deviation, as bits) and
-// over every field of the report, recoveries included.
+// reportFingerprint runs s and reduces its measurement plane to a line (see
+// fingerprint).
 func reportFingerprint(t *testing.T, label string, s scenario.Scenario) string {
 	t.Helper()
 	res, err := scenario.Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return fingerprint(label, res)
+}
+
+// fingerprint reduces one run's measurement plane to a line: a SHA-256 over
+// every sample (instant, biases, good set and deviation, as bits) and over
+// every field of the report, recoveries included.
+func fingerprint(label string, res *scenario.Result) string {
 	h := sha256.New()
 	word := func(v uint64) {
 		var b [8]byte

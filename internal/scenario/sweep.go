@@ -29,7 +29,9 @@ func newWorkerSim() *des.Sim { return des.New(0) }
 // goroutines per entry point instead of multiplying
 // (TestWorkerBudgetComposes pins the ceiling). Each worker reuses one
 // simulator arena across its seeds via ReuseSim, so steady-state sweeping
-// allocates per run, not per event.
+// allocates per run, not per event. A result run on a simulator Sweep lent
+// has a nil Sim: the worker resets that simulator for its next seed. When mk's
+// scenario brings its own ReuseSim, Result.Sim is that simulator.
 //
 // When some seeds fail, Sweep still returns every successful result (failed
 // seeds leave a nil slot, preserving seed order) alongside an error joining
@@ -56,10 +58,14 @@ func Sweep(mk func(seed int64) Scenario, seeds []int64) ([]*Result, error) {
 			if s.Name != "" {
 				s.Name = fmt.Sprintf("%s/seed%d", s.Name, seed)
 			}
-			if s.ReuseSim == nil && s.Shards == 0 && s.ReuseSharded == nil {
+			lent := s.ReuseSim == nil && s.Shards == 0 && s.ReuseSharded == nil
+			if lent {
 				s.ReuseSim = sim
 			}
 			results[i], errs[i] = Run(s)
+			if lent && results[i] != nil {
+				results[i].Sim = nil
+			}
 		}
 	}
 	helpers := des.AcquireWorkers(len(seeds) - 1)

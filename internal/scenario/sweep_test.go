@@ -241,3 +241,43 @@ func TestSweepMidFailureOrderingAndJoin(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepResultsDoNotAliasLentSim: a sweep worker resets the simulator it
+// lends for its next seed, so a result run on it must not hand it out. With
+// the worker pool drained, the calling goroutine runs every seed on one
+// simulator. A simulator mk supplies is the caller's and stays on the result.
+func TestSweepResultsDoNotAliasLentSim(t *testing.T) {
+	held := des.AcquireWorkers(runtime.GOMAXPROCS(0))
+	defer des.ReleaseWorkers(held)
+	short := func() Scenario {
+		s := baseScenario()
+		s.Duration = simtime.Minute
+		return s
+	}
+	results, err := Sweep(func(int64) Scenario { return short() }, []int64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Sim != nil {
+			t.Errorf("seed %d's result holds the worker's simulator, since reset by later seeds (Fired %d)",
+				r.Scenario.Seed, r.Sim.Fired())
+		}
+		if i > 0 && r.Report.MeanDeviation == results[0].Report.MeanDeviation {
+			t.Errorf("seeds %d and %d measured the same mean deviation", results[0].Scenario.Seed, r.Scenario.Seed)
+		}
+	}
+
+	own := des.New(0)
+	results, err = Sweep(func(int64) Scenario {
+		s := short()
+		s.ReuseSim = own
+		return s
+	}, []int64{4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results[0].Sim != own {
+		t.Errorf("a sweep result dropped the simulator its scenario brought (Sim = %p, want %p)", results[0].Sim, own)
+	}
+}
