@@ -60,8 +60,8 @@ func TestRunScenarioOptions(t *testing.T) {
 // TestRunScenarioScaleOptions exercises the scaling surface: WithShards runs
 // the scenario on the sharded event queue and WithPeerSampling switches to
 // sparse estimation, without mutating the caller's Scenario — and the
-// sharded run's report matches the serial reference exactly (the shard-count
-// determinism contract, exposed through the public API).
+// sharded run's report matches the one-shard reference exactly (the
+// shard-count determinism contract, exposed through the public API).
 func TestRunScenarioScaleOptions(t *testing.T) {
 	s := smallScenario()
 	s.N, s.F = 16, 2
@@ -90,7 +90,7 @@ func TestRunScenarioScaleOptions(t *testing.T) {
 		t.Error("RunScenario accepted SamplePeers 3 < 2f+1 = 5")
 	}
 
-	// WithShards(1) is the sharded engine's serial reference; any shard
+	// WithShards(1) is the sharded engine's one-shard reference; any shard
 	// count must produce identical observables.
 	ref, err := clocksync.RunScenario(s, clocksync.WithPeerSampling(7), clocksync.WithShards(1))
 	if err != nil {

@@ -145,9 +145,9 @@ func WithPeerSampling(k int) RunOption {
 // WithShards runs the simulation on a sharded event queue: nodes are
 // partitioned across shards whose queues execute concurrently inside
 // conservative lookahead windows bounded by the delay model's minimum link
-// delay. Observable results are independent of the shard count — n=1 is the
-// serial reference — so sharding is purely a wall-clock optimization for
-// large n. Requires a delay model with a positive minimum delay
+// delay. Observable results are independent of the shard count, and a run at
+// any n sends, drops and adjusts as the serial engine does — both are
+// references — so sharding is purely a wall-clock optimization for large n. Requires a delay model with a positive minimum delay
 // (network.MinBounder); incompatible with serial-only surfaces (observers,
 // tracing, the online checker). See docs/PERFORMANCE.md, "Scaling the
 // simulator".

@@ -3,10 +3,13 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"clocksync/internal/campaign"
 )
 
 func TestHonestCampaignExitsClean(t *testing.T) {
@@ -60,14 +63,28 @@ func TestMutateCampaignFailsAndWritesJSONL(t *testing.T) {
 }
 
 // The checker records at most 64 violations per run; what it saw beyond that
-// must show in the summary, not vanish from the total. Seed 8 overflows.
+// must show in the summary, not vanish from the total. The summary's figure is
+// the campaign's own total (the command's defaults are the campaign's), and
+// some churn! run among the first eight overflows.
 func TestDroppedViolationsInSummary(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-runs", "8", "-seed", "1", "-family", "churn!"}, &out); err == nil {
 		t.Fatalf("churn! campaign exited clean:\n%s", out.String())
 	}
-	if !strings.Contains(out.String(), "violations recorded + 1 dropped past the per-run record cap\n") {
-		t.Fatalf("summary hides the dropped violation:\n%s", out.String())
+	mix, err := campaign.ParseFamilyMix("churn!")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := campaign.Run(campaign.Config{Runs: 8, Seed: 1, Families: mix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalDropped == 0 {
+		t.Fatal("no churn! run overflowed the per-run record cap")
+	}
+	want := fmt.Sprintf("violations recorded + %d dropped past the per-run record cap\n", res.TotalDropped)
+	if !strings.Contains(out.String(), want) {
+		t.Fatalf("summary hides the %d dropped violations:\n%s", res.TotalDropped, out.String())
 	}
 }
 

@@ -1,6 +1,9 @@
 package adversary
 
 import (
+	"math"
+
+	"clocksync/internal/network"
 	"clocksync/internal/protocol"
 	"clocksync/internal/simtime"
 )
@@ -50,14 +53,19 @@ func (ClockSmash) OnRelease(*protocol.Harness, simtime.Time) {}
 
 // RandomLiar answers every request with the true clock plus independent
 // uniform noise in [−Amplitude, +Amplitude] — an unsophisticated but noisy
-// Byzantine fault.
+// Byzantine fault. The noise is keyed by (seed, liar, requester, instant).
 type RandomLiar struct {
 	Amplitude simtime.Duration
 }
 
+const liarTag = 0x3C6EF372FE94F82B // network.Key's tag for the noise
+
 // RespondTime implements protocol.Behavior.
-func (b RandomLiar) RespondTime(h *protocol.Harness, _ int, now simtime.Time) (simtime.Time, bool) {
-	noise := simtime.Duration((h.Sim().Rand().Float64()*2 - 1) * float64(b.Amplitude))
+func (b RandomLiar) RespondTime(h *protocol.Harness, peer int, now simtime.Time) (simtime.Time, bool) {
+	src := network.SplitMix64{State: network.Key(h.Sim().Seed(), liarTag,
+		uint64(h.ID()), uint64(peer), math.Float64bits(float64(now)))}
+	u := float64(src.Uint64()>>11) / (1 << 53) // uniform in [0, 1)
+	noise := simtime.Duration((u*2 - 1) * float64(b.Amplitude))
 	return h.Clock().Now(now).Add(noise), true
 }
 

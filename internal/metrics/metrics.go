@@ -288,14 +288,12 @@ func (r *Recorder) live() {
 	}
 }
 
-// AdjustHook returns a function suitable for protocol.Harness.OnAdjust for
-// processor id.
-func (r *Recorder) AdjustHook(id int) func(simtime.Time, simtime.Duration) {
-	return func(at simtime.Time, delta simtime.Duration) {
-		r.adjusts[id] = append(r.adjusts[id], adjustRecord{at: at, delta: delta})
-		if !r.sharded {
-			r.TakeSample(at)
-		}
+// Adjust logs processor id's adjustment by delta at instant at and, on the
+// serial engine, samples that instant: it is protocol.Harness.OnAdjust's work.
+func (r *Recorder) Adjust(id int, at simtime.Time, delta simtime.Duration) {
+	r.adjusts[id] = append(r.adjusts[id], adjustRecord{at: at, delta: delta})
+	if !r.sharded {
+		r.TakeSample(at)
 	}
 }
 

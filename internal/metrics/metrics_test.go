@@ -79,10 +79,9 @@ func TestSampleOnAdjust(t *testing.T) {
 	sim := des.New(1)
 	clocks := mkClocks([]simtime.Duration{0, 0}, nil)
 	rec := NewRecorder(sim, clocks, adversary.Schedule{}, 100)
-	hook := rec.AdjustHook(0)
 	sim.At(3, func() {
 		clocks[0].Adjust(0.5)
-		hook(3, 0.5)
+		rec.Adjust(0, 3, 0.5)
 	})
 	sim.Run()
 	if len(rec.Samples()) != 1 {
@@ -98,10 +97,9 @@ func TestAdjustHookTracksDiscontinuity(t *testing.T) {
 	sim := des.New(1)
 	clocks := mkClocks([]simtime.Duration{0, 0}, nil)
 	rec := NewRecorder(sim, clocks, adversary.Schedule{}, 100)
-	hook := rec.AdjustHook(1)
-	hook(5, 0.02)
-	hook(6, -0.07)
-	hook(7, 0.01)
+	rec.Adjust(1, 5, 0.02)
+	rec.Adjust(1, 6, -0.07)
+	rec.Adjust(1, 7, 0.01)
 	rep := rec.BuildReport(ReportOptions{})
 	if math.Abs(float64(rep.MaxDiscontinuity)-0.07) > 1e-12 {
 		t.Fatalf("discontinuity: got %v, want 0.07", rep.MaxDiscontinuity)
@@ -121,10 +119,9 @@ func TestDiscontinuityExcludesRecoveringProcessors(t *testing.T) {
 		{Node: 1, From: 10, To: 20, Behavior: adversary.Crash{}},
 	}}
 	rec := NewRecorder(sim, clocks, sched, 100)
-	hook := rec.AdjustHook(1)
-	hook(25, -40) // recovery jump, 5 s after release (< Θ)
-	hook(125, 0.01)
-	hook(130, -0.02) // steady state, > Θ after release
+	rec.Adjust(1, 25, -40) // recovery jump, 5 s after release (< Θ)
+	rec.Adjust(1, 125, 0.01)
+	rec.Adjust(1, 130, -0.02) // steady state, > Θ after release
 	rep := rec.BuildReport(ReportOptions{})
 	if math.Abs(float64(rep.MaxAdjustment)-40) > 1e-12 {
 		t.Fatalf("MaxAdjustment: got %v, want 40", rep.MaxAdjustment)
@@ -147,11 +144,11 @@ func TestPerNodeAdjustLogs(t *testing.T) {
 	rec := NewRecorder(sim, clocks, sched, 100)
 	rec.EnableSharded()
 	rec.Reserve(4, 1)
-	rec.AdjustHook(0)(150, 0.03)
+	rec.Adjust(0, 150, 0.03)
 	for i, d := range []simtime.Duration{0.01, -0.05, 0.02} { // two past node 1's share
-		rec.AdjustHook(1)(simtime.Time(130+i), d)
+		rec.Adjust(1, simtime.Time(130+i), d)
 	}
-	rec.AdjustHook(2)(25, 9) // a recovery jump: counts only as an adjustment
+	rec.Adjust(2, 25, 9) // a recovery jump: counts only as an adjustment
 	if got := len(rec.Samples()); got != 0 {
 		t.Fatalf("a sharded recorder took %d samples at adjustments, want 0", got)
 	}
@@ -473,7 +470,7 @@ func TestLateReservePanics(t *testing.T) {
 		"after a sample": func(r *Recorder) { r.TakeSample(1) },
 		"after an adjustment": func(r *Recorder) {
 			r.EnableSharded() // log the adjustment without sampling it
-			r.AdjustHook(1)(1, 0.01)
+			r.Adjust(1, 1, 0.01)
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -499,20 +496,18 @@ func TestReserveFromReleasedAllocFree(t *testing.T) {
 	clocks := mkClocks([]simtime.Duration{0, 0.1, -0.2, 0.3, 5, -1, 0.05}, nil)
 	const runs = 50
 	recs := make([]*Recorder, runs+1) // AllocsPerRun adds one warm-up call
-	hooks := make([]func(simtime.Time, simtime.Duration), len(recs))
 	for i := range recs {
 		recs[i] = NewRecorder(des.New(1), clocks, adversary.Schedule{}, 100)
-		hooks[i] = recs[i].AdjustHook(3)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(runs, func() {
-		rec, adjust := recs[i], hooks[i]
+		rec := recs[i]
 		i++
 		rec.Reserve(17, 4)
 		for at := simtime.Time(0); at < 16; at++ {
 			rec.TakeSample(at)
 		}
-		adjust(16, 0.01) // the seventeenth sample
+		rec.Adjust(3, 16, 0.01) // the seventeenth sample
 		rec.BuildReport(ReportOptions{})
 		rec.Release()
 	})

@@ -91,7 +91,9 @@ func runScript(label string, n *Network, start func(id int) *des.Sim, run func(s
 // delays, 10 % drops, every delivery sending the next messages until 2,000
 // have been sent) on a serial network and on a three-shard network. Per node,
 // deliveries arrive in a deterministic order on both engines; how a sharded
-// run interleaves them across shards is not, so the digest is per node.
+// run interleaves them across shards is not, so the digest is per node. Every
+// draw is keyed per message, so the two engines deliver the same messages at
+// the same instants: their lines differ only in the label.
 // Regenerate deliberately with:
 //
 //	go test ./internal/network -run TestDeliveryGolden -update
@@ -107,6 +109,9 @@ func TestDeliveryGolden(t *testing.T) {
 	sharded := runScript("shards=3", NewSharded(ps, topo, delay, 7),
 		func(id int) *des.Sim { return ps.Shard(ps.ShardOf(id)) }, ps.RunUntil)
 
+	if strings.ReplaceAll(serial, "serial ", "shards=3 ") != sharded {
+		t.Errorf("the serial and sharded engines delivered differently:\n%s\n%s", serial, sharded)
+	}
 	got := serial + sharded
 	path := filepath.Join("testdata", "delivery.golden")
 	if *update {

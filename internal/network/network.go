@@ -43,12 +43,12 @@ const nominalSize = 32
 
 // Network is the simulated authenticated message layer. It runs over lanes: a
 // lane is one event queue plus what that queue owns — its envelope and
-// payload free lists, its random source and its outbox of messages bound for
-// other lanes. A network over a serial simulator has one lane, whose draws
-// continue the simulator's own stream; a network over a sharded simulator has
-// one lane per shard (see NewSharded). Every processor belongs to one lane:
-// its sends draw there and its deliveries land there, so a lane's state is
-// touched only by the goroutine running its queue, and needs no lock.
+// payload free lists, its draw stream, rekeyed per message, and its outbox of
+// messages bound for other lanes. A network over a serial simulator has one
+// lane, one over a sharded simulator one lane per shard (see NewSharded).
+// Every processor belongs to one lane: its sends draw there and its deliveries
+// land there, so a lane's state is touched only by the goroutine running its
+// queue, and needs no lock.
 type Network struct {
 	topo  Topology
 	delay DelayModel
@@ -59,14 +59,14 @@ type Network struct {
 	// the analytic bounds leave this at zero.
 	DropProb float64
 
-	// seed keys the per-message draws of keyed lanes, and lookahead is the
-	// shortest delay a message may take to another lane.
+	// seed keys the per-message draws, and lookahead is the shortest delay a
+	// message may take to another lane.
 	seed      int64
 	lookahead simtime.Duration
 }
 
 // node is one processor's entry: its handler, its traffic counters, the lane
-// that runs it, and — for keyed lanes — the count of messages it has sent.
+// that runs it, and the count of messages it has sent.
 type node struct {
 	handler  Handler
 	counters Counters
@@ -74,13 +74,12 @@ type node struct {
 	seq      uint64
 }
 
-// lane is one event queue's share of the network. key is nil when rng
-// continues the simulator's stream; otherwise rng draws from key, which Send
-// rekeys per message.
+// lane is one event queue's share of the network. rng draws from src, which
+// Send rekeys per message.
 type lane struct {
 	sim      *des.Sim
-	rng      *rand.Rand
-	key      *SplitMix64
+	src      SplitMix64
+	rng      rand.Rand
 	free     []*envelope
 	payloads []any // the lane's FreeLists, one per payload or buffer type
 	outbox   []pending
@@ -100,11 +99,12 @@ type pending struct {
 	env *envelope
 }
 
-// New wires a one-lane network over a serial simulator. Its drop and latency
-// draws come from sim.Rand(), in send order.
+// New wires a one-lane network over a serial simulator, keyed by the
+// simulator's seed.
 func New(sim *des.Sim, topo Topology, delay DelayModel) *Network {
-	n := newNetwork(topo, delay, 1)
-	n.lanes[0] = &lane{sim: sim, rng: sim.Rand()}
+	n := newNetwork(topo, delay, sim.Seed(), 1)
+	n.lanes[0] = &lane{sim: sim}
+	n.lanes[0].rng = *rand.New(&n.lanes[0].src)
 	return n
 }
 
@@ -115,33 +115,32 @@ func New(sim *des.Sim, topo Topology, delay DelayModel) *Network {
 // conservativeness puts its delivery at or beyond the window bound, so no
 // shard misses a delivery it should have seen.
 //
-// Draws must not depend on the partition, so no message draws from a shard's
-// own source: every send rekeys its lane's splitmix64 stream from a hash of
-// (seed, from, to, the sender's message count), which makes a message's drop
-// and latency a function of its sender's history alone. The delay model's
-// MinBound must be a true minimum ≥ the simulator's lookahead; a sampled
-// cross-shard latency below the lookahead panics, since it would break the
-// conservative window and silently misorder events.
+// Draws are keyed per message, as on the serial engine, so they do not depend
+// on the partition. The delay model's MinBound must be a true minimum ≥ the
+// simulator's lookahead; a sampled cross-shard latency below the lookahead
+// panics, since it would break the conservative window and silently misorder
+// events.
 func NewSharded(ps *des.ShardedSim, topo Topology, delay DelayModel, seed int64) *Network {
-	n := newNetwork(topo, delay, ps.Shards())
-	n.seed, n.lookahead = seed, ps.Lookahead()
+	n := newNetwork(topo, delay, seed, ps.Shards())
+	n.lookahead = ps.Lookahead()
 	for i := range n.nodes {
 		n.nodes[i].lane = ps.ShardOf(i)
 	}
 	for s := range n.lanes {
-		key := &SplitMix64{}
-		n.lanes[s] = &lane{sim: ps.Shard(s), rng: rand.New(key), key: key}
+		n.lanes[s] = &lane{sim: ps.Shard(s)}
+		n.lanes[s].rng = *rand.New(&n.lanes[s].src)
 	}
 	ps.OnBarrier(n.flushOutboxes)
 	return n
 }
 
-func newNetwork(topo Topology, delay DelayModel, lanes int) *Network {
+func newNetwork(topo Topology, delay DelayModel, seed int64, lanes int) *Network {
 	return &Network{
 		topo:  topo,
 		delay: delay,
 		nodes: make([]node, topo.N()),
 		lanes: make([]*lane, lanes),
+		seed:  seed,
 	}
 }
 
@@ -220,16 +219,14 @@ func (n *Network) Send(from, to int, payload any) {
 	src.counters.Sent++
 	src.counters.Bytes += size
 	l := n.lanes[src.lane]
-	if l.key != nil {
-		l.key.State = msgKey(n.seed, from, to, src.seq)
-		src.seq++
-	}
+	l.src.State = Key(n.seed, msgTag, uint64(from), uint64(to), src.seq)
+	src.seq++
 	if n.DropProb > 0 && l.rng.Float64() < n.DropProb {
 		src.counters.Dropped++
 		return
 	}
 	now := l.sim.Now()
-	d := n.delay.Sample(from, to, l.rng)
+	d := n.delay.Sample(from, to, &l.rng)
 	env := n.newEnvelope(l)
 	env.msg = Message{From: from, To: to, Payload: payload, SentAt: now}
 	if n.nodes[to].lane == src.lane {
@@ -327,10 +324,9 @@ func (n *Network) TotalBytes() int {
 }
 
 // SplitMix64 is a reseedable splitmix64 stream: cheap to reset — assign State
-// — and statistically solid for the few draws taken per key. Every draw that
-// must not depend on the shard partition comes from one of these, keyed by a
-// Mix64 hash of what the draw belongs to: a message's drop and latency here,
-// a round's peer subset in the protocol layer.
+// — and statistically solid for the few draws taken per key. Every draw of a
+// simulated run comes from one of these, keyed with Key by what it belongs to:
+// a message's drop and latency, a round's peer subset, a run's setup, a lie.
 type SplitMix64 struct {
 	State uint64
 }
@@ -347,14 +343,16 @@ func (m *SplitMix64) Int63() int64 { return int64(m.Uint64() >> 1) }
 // Seed implements rand.Source.
 func (m *SplitMix64) Seed(s int64) { m.State = uint64(s) }
 
-// msgKey hashes a message's identity (run seed, sender, receiver, the
-// sender's per-message sequence number) into the seed of its private draw
-// stream.
-func msgKey(seed int64, from, to int, seq uint64) uint64 {
-	x := Mix64(uint64(seed) ^ 0x6A09E667F3BCC909)
-	x = Mix64(x ^ uint64(uint32(from)))
-	x = Mix64(x ^ uint64(uint32(to)))
-	x = Mix64(x ^ seq)
+const msgTag = 0x6A09E667F3BCC909 // Key's tag for a message: sender, receiver, sequence
+
+// Key hashes what a draw is about — the run's seed, a tag naming the kind of
+// draw, the words that single it out — into a SplitMix64 state, so a draw is
+// a function of what it is about, not of when the engine reaches it.
+func Key(seed int64, tag uint64, words ...uint64) uint64 {
+	x := Mix64(uint64(seed) ^ tag)
+	for _, w := range words {
+		x = Mix64(x ^ w)
+	}
 	return x
 }
 

@@ -92,7 +92,7 @@ func (s *PeerSampler) draw(picks []int) []int {
 	// single duplicate fallback. The universe's index function is injective,
 	// so "index t already picked" is "peer at(t) already in picks" — a scan of
 	// at most k entries, which at the k a sampled round uses beats hashing.
-	src := network.SplitMix64{State: samplerKey(s.seed, s.node, round)}
+	src := network.SplitMix64{State: network.Key(s.seed, samplerTag, uint64(s.node), round)}
 	for j := s.size - s.k; j < s.size; j++ {
 		p := s.at(int(src.Uint64() % uint64(j+1)))
 		for _, q := range picks {
@@ -106,10 +106,6 @@ func (s *PeerSampler) draw(picks []int) []int {
 	return picks
 }
 
-// samplerKey hashes (seed, node, round) into the round's draw-stream seed.
-func samplerKey(seed int64, node int, round uint64) uint64 {
-	x := network.Mix64(uint64(seed) ^ 0xA5A5A5A55A5A5A5A)
-	x = network.Mix64(x ^ uint64(uint32(node)))
-	x = network.Mix64(x ^ round)
-	return x
-}
+// samplerTag is network.Key's tag for a round's peer subset, whose words are
+// the node and the round.
+const samplerTag = 0xA5A5A5A55A5A5A5A

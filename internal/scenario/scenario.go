@@ -134,7 +134,8 @@ type Scenario struct {
 	// sharded machinery serially — the reference run the shard-count
 	// determinism contract is stated against: observable results (reports,
 	// stats, traffic totals) are identical for any shard count under
-	// continuous delay/drift distributions and adversary-free schedules.
+	// continuous delay/drift distributions, and so are traffic, stats and
+	// adjustments on the serial engine (which also samples at adjustments).
 	// A model without a positive MinBound leaves no safe window, so the run
 	// silently collapses to one shard. Sharded runs reject the serial-only
 	// observability surfaces (Observer/EventSink/SpanSink/Check):
@@ -321,7 +322,6 @@ func Run(s Scenario) (*Result, error) {
 	var ps *des.ShardedSim
 	var sim *des.Sim
 	var net *network.Network
-	var rng *rand.Rand
 	if s.Shards >= 1 || s.ReuseSharded != nil {
 		if err := s.shardedIncompat(); err != nil {
 			return nil, err
@@ -334,7 +334,6 @@ func Run(s Scenario) (*Result, error) {
 		}
 		sim = ps.Global()
 		net = network.NewSharded(ps, s.Topology, s.Delay, s.Seed)
-		rng = ps.SetupRand()
 	} else {
 		sim = s.ReuseSim
 		if sim != nil {
@@ -343,9 +342,12 @@ func Run(s Scenario) (*Result, error) {
 			sim = des.New(s.Seed)
 		}
 		net = network.New(sim, s.Topology, s.Delay)
-		rng = sim.Rand()
 	}
 	net.DropProb = s.DropProb
+
+	// Setup draws — slopes, biases and whatever the builders draw — come from
+	// one stream keyed by the seed alone, so both engines build the same run.
+	rng := rand.New(&network.SplitMix64{State: network.Key(s.Seed, setupTag)})
 
 	clocks := make([]*clock.Local, s.N)
 	harnesses := make([]*protocol.Harness, s.N)
@@ -452,14 +454,14 @@ func Run(s Scenario) (*Result, error) {
 		if isSync {
 			syncNodes[i] = sn
 		}
-		onAdjust := rec.AdjustHook(i)
 		// Sync records its own round events (core.Round.Record); any other
 		// protocol's adjustments enter the stream here, as the same record.
 		recordRound := observer != nil && !isSync
-		if checker != nil || recordRound {
-			i, recHook := i, onAdjust
-			onAdjust = func(at simtime.Time, delta simtime.Duration) {
-				recHook(at, delta)
+		if checker == nil && !recordRound {
+			harnesses[i].OnAdjust = func(at simtime.Time, delta simtime.Duration) { rec.Adjust(i, at, delta) }
+		} else {
+			harnesses[i].OnAdjust = func(at simtime.Time, delta simtime.Duration) {
+				rec.Adjust(i, at, delta)
 				if checker != nil {
 					// The recorder just sampled this instant; the checker
 					// reads that very sample.
@@ -474,7 +476,6 @@ func Run(s Scenario) (*Result, error) {
 				}
 			}
 		}
-		harnesses[i].OnAdjust = onAdjust
 		node.Start()
 	}
 
@@ -514,6 +515,8 @@ func Run(s Scenario) (*Result, error) {
 	return res, nil
 }
 
+const setupTag = 0x510E527FADE682D1 // network.Key's tag for a run's setup stream
+
 // SyncBuilder returns the builder of the paper's Sync protocol with the
 // derived parameters, first executions staggered uniformly across SyncInt.
 // mutate, when non-nil, overrides the config per processor (ablation
@@ -528,7 +531,6 @@ func SyncBuilder(mutate func(*core.Config, BuildContext)) Builder {
 			WayOff:      sc.WayOff,
 			FirstSync:   simtime.Duration(ctx.Rand.Float64() * float64(sc.SyncInt)),
 			SamplePeers: sc.SamplePeers,
-			SampleSeed:  sc.Seed,
 		}
 		if mutate != nil {
 			// Only this copy's address leaves the builder, so only a mutated

@@ -1,31 +1,62 @@
 package scenario
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"clocksync/internal/adversary"
+	"clocksync/internal/core"
 	"clocksync/internal/des"
 	"clocksync/internal/network"
 	"clocksync/internal/obs"
+	"clocksync/internal/protocol"
 	"clocksync/internal/simtime"
 )
 
 // shardObservables is everything the shard-count independence contract
-// promises is identical: the run report, traffic totals, and per-node
-// protocol counters.
+// promises is identical: the run report, traffic totals, per-node protocol
+// counters and every node's adjustment log.
 type shardObservables struct {
 	report    string
 	msgs      int
 	bytes     int
-	syncs     []int
-	deltas    []simtime.Duration
+	stats     []core.Stats
+	adjusts   [][]adjustment
 	deviation simtime.Duration
 }
 
-func observe(t *testing.T, shards, samplePeers int) shardObservables {
+type adjustment struct {
+	at    simtime.Time
+	delta simtime.Duration
+}
+
+// loggedNode is a Sync node that logs its own adjustments: Start wraps the
+// hook the scenario installed, so it logs exactly what the recorder logs.
+type loggedNode struct {
+	*core.Node
+	h   *protocol.Harness
+	log []adjustment
+}
+
+func (n *loggedNode) Start() {
+	hook := n.h.OnAdjust
+	n.h.OnAdjust = func(at simtime.Time, delta simtime.Duration) {
+		n.log = append(n.log, adjustment{at, delta})
+		hook(at, delta)
+	}
+	n.Node.Start()
+}
+
+// observe runs the independence scenario on the serial engine (shards 0) or
+// the sharded one. A hostile run loses 1 % of its messages and has node 3
+// answer with a RandomLiar's noise over [20 s, 90 s).
+func observe(t *testing.T, shards, samplePeers int, hostile bool) shardObservables {
 	t.Helper()
-	res, err := Run(Scenario{
+	nodes := make([]*loggedNode, 16)
+	s := Scenario{
 		Name:        "shard-independence",
 		Seed:        1234,
 		N:           16,
@@ -38,7 +69,20 @@ func observe(t *testing.T, shards, samplePeers int) shardObservables {
 		SyncInt:     10 * simtime.Second,
 		Shards:      shards,
 		SamplePeers: samplePeers,
-	})
+		Builder: func(ctx BuildContext) Starter {
+			n := &loggedNode{Node: SyncBuilder(nil)(ctx).(*core.Node), h: ctx.Harness}
+			nodes[ctx.Index] = n
+			return n
+		},
+	}
+	if hostile {
+		s.DropProb = 0.01
+		s.Adversary = adversary.Schedule{Corruptions: []adversary.Corruption{{
+			Node: 3, From: simtime.Time(20 * simtime.Second), To: simtime.Time(90 * simtime.Second),
+			Behavior: adversary.RandomLiar{Amplitude: 200 * simtime.Millisecond},
+		}}}
+	}
+	res, err := Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,40 +92,50 @@ func observe(t *testing.T, shards, samplePeers int) shardObservables {
 		bytes:     res.BytesSent,
 		deviation: res.Report.MaxDeviation,
 	}
-	for _, st := range res.SyncStats {
-		o.syncs = append(o.syncs, st.Syncs)
-		o.deltas = append(o.deltas, st.LastDelta)
+	for _, n := range nodes {
+		o.stats = append(o.stats, n.Stats())
+		o.adjusts = append(o.adjusts, n.log)
 	}
 	return o
 }
 
 // TestShardCountIndependence is the determinism half of the sharding
-// contract: the same seed must produce identical observable results —
-// reports, per-node stats, exact traffic counts — for shard counts 1, 4
-// and 8, full-mesh and sampled alike. Exact float equality is intentional:
-// every divergence in event ordering shows up here.
+// contract, and the proof that both engines run one execution: every draw
+// is keyed by what it is about, so the serial engine and the sharded one at
+// 1, 2, 3, 4 and 8 shards send the same messages, drop the same ones, hear
+// the same lies and apply the same adjustments — full-mesh and sampled, with
+// and without message loss and a RandomLiar. Reports are compared across
+// shard counts only: the serial engine also samples at every adjustment, so
+// its report sees more instants. Exact equality is intentional: every
+// divergence in event ordering shows up here.
 func TestShardCountIndependence(t *testing.T) {
-	for _, samplePeers := range []int{0, 7} {
-		base := observe(t, 1, samplePeers)
-		if base.msgs == 0 || base.syncs[0] == 0 {
-			t.Fatalf("samplePeers=%d: baseline run did nothing (msgs=%d)", samplePeers, base.msgs)
-		}
-		if base.deviation <= 0 {
-			t.Fatalf("samplePeers=%d: baseline deviation %v not positive", samplePeers, base.deviation)
-		}
-		for _, shards := range []int{4, 8} {
-			got := observe(t, shards, samplePeers)
-			if got.report != base.report {
-				t.Errorf("samplePeers=%d shards=%d: report %s, want %s", samplePeers, shards, got.report, base.report)
+	for _, hostile := range []bool{false, true} {
+		for _, samplePeers := range []int{0, 7} {
+			name := fmt.Sprintf("samplePeers=%d hostile=%v", samplePeers, hostile)
+			base := observe(t, 1, samplePeers, hostile)
+			if base.msgs == 0 || base.stats[0].Syncs == 0 {
+				t.Fatalf("%s: baseline run did nothing (msgs=%d)", name, base.msgs)
 			}
-			if got.msgs != base.msgs || got.bytes != base.bytes {
-				t.Errorf("samplePeers=%d shards=%d: traffic %d msgs/%d bytes, want %d/%d",
-					samplePeers, shards, got.msgs, got.bytes, base.msgs, base.bytes)
+			if base.deviation <= 0 {
+				t.Fatalf("%s: baseline deviation %v not positive", name, base.deviation)
 			}
-			for i := range base.syncs {
-				if got.syncs[i] != base.syncs[i] || got.deltas[i] != base.deltas[i] {
-					t.Errorf("samplePeers=%d shards=%d node %d: syncs/lastDelta %d/%v, want %d/%v",
-						samplePeers, shards, i, got.syncs[i], got.deltas[i], base.syncs[i], base.deltas[i])
+			for _, shards := range []int{0, 2, 3, 4, 8} {
+				got := observe(t, shards, samplePeers, hostile)
+				if shards > 0 && got.report != base.report {
+					t.Errorf("%s shards=%d: report %s, want %s", name, shards, got.report, base.report)
+				}
+				if got.msgs != base.msgs || got.bytes != base.bytes {
+					t.Errorf("%s shards=%d: traffic %d msgs/%d bytes, want %d/%d",
+						name, shards, got.msgs, got.bytes, base.msgs, base.bytes)
+				}
+				for i := range base.stats {
+					if got.stats[i] != base.stats[i] {
+						t.Errorf("%s shards=%d node %d: stats %+v, want %+v", name, shards, i, got.stats[i], base.stats[i])
+					}
+					if !slices.Equal(got.adjusts[i], base.adjusts[i]) {
+						t.Errorf("%s shards=%d node %d: %d adjustments differ from the %d at one shard",
+							name, shards, i, len(got.adjusts[i]), len(base.adjusts[i]))
+					}
 				}
 			}
 		}
@@ -91,8 +145,8 @@ func TestShardCountIndependence(t *testing.T) {
 // TestSamplingCutsTraffic: sparse estimation must send Θ(k/n) of the
 // full-mesh message volume and still converge.
 func TestSamplingCutsTraffic(t *testing.T) {
-	full := observe(t, 1, 0)
-	sampled := observe(t, 1, 7)
+	full := observe(t, 1, 0, false)
+	sampled := observe(t, 1, 7, false)
 	if sampled.msgs >= full.msgs {
 		t.Fatalf("sampling sent %d msgs, full mesh %d — no reduction", sampled.msgs, full.msgs)
 	}

@@ -74,12 +74,12 @@ func TestWorkerBudgetComposes(t *testing.T) {
 // surrounding sweep owns every token), sharded runs must fall back to inline
 // execution on the caller's goroutine and still produce identical results.
 func TestShardedRunsWithDrainedPool(t *testing.T) {
-	want := observe(t, 4, 0)
+	want := observe(t, 4, 0, false)
 
 	held := des.AcquireWorkers(1 << 20)
 	defer des.ReleaseWorkers(held)
 
-	got := observe(t, 4, 0)
+	got := observe(t, 4, 0, false)
 	if got.report != want.report || got.msgs != want.msgs {
 		t.Fatalf("drained-pool run diverged: %s/%d msgs, want %s/%d",
 			got.report, got.msgs, want.report, want.msgs)
