@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"clocksync/internal/asciiplot"
 	"clocksync/internal/clock"
@@ -52,8 +51,8 @@ func E20NetworkOutage(quick bool) Table {
 	// (sampled at send time) and the simulator events that toggle it.
 	outage := false
 	delay := network.DelayFunc{
-		Fn: func(from, to int, rng *rand.Rand) simtime.Duration {
-			d := base.Sample(from, to, rng)
+		Fn: func(from, to int, src *network.SplitMix64) simtime.Duration {
+			d := base.Sample(from, to, src)
 			if outage {
 				return d * 20
 			}

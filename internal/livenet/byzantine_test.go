@@ -2,12 +2,12 @@ package livenet
 
 import (
 	"context"
-	"math/rand"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"clocksync/internal/network"
 	"clocksync/internal/simtime"
 )
 
@@ -133,7 +133,7 @@ func TestLiveClusterToleratesByzantinePeer(t *testing.T) {
 // the honest answer to it.
 type slowHonestLinks struct{ liar int }
 
-func (m slowHonestLinks) Sample(from, _ int, _ *rand.Rand) simtime.Duration {
+func (m slowHonestLinks) Sample(from, _ int, _ *network.SplitMix64) simtime.Duration {
 	if from == m.liar {
 		return 0
 	}

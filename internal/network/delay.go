@@ -2,7 +2,6 @@ package network
 
 import (
 	"fmt"
-	"math/rand"
 
 	"clocksync/internal/simtime"
 )
@@ -13,7 +12,7 @@ import (
 // samples ≤ δ, while models used for failure injection may exceed it (a late
 // message is indistinguishable from a lost one once MaxWait passes).
 type DelayModel interface {
-	Sample(from, to int, rng *rand.Rand) simtime.Duration
+	Sample(from, to int, src *SplitMix64) simtime.Duration
 	// Bound returns the model's worst-case latency δ (simtime.Infinity if
 	// unbounded). Protocol parameter derivation uses it.
 	Bound() simtime.Duration
@@ -44,7 +43,7 @@ type ConstantDelay struct {
 }
 
 // Sample implements DelayModel.
-func (c ConstantDelay) Sample(_, _ int, _ *rand.Rand) simtime.Duration { return c.D }
+func (c ConstantDelay) Sample(_, _ int, _ *SplitMix64) simtime.Duration { return c.D }
 
 // Bound implements DelayModel.
 func (c ConstantDelay) Bound() simtime.Duration { return c.D }
@@ -66,8 +65,8 @@ func NewUniformDelay(min, max simtime.Duration) UniformDelay {
 }
 
 // Sample implements DelayModel.
-func (u UniformDelay) Sample(_, _ int, rng *rand.Rand) simtime.Duration {
-	return u.Min + simtime.Duration(rng.Float64())*(u.Max-u.Min)
+func (u UniformDelay) Sample(_, _ int, src *SplitMix64) simtime.Duration {
+	return u.Min + simtime.Duration(src.Float64())*(u.Max-u.Min)
 }
 
 // Bound implements DelayModel.
@@ -87,11 +86,11 @@ type AsymmetricDelay struct {
 }
 
 // Sample implements DelayModel.
-func (a AsymmetricDelay) Sample(from, to int, rng *rand.Rand) simtime.Duration {
+func (a AsymmetricDelay) Sample(from, to int, src *SplitMix64) simtime.Duration {
 	if from < to {
-		return a.FwdMin + simtime.Duration(rng.Float64())*(a.FwdMax-a.FwdMin)
+		return a.FwdMin + simtime.Duration(src.Float64())*(a.FwdMax-a.FwdMin)
 	}
-	return a.RevMin + simtime.Duration(rng.Float64())*(a.RevMax-a.RevMin)
+	return a.RevMin + simtime.Duration(src.Float64())*(a.RevMax-a.RevMin)
 }
 
 // Bound implements DelayModel.
@@ -130,15 +129,15 @@ type SkewedDelay struct {
 
 // Sample implements DelayModel. Both directional delays carry a little
 // downward jitter so no two deliveries tie at the same instant.
-func (s SkewedDelay) Sample(from, to int, rng *rand.Rand) simtime.Duration {
+func (s SkewedDelay) Sample(from, to int, src *SplitMix64) simtime.Duration {
 	fromA, toA := from < s.Boundary, to < s.Boundary
 	switch {
 	case fromA == toA:
-		return s.InGroup.Sample(from, to, rng)
+		return s.InGroup.Sample(from, to, src)
 	case fromA: // A→B: the slow direction
-		return s.Slow - simtime.Duration(rng.Float64())*(s.Slow/32)
+		return s.Slow - simtime.Duration(src.Float64())*(s.Slow/32)
 	default: // B→A: the fast direction
-		return s.Fast/2 + simtime.Duration(rng.Float64())*(s.Fast/2)
+		return s.Fast/2 + simtime.Duration(src.Float64())*(s.Fast/2)
 	}
 }
 
@@ -166,10 +165,10 @@ type SpikyDelay struct {
 }
 
 // Sample implements DelayModel.
-func (s SpikyDelay) Sample(from, to int, rng *rand.Rand) simtime.Duration {
-	d := s.Base.Sample(from, to, rng)
-	if rng.Float64() < s.SpikeProb {
-		d += simtime.Duration(rng.Float64()) * s.SpikeMax
+func (s SpikyDelay) Sample(from, to int, src *SplitMix64) simtime.Duration {
+	d := s.Base.Sample(from, to, src)
+	if src.Float64() < s.SpikeProb {
+		d += simtime.Duration(src.Float64()) * s.SpikeMax
 	}
 	return d
 }
@@ -184,7 +183,7 @@ func (s SpikyDelay) MinBound() simtime.Duration { return s.Base.Min }
 // its worst case and MinVal its guaranteed minimum (leave MinVal zero when
 // the function has no positive floor).
 type DelayFunc struct {
-	Fn       func(from, to int, rng *rand.Rand) simtime.Duration
+	Fn       func(from, to int, src *SplitMix64) simtime.Duration
 	BoundVal simtime.Duration
 	MinVal   simtime.Duration
 }
@@ -193,8 +192,8 @@ type DelayFunc struct {
 func (d DelayFunc) MinBound() simtime.Duration { return d.MinVal }
 
 // Sample implements DelayModel.
-func (d DelayFunc) Sample(from, to int, rng *rand.Rand) simtime.Duration {
-	return d.Fn(from, to, rng)
+func (d DelayFunc) Sample(from, to int, src *SplitMix64) simtime.Duration {
+	return d.Fn(from, to, src)
 }
 
 // Bound implements DelayModel.

@@ -1,7 +1,6 @@
 package network
 
 import (
-	"math/rand"
 	"testing"
 
 	"clocksync/internal/des"
@@ -143,7 +142,7 @@ func TestRing(t *testing.T) {
 }
 
 func TestDelayModels(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := &SplitMix64{State: 1}
 	c := ConstantDelay{D: 5 * simtime.Millisecond}
 	if c.Sample(0, 1, rng) != 5*simtime.Millisecond || c.Bound() != 5*simtime.Millisecond {
 		t.Fatal("constant delay broken")
@@ -178,7 +177,7 @@ func TestDelayModels(t *testing.T) {
 		t.Fatal("spiky bound broken")
 	}
 
-	fn := DelayFunc{Fn: func(from, to int, _ *rand.Rand) simtime.Duration {
+	fn := DelayFunc{Fn: func(from, to int, _ *SplitMix64) simtime.Duration {
 		return simtime.Duration(from + to)
 	}, BoundVal: 9}
 	if fn.Sample(4, 5, rng) != 9 || fn.Bound() != 9 {

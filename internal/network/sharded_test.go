@@ -1,7 +1,6 @@
 package network
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -109,7 +108,7 @@ func TestShardedLookaheadGuard(t *testing.T) {
 	const L = 5 * simtime.Millisecond
 	ps := des.NewSharded(1, 2, L)
 	lying := DelayFunc{
-		Fn:       func(_, _ int, _ *rand.Rand) simtime.Duration { return simtime.Millisecond },
+		Fn:       func(_, _ int, _ *SplitMix64) simtime.Duration { return simtime.Millisecond },
 		BoundVal: simtime.Millisecond,
 		MinVal:   L, // lie: claims ≥ L, samples 1ms
 	}
@@ -147,8 +146,8 @@ func TestMinDelay(t *testing.T) {
 
 type noMinModel struct{}
 
-func (noMinModel) Sample(_, _ int, _ *rand.Rand) simtime.Duration { return 1 }
-func (noMinModel) Bound() simtime.Duration                        { return 1 }
+func (noMinModel) Sample(_, _ int, _ *SplitMix64) simtime.Duration { return 1 }
+func (noMinModel) Bound() simtime.Duration                         { return 1 }
 
 // TestPayloadListsPerShardAndType: processors on one shard share one list
 // per payload type, other shards and other types get their own, a serial

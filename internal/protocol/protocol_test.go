@@ -515,7 +515,7 @@ func newRigWithScriptedDelays(t *testing.T, n int, seq []simtime.Duration) *rig 
 	sim := des.New(1)
 	i := 0
 	dm := network.DelayFunc{
-		Fn: func(from, to int, _ *rand.Rand) simtime.Duration {
+		Fn: func(from, to int, _ *network.SplitMix64) simtime.Duration {
 			d := seq[i%len(seq)]
 			i++
 			return d

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -188,7 +187,7 @@ func TestShardedIncompatibleSurfaces(t *testing.T) {
 // whichever shard worker happened to run the sender.
 func TestShardedLyingDelayPanicsOnCaller(t *testing.T) {
 	lying := network.DelayFunc{
-		Fn:       func(_, _ int, _ *rand.Rand) simtime.Duration { return simtime.Millisecond },
+		Fn:       func(_, _ int, _ *network.SplitMix64) simtime.Duration { return simtime.Millisecond },
 		BoundVal: 50 * simtime.Millisecond,
 		MinVal:   5 * simtime.Millisecond, // lie: claims ≥ 5 ms, samples 1 ms
 	}

@@ -3,11 +3,11 @@ package telemetry_test
 import (
 	"bytes"
 	"context"
-	"math/rand"
 	"testing"
 	"time"
 
 	"clocksync/internal/livenet"
+	"clocksync/internal/network"
 	"clocksync/internal/simtime"
 	"clocksync/internal/telemetry"
 	"clocksync/internal/trace"
@@ -109,7 +109,7 @@ func TestLiveClusterCrossNodeJoin(t *testing.T) {
 // symmetric-delay estimation cannot see from RTTs alone.
 type oneWayDelay struct{}
 
-func (oneWayDelay) Sample(from, to int, rng *rand.Rand) simtime.Duration {
+func (oneWayDelay) Sample(from, to int, rng *network.SplitMix64) simtime.Duration {
 	if from == 0 && to == 1 {
 		return 0.100
 	}
