@@ -58,11 +58,9 @@ type RandomLiar struct {
 	Amplitude simtime.Duration
 }
 
-const liarTag = 0x3C6EF372FE94F82B // network.Key's tag for the noise
-
 // RespondTime implements protocol.Behavior.
 func (b RandomLiar) RespondTime(h *protocol.Harness, peer int, now simtime.Time) (simtime.Time, bool) {
-	src := network.SplitMix64{State: network.Key(h.Sim().Seed(), liarTag,
+	src := network.SplitMix64{State: network.Key(h.Sim().Seed(), network.LiarTag,
 		uint64(h.ID()), uint64(peer), math.Float64bits(float64(now)))}
 	u := float64(src.Uint64()>>11) / (1 << 53) // uniform in [0, 1)
 	noise := simtime.Duration((u*2 - 1) * float64(b.Amplitude))

@@ -22,13 +22,10 @@ func benchmarkMix(t *testing.T) Config {
 
 // TestGenerateAllocBudget pins what expanding a seed allocates: the
 // scenario's schedule, behaviours and delay model, and no random source —
-// the scenario's and the family pick's both come from sourcePool. Measured
-// 2 allocs and 54 B per seed over the benchmark's mix; with a fresh 4.9 kB
-// source per generator it was 4 allocs and 10.8 kB.
+// the scenario's and the family pick's streams are SplitMix64 words on the
+// stack. Measured 2 allocs and 51 B per seed over the benchmark's mix; with
+// a fresh 4.9 kB math/rand source per generator it was 4 allocs and 10.8 kB.
 func TestGenerateAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
 	cfg := benchmarkMix(t)
 	seed := int64(0)
 	allocs := testing.AllocsPerRun(500, func() {
@@ -36,7 +33,7 @@ func TestGenerateAllocBudget(t *testing.T) {
 		seed++
 	})
 	if allocs > 3 {
-		t.Errorf("Config.Scenario: %v allocs per seed, budget 3 — a generator source stopped coming from the pool", allocs)
+		t.Errorf("Config.Scenario: %v allocs per seed, budget 3 — a generator stream left the stack", allocs)
 	}
 }
 
@@ -53,9 +50,9 @@ func drawn(s scenario.Scenario) string {
 	return b.String()
 }
 
-// TestGenerateIndependentOfOrder: the generators' sources are recycled, so a
-// seed must draw the same scenario whether it comes first or after a hundred
-// other seeds have left their state in the pool's sources.
+// TestGenerateIndependentOfOrder: a seed's draws are keyed by the seed alone,
+// so it must draw the same scenario whether it comes first or after a
+// hundred other seeds — no generator state carries from one seed to the next.
 func TestGenerateIndependentOfOrder(t *testing.T) {
 	cfg := benchmarkMix(t)
 	cfg.Families = append(cfg.Families, FamilyWeight{Family: FamilyGeneric, Weight: 2},

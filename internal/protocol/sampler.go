@@ -92,7 +92,7 @@ func (s *PeerSampler) draw(picks []int) []int {
 	// single duplicate fallback. The universe's index function is injective,
 	// so "index t already picked" is "peer at(t) already in picks" — a scan of
 	// at most k entries, which at the k a sampled round uses beats hashing.
-	src := network.SplitMix64{State: network.Key(s.seed, samplerTag, uint64(s.node), round)}
+	src := network.SplitMix64{State: network.Key(s.seed, network.SamplerTag, uint64(s.node), round)}
 	for j := s.size - s.k; j < s.size; j++ {
 		p := s.at(int(src.Uint64() % uint64(j+1)))
 		for _, q := range picks {
@@ -105,7 +105,3 @@ func (s *PeerSampler) draw(picks []int) []int {
 	}
 	return picks
 }
-
-// samplerTag is network.Key's tag for a round's peer subset, whose words are
-// the node and the round.
-const samplerTag = 0xA5A5A5A55A5A5A5A
