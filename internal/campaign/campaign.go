@@ -47,9 +47,9 @@ type Config struct {
 	// spread uniformly from [0, InitSpread] (default 50 ms).
 	InitSpread simtime.Duration
 	// DropProb is the maximum per-run message drop probability; each run
-	// draws its rate uniformly from [0, DropProb]. Message loss is beyond
-	// the paper's model — leave it 0 (the default) when checking Theorem 5
-	// exactly.
+	// draws its rate uniformly from [0, DropProb], and Run refuses a
+	// DropProb outside [0, 1]. Message loss is beyond the paper's model —
+	// leave it 0 (the default) when checking Theorem 5 exactly.
 	DropProb float64
 	// MaxCorruptions caps the corruptions per generated schedule (default 4);
 	// each run draws its count uniformly from [0, MaxCorruptions].
@@ -208,6 +208,9 @@ func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Families.Validate(); err != nil {
 		return nil, err
+	}
+	if !(cfg.DropProb >= 0 && cfg.DropProb <= 1) { // NaN fails both
+		return nil, fmt.Errorf("campaign: DropProb %v outside [0, 1]", cfg.DropProb)
 	}
 	res := &Result{Runs: cfg.Runs}
 	outcomes := make([]runOutcome, cfg.Runs)

@@ -1,7 +1,9 @@
 package campaign
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"clocksync/internal/check"
@@ -195,6 +197,15 @@ func TestRunRejectsInvalidMix(t *testing.T) {
 	_, err := Run(Config{Runs: 1, Families: FamilyMix{{Family: "bogus", Weight: 1}}})
 	if err == nil {
 		t.Fatal("campaign with an unknown family started")
+	}
+}
+
+// Run refuses a loss rate outside [0, 1], and NaN, before it draws a run.
+func TestRunRefusesBadDropProb(t *testing.T) {
+	for _, p := range []float64{math.NaN(), -0.5, 1.5} {
+		if _, err := Run(Config{Runs: 1, DropProb: p}); err == nil || !strings.Contains(err.Error(), "DropProb") {
+			t.Errorf("DropProb %v: got %v, want an error naming DropProb", p, err)
+		}
 	}
 }
 

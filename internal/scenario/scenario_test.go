@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"clocksync/internal/adversary"
@@ -128,6 +129,25 @@ func TestRunValidationErrors(t *testing.T) {
 		tc.mutate(&s)
 		if _, err := Run(s); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// A loss rate is a probability: Run refuses NaN and anything outside [0, 1]
+// rather than running them as a lossless or a lossy network.
+func TestRunRefusesBadDropProb(t *testing.T) {
+	for _, p := range []float64{math.NaN(), -0.5, math.Inf(-1), 1.5, math.Inf(1)} {
+		s := baseScenario()
+		s.DropProb = p
+		if _, err := Run(s); err == nil || !strings.Contains(err.Error(), "DropProb") {
+			t.Errorf("DropProb %v: got %v, want an error naming DropProb", p, err)
+		}
+	}
+	for _, p := range []float64{0, 0.3, 1} {
+		s := baseScenario()
+		s.DropProb = p
+		if _, err := Run(s); err != nil {
+			t.Errorf("DropProb %v refused: %v", p, err)
 		}
 	}
 }
