@@ -44,8 +44,8 @@ func (b ClockSmash) RespondTime(h *protocol.Harness, _ int, now simtime.Time) (s
 }
 
 // OnCorrupt implements protocol.Behavior.
-func (b ClockSmash) OnCorrupt(h *protocol.Harness, _ simtime.Time) {
-	h.Clock().Adjust(b.Offset)
+func (b ClockSmash) OnCorrupt(h *protocol.Harness, now simtime.Time) {
+	h.Clock().Adjust(now, b.Offset)
 }
 
 // OnRelease implements protocol.Behavior.

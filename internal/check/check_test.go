@@ -22,8 +22,8 @@ func synthetic(biases []simtime.Duration, sched adversary.Schedule, cfg check.Co
 	for i, b := range biases {
 		clocks[i] = clock.NewLocal(clock.NewDrifting(0, simtime.Time(b), 1))
 	}
-	cfg.Measure = &metrics.Measurer{Clocks: metrics.FromClocks(clocks), Schedule: sched, Theta: 300}
-	return check.New(cfg), cfg.Measure
+	cfg.Schedule = sched
+	return check.New(cfg), &metrics.Measurer{Clocks: metrics.FromClocks(clocks), Schedule: sched, Theta: 300}
 }
 
 func TestStepViolationReported(t *testing.T) {
@@ -149,7 +149,7 @@ func TestHonestScenarioWithRecoveryIsClean(t *testing.T) {
 	for _, v := range res.Violations {
 		t.Errorf("honest run violated: %s", v)
 	}
-	// The checker rides the recorder's adjust hook, not the event stream.
+	// The checker rides the report's sweep, not the event stream.
 	if res.Obs != nil || res.EventCounts != nil {
 		t.Errorf("check-only run built an observer: Obs=%v EventCounts=%v", res.Obs, res.EventCounts)
 	}

@@ -197,6 +197,11 @@ func (q *Quantized) RealAt(target, after simtime.Time) simtime.Time {
 // g makes the logical clock advance at (1+g)× the hardware rate from the
 // moment the gain is set, without disturbing the current reading. With
 // g = 0 (the default and the paper's model) the clock is exactly H + adj.
+//
+// Every write is logged with its real-time instant: the steps of the
+// adjustment variable (Steps) and the changes of the gain (Gains). With the
+// hardware clock, the two logs are the clock's whole trajectory, which is
+// what a run's report is measured from.
 type Local struct {
 	hw  Hardware
 	adj simtime.Duration
@@ -204,6 +209,22 @@ type Local struct {
 	gain      float64          // logical rate = hardware rate × (1+gain)
 	gainSince simtime.Time     // hardware reading when gain last changed
 	gainAcc   simtime.Duration // gain-induced offset accumulated before gainSince
+
+	steps []Step
+	gains []GainStep
+}
+
+// Step is one write to the adjustment variable: Delta added at real time At.
+type Step struct {
+	At    simtime.Time
+	Delta simtime.Duration
+}
+
+// GainStep is one change of the frequency discipline: gain Gain from real
+// time At on.
+type GainStep struct {
+	At   simtime.Time
+	Gain float64
 }
 
 // NewLocal wraps a hardware clock with a zero adjustment.
@@ -216,12 +237,25 @@ func (l *Local) Now(now simtime.Time) simtime.Time {
 	return h.Add(l.adj + disc)
 }
 
-// Adjust adds delta to the adjustment variable.
-func (l *Local) Adjust(delta simtime.Duration) { l.adj += delta }
+// Adjust adds delta to the adjustment variable at real time at, and logs
+// the step. A clock is written by the one event queue that runs its
+// processor, so its logs are in time order.
+func (l *Local) Adjust(at simtime.Time, delta simtime.Duration) {
+	l.adj += delta
+	l.steps = append(l.steps, Step{At: at, Delta: delta})
+}
 
-// SetAdj overwrites the adjustment variable. Only the adversary uses this —
-// a correct processor never does (it may only add).
-func (l *Local) SetAdj(adj simtime.Duration) { l.adj = adj }
+// LogInto restarts the step log, empty, in buf's storage: a log that stays
+// within cap(buf) allocates nothing, and one that outgrows it moves to
+// storage of its own. LogInto(nil) lets go of storage another run may
+// reuse.
+func (l *Local) LogInto(buf []Step) { l.steps = buf[:0] }
+
+// Steps returns every step made so far, in time order.
+func (l *Local) Steps() []Step { return l.steps }
+
+// Gains returns every gain change made so far, in time order.
+func (l *Local) Gains() []GainStep { return l.gains }
 
 // Adj returns the current adjustment value. Exposed for measurement only;
 // the protocol itself never reads it (the paper stresses H and adj are a
@@ -236,16 +270,17 @@ func (l *Local) Bias(now simtime.Time) simtime.Duration {
 // Hardware returns the underlying hardware clock (for alarm scheduling).
 func (l *Local) Hardware() Hardware { return l.hw }
 
-// SetGain changes the frequency discipline at real time now: from here on
-// the logical clock advances at (1+gain)× the hardware rate. The reading is
-// continuous across the change. This operation is an extension beyond
-// Definition 1 (see the type comment); the core protocol only uses it when
-// drift compensation is explicitly enabled.
+// SetGain changes the frequency discipline at real time now, and logs the
+// change: from here on the logical clock advances at (1+gain)× the hardware
+// rate. The reading is continuous across the change. This operation is an
+// extension beyond Definition 1 (see the type comment); the core protocol
+// only uses it when drift compensation is explicitly enabled.
 func (l *Local) SetGain(now simtime.Time, gain float64) {
 	h := l.hw.Read(now)
 	l.gainAcc += simtime.Duration(l.gain * float64(h-l.gainSince))
 	l.gainSince = h
 	l.gain = gain
+	l.gains = append(l.gains, GainStep{At: now, Gain: gain})
 }
 
 // Gain returns the current frequency discipline.

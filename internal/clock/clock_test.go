@@ -3,6 +3,7 @@ package clock
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -234,7 +235,7 @@ func TestQuantizedLocalClockStillSynchronizes(t *testing.T) {
 	// A Local over a quantized hardware clock keeps working (the tick just
 	// adds reading error).
 	l := NewLocal(NewQuantized(NewDrifting(0, 0, 1.0), 0.001))
-	l.Adjust(1)
+	l.Adjust(0, 1)
 	if got := l.Now(5.0005); math.Abs(float64(got-6.0)) > 1e-9 {
 		t.Fatalf("quantized local: got %v", got)
 	}
@@ -246,20 +247,23 @@ func TestLocalClock(t *testing.T) {
 	if got := l.Now(10); got != 10 {
 		t.Fatalf("Now: got %v", got)
 	}
-	l.Adjust(5)
+	l.Adjust(3, 5)
 	if got := l.Now(10); got != 15 {
 		t.Fatalf("Now after Adjust: got %v", got)
 	}
 	if got := l.Bias(10); got != 5 {
 		t.Fatalf("Bias: got %v", got)
 	}
-	l.Adjust(-2)
+	l.Adjust(4, -2)
 	if got := l.Adj(); got != 3 {
 		t.Fatalf("Adj accumulation: got %v", got)
 	}
-	l.SetAdj(-7)
-	if got := l.Bias(10); got != -7 {
-		t.Fatalf("Bias after SetAdj: got %v", got)
+	l.SetGain(6, 0.5)
+	if got, want := l.Steps(), []Step{{At: 3, Delta: 5}, {At: 4, Delta: -2}}; !slices.Equal(got, want) {
+		t.Fatalf("step log %v, want %v", got, want)
+	}
+	if got, want := l.Gains(), []GainStep{{At: 6, Gain: 0.5}}; !slices.Equal(got, want) {
+		t.Fatalf("gain log %v, want %v", got, want)
 	}
 	if l.Hardware() != hw {
 		t.Fatal("Hardware accessor broken")

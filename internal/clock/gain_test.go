@@ -10,7 +10,7 @@ import (
 
 func TestGainZeroIsIdentity(t *testing.T) {
 	l := NewLocal(NewDrifting(0, 0, 1.0))
-	l.Adjust(3)
+	l.Adjust(0, 3)
 	if got := l.Now(10); got != 13 {
 		t.Fatalf("Now with zero gain: got %v", got)
 	}
@@ -85,7 +85,7 @@ func TestGainRandomizedContinuity(t *testing.T) {
 func TestGainInteractsWithAdjust(t *testing.T) {
 	l := NewLocal(NewDrifting(0, 0, 1.0))
 	l.SetGain(0, 0.01)
-	l.Adjust(5)
+	l.Adjust(0, 5)
 	// τ=100: 100 + 1.0 (gain) + 5 (adj) = 106.
 	if got := l.Now(100); math.Abs(float64(got-106)) > 1e-9 {
 		t.Fatalf("gain+adjust: got %v", got)

@@ -207,7 +207,7 @@ func (smashBehavior) RespondTime(*protocol.Harness, int, simtime.Time) (simtime.
 }
 
 func (b smashBehavior) OnCorrupt(h *protocol.Harness, now simtime.Time) {
-	h.Clock().SetAdj(b.offset)
+	h.Clock().Adjust(now, b.offset-h.Clock().Adj())
 }
 
 func (smashBehavior) OnRelease(*protocol.Harness, simtime.Time) {}

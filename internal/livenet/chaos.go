@@ -246,7 +246,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 		measure.Clocks[i] = liveBias{node: node, scale: scale}
 	}
 	checker := check.New(check.Config{
-		Measure:    measure,
+		Schedule:   measure.Schedule,
 		Bounds:     bounds,
 		SkipBefore: skip,
 	})
@@ -308,7 +308,9 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 		timers = append(timers, t)
 		timerMu.Unlock()
 	}
-	checker.Attach(schedule)
+	checker.Attach(func(v simtime.Time, fn func(metrics.Sample)) {
+		schedule(v, func() { fn(measure.Measure(v)) })
+	})
 
 	// Crash restarts lose clock state: at each crash window's start the
 	// victims' clocks take the schedule's Scramble error, which the WayOff

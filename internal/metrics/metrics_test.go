@@ -75,21 +75,23 @@ func TestPeriodicSampling(t *testing.T) {
 	}
 }
 
+// An adjustment takes no sample, yet the report sees it: a spike made and
+// corrected between two periodic samples is measured from the trajectory.
 func TestSampleOnAdjust(t *testing.T) {
 	sim := des.New(1)
 	clocks := mkClocks([]simtime.Duration{0, 0}, nil)
 	rec := NewRecorder(sim, clocks, adversary.Schedule{}, 100)
-	sim.At(3, func() {
-		clocks[0].Adjust(0.5)
-		rec.Adjust(0, 3, 0.5)
-	})
-	sim.Run()
-	if len(rec.Samples()) != 1 {
-		t.Fatalf("expected 1 adjustment-triggered sample, got %d", len(rec.Samples()))
+	sim.At(3, func() { clocks[0].Adjust(3, 0.5) })
+	sim.At(4, func() { clocks[0].Adjust(4, -0.5) })
+	rec.Start(10)
+	sim.RunUntil(20)
+	for _, s := range rec.Samples() {
+		if s.At != 10 && s.At != 20 || s.Deviation != 0 {
+			t.Fatalf("sample %+v: want only the periodic ones, both at deviation 0", s)
+		}
 	}
-	s := rec.Samples()[0]
-	if s.At != 3 || s.Deviation < 0.49 {
-		t.Fatalf("adjustment spike not captured: %+v", s)
+	if rep := rec.BuildReport(ReportOptions{}, nil); rep.MaxDeviation != 0.5 {
+		t.Fatalf("MaxDeviation %v: the spike between the samples was missed", rep.MaxDeviation)
 	}
 }
 
@@ -97,15 +99,16 @@ func TestAdjustHookTracksDiscontinuity(t *testing.T) {
 	sim := des.New(1)
 	clocks := mkClocks([]simtime.Duration{0, 0}, nil)
 	rec := NewRecorder(sim, clocks, adversary.Schedule{}, 100)
-	rec.Adjust(1, 5, 0.02)
-	rec.Adjust(1, 6, -0.07)
-	rec.Adjust(1, 7, 0.01)
-	rep := rec.BuildReport(ReportOptions{})
+	clocks[1].Adjust(5, 0.02)
+	clocks[1].Adjust(6, -0.07)
+	clocks[1].Adjust(7, 0.01)
+	sim.RunUntil(10)
+	rep := rec.BuildReport(ReportOptions{}, nil)
 	if math.Abs(float64(rep.MaxDiscontinuity)-0.07) > 1e-12 {
 		t.Fatalf("discontinuity: got %v, want 0.07", rep.MaxDiscontinuity)
 	}
-	if got := len(rec.Samples()); got != 3 {
-		t.Fatalf("%d adjustment-triggered samples, want 3", got)
+	if got := len(rec.Samples()); got != 0 {
+		t.Fatalf("%d samples taken at adjustments, want 0", got)
 	}
 }
 
@@ -119,10 +122,11 @@ func TestDiscontinuityExcludesRecoveringProcessors(t *testing.T) {
 		{Node: 1, From: 10, To: 20, Behavior: adversary.Crash{}},
 	}}
 	rec := NewRecorder(sim, clocks, sched, 100)
-	rec.Adjust(1, 25, -40) // recovery jump, 5 s after release (< Θ)
-	rec.Adjust(1, 125, 0.01)
-	rec.Adjust(1, 130, -0.02) // steady state, > Θ after release
-	rep := rec.BuildReport(ReportOptions{})
+	clocks[1].Adjust(25, -40) // recovery jump, 5 s after release (< Θ)
+	clocks[1].Adjust(125, 0.01)
+	clocks[1].Adjust(130, -0.02) // steady state, > Θ after release
+	sim.RunUntil(200)
+	rep := rec.BuildReport(ReportOptions{}, nil)
 	if math.Abs(float64(rep.MaxAdjustment)-40) > 1e-12 {
 		t.Fatalf("MaxAdjustment: got %v, want 40", rep.MaxAdjustment)
 	}
@@ -131,10 +135,10 @@ func TestDiscontinuityExcludesRecoveringProcessors(t *testing.T) {
 	}
 }
 
-// TestPerNodeAdjustLogs: each processor's adjustments go to its own log, cut
-// from one reserved slab. A log that outgrows its share moves out without
-// touching its neighbour's, a sharded recorder logs without sampling, and the
-// report reads every log — its maxima do not depend on the order of the logs.
+// TestPerNodeAdjustLogs: each clock's steps go to its own log, cut from one
+// reserved slab. A log that outgrows its share moves out without touching its
+// neighbour's, and the report reads every log — its maxima do not depend on
+// the order of the logs. The adversary's own write is not an adjustment.
 func TestPerNodeAdjustLogs(t *testing.T) {
 	sim := des.New(1)
 	clocks := mkClocks([]simtime.Duration{0, 0, 0}, nil)
@@ -142,20 +146,18 @@ func TestPerNodeAdjustLogs(t *testing.T) {
 		{Node: 2, From: 10, To: 20, Behavior: adversary.Crash{}},
 	}}
 	rec := NewRecorder(sim, clocks, sched, 100)
-	rec.EnableSharded()
 	rec.Reserve(4, 1)
-	rec.Adjust(0, 150, 0.03)
+	clocks[0].Adjust(150, 0.03)
 	for i, d := range []simtime.Duration{0.01, -0.05, 0.02} { // two past node 1's share
-		rec.Adjust(1, simtime.Time(130+i), d)
+		clocks[1].Adjust(simtime.Time(130+i), d)
 	}
-	rec.Adjust(2, 25, 9) // a recovery jump: counts only as an adjustment
-	if got := len(rec.Samples()); got != 0 {
-		t.Fatalf("a sharded recorder took %d samples at adjustments, want 0", got)
-	}
-	if got := rec.adjusts[0]; len(got) != 1 || got[0].delta != 0.03 {
+	clocks[2].Adjust(15, 50) // the adversary's smash: no adjustment at all
+	clocks[2].Adjust(25, 9)  // a recovery jump: counts only as an adjustment
+	if got := clocks[0].Steps(); len(got) != 1 || got[0].Delta != 0.03 {
 		t.Fatalf("node 0's log %v was overwritten by node 1's", got)
 	}
-	rep := rec.BuildReport(ReportOptions{})
+	sim.RunUntil(200)
+	rep := rec.BuildReport(ReportOptions{}, nil)
 	if rep.MaxAdjustment != 9 || rep.MaxDiscontinuity != 0.05 {
 		t.Fatalf("MaxAdjustment %v, MaxDiscontinuity %v; want 9 and 0.05", rep.MaxAdjustment, rep.MaxDiscontinuity)
 	}
@@ -165,12 +167,13 @@ func TestReportDeviationStats(t *testing.T) {
 	sim := des.New(1)
 	clocks := mkClocks([]simtime.Duration{0, 0.4}, nil)
 	rec := NewRecorder(sim, clocks, adversary.Schedule{}, 100)
-	rec.TakeSample(10) // deviation 0.4 — inside warm-up, skipped
-	clocks[1].Adjust(-0.3)
-	rec.TakeSample(20) // deviation 0.1
-	clocks[1].Adjust(0.1)
+	rec.TakeSample(10)         // deviation 0.4 — inside warm-up, skipped
+	clocks[1].Adjust(12, -0.3) // left limit 0.4, still inside warm-up
+	rec.TakeSample(20)         // deviation 0.1
+	clocks[1].Adjust(25, 0.1)
 	rec.TakeSample(30) // deviation 0.2
-	rep := rec.BuildReport(ReportOptions{SkipBefore: 15})
+	sim.RunUntil(30)
+	rep := rec.BuildReport(ReportOptions{SkipBefore: 15}, nil)
 	if math.Abs(float64(rep.MaxDeviation)-0.2) > 1e-9 {
 		t.Fatalf("max deviation: got %v", rep.MaxDeviation)
 	}
@@ -184,10 +187,8 @@ func TestWorstRateMeasuresDrift(t *testing.T) {
 	// Slope 1.002 → rate deviation 0.002; no adjustments.
 	clocks := mkClocks([]simtime.Duration{0, 0}, []float64{1.002, 1.0})
 	rec := NewRecorder(sim, clocks, adversary.Schedule{}, 100)
-	for tau := simtime.Time(0); tau <= 100; tau += 10 {
-		rec.TakeSample(tau)
-	}
-	rep := rec.BuildReport(ReportOptions{MinRateWindow: 50})
+	sim.RunUntil(100)
+	rep := rec.BuildReport(ReportOptions{MinRateWindow: 50}, nil)
 	if math.Abs(rep.WorstRate-0.002) > 1e-6 {
 		t.Fatalf("worst rate: got %v, want 0.002", rep.WorstRate)
 	}
@@ -203,13 +204,9 @@ func TestWorstRateSkipsBadStretches(t *testing.T) {
 	}}
 	rec := NewRecorder(sim, clocks, sched, 20)
 	// Simulate a massive jump while corrupted.
-	for tau := simtime.Time(0); tau <= 100; tau += 5 {
-		if tau == 35 {
-			clocks[0].Adjust(1000)
-		}
-		rec.TakeSample(tau)
-	}
-	rep := rec.BuildReport(ReportOptions{MinRateWindow: 50})
+	clocks[0].Adjust(35, 1000)
+	sim.RunUntil(100)
+	rep := rec.BuildReport(ReportOptions{MinRateWindow: 50}, nil)
 	if rep.WorstRate > 0.001 {
 		t.Fatalf("corrupted jump leaked into rate measurement: %v", rep.WorstRate)
 	}
@@ -222,12 +219,10 @@ func TestRecoveryMeasurement(t *testing.T) {
 		{Node: 3, From: 0, To: 10, Behavior: adversary.Crash{}},
 	}}
 	rec := NewRecorder(sim, clocks, sched, 5)
-	rec.TakeSample(12) // distance 10
-	clocks[3].Adjust(-5)
-	rec.TakeSample(14) // distance 5
-	clocks[3].Adjust(-4.99)
-	rec.TakeSample(16) // distance 0.01 ≤ margin
-	rep := rec.BuildReport(ReportOptions{RecoveryMargin: 0.1})
+	clocks[3].Adjust(13, -5)    // distance 10 at the release, now 5
+	clocks[3].Adjust(16, -4.99) // distance 0.01 ≤ margin
+	sim.RunUntil(20)
+	rep := rec.BuildReport(ReportOptions{RecoveryMargin: 0.1}, nil)
 	if len(rep.Recoveries) != 1 {
 		t.Fatalf("got %d recoveries", len(rep.Recoveries))
 	}
@@ -250,10 +245,8 @@ func TestRecoveryNeverCompletes(t *testing.T) {
 		{Node: 2, From: 0, To: 10, Behavior: adversary.Crash{}},
 	}}
 	rec := NewRecorder(sim, clocks, sched, 5)
-	for tau := simtime.Time(11); tau < 50; tau += 5 {
-		rec.TakeSample(tau)
-	}
-	rep := rec.BuildReport(ReportOptions{RecoveryMargin: 0.1})
+	sim.RunUntil(50)
+	rep := rec.BuildReport(ReportOptions{RecoveryMargin: 0.1}, nil)
 	if rep.Recoveries[0].Ok {
 		t.Fatal("stuck node reported as recovered")
 	}
@@ -355,14 +348,14 @@ func TestTakeSampleAllocFree(t *testing.T) {
 // taken before the recorder outgrew its slab keeps its values and its storage
 // after it did.
 func TestSampleViewsDoNotAlias(t *testing.T) {
-	clocks := mkClocks([]simtime.Duration{0, 0.1, -0.2}, nil)
 	for _, reserve := range []int{0, 2, 64} {
+		clocks := mkClocks([]simtime.Duration{0, 0.1, -0.2}, nil)
 		rec := NewRecorder(des.New(1), clocks, adversary.Schedule{}, 100)
 		rec.Reserve(reserve, 0)
 		var want [][]simtime.Duration
 		var first []*simtime.Duration
 		for i := 0; i < 3*minSlabSamples; i++ {
-			clocks[0].Adjust(0.5)
+			clocks[0].Adjust(simtime.Time(i), 0.5)
 			rec.TakeSample(simtime.Time(i))
 			s := rec.Samples()[i]
 			want = append(want, append([]simtime.Duration(nil), s.Biases...))
@@ -389,23 +382,27 @@ func TestSampleViewsDoNotAlias(t *testing.T) {
 // One Envelope walked over a hand series reproduces the report's
 // AccuracyDrawdown/Runup: with a negligible ρ̃ both rate lines have slope 1,
 // so the drawdown is the largest fall of the bias from an earlier peak and
-// the runup its largest rise from an earlier trough.
+// the runup its largest rise from an earlier trough. The report also reads
+// each level at its left limit, just before the next step; with ρ̃ = 1e-12
+// over 10 s that moves the rate lines by 1e-11, so the two agree within 1e-9.
 func TestEnvelopeReproducesReport(t *testing.T) {
+	sim := des.New(1)
 	clocks := mkClocks([]simtime.Duration{0}, nil)
-	rec := NewRecorder(des.New(1), clocks, adversary.Schedule{}, 100)
+	rec := NewRecorder(sim, clocks, adversary.Schedule{}, 100)
 	var env Envelope
 	var drawdown, runup, bias simtime.Duration
 	for i, target := range []simtime.Duration{0, 0.3, 0.1, -0.4, 0.2, 0.1} {
-		clocks[0].Adjust(target - bias)
-		bias = target
 		at := simtime.Time(10 * (i + 1))
+		clocks[0].Adjust(at, target-bias)
+		bias = target
 		rec.TakeSample(at)
 		d, u := env.Advance(at, rec.Samples()[i].Biases[0], 1e-12)
 		drawdown, runup = simtime.MaxDuration(drawdown, d), simtime.MaxDuration(runup, u)
 	}
-	rep := rec.BuildReport(ReportOptions{LogicalDriftBound: 1e-12})
-	if rep.AccuracyDrawdown != drawdown || rep.AccuracyRunup != runup {
-		t.Fatalf("report (%v, %v) ≠ envelope (%v, %v)", rep.AccuracyDrawdown, rep.AccuracyRunup, drawdown, runup)
+	sim.RunUntil(70)
+	rep := rec.BuildReport(ReportOptions{LogicalDriftBound: 1e-12}, nil)
+	if math.Abs(float64(rep.AccuracyDrawdown-drawdown)) > 1e-9 || math.Abs(float64(rep.AccuracyRunup-runup)) > 1e-9 {
+		t.Fatalf("report (%.17g, %.17g) ≠ envelope (%.17g, %.17g)", rep.AccuracyDrawdown, rep.AccuracyRunup, drawdown, runup)
 	}
 	if math.Abs(float64(drawdown)-0.7) > 1e-9 || math.Abs(float64(runup)-0.6) > 1e-9 {
 		t.Fatalf("drawdown %v runup %v, want 0.7 (0.3 → −0.4) and 0.6 (−0.4 → 0.2)", drawdown, runup)
@@ -445,7 +442,7 @@ func TestReadAfterReleasePanics(t *testing.T) {
 	for name, read := range map[string]func(*Recorder){
 		"Samples":         func(r *Recorder) { r.Samples() },
 		"DeviationSeries": func(r *Recorder) { r.DeviationSeries() },
-		"BuildReport":     func(r *Recorder) { r.BuildReport(ReportOptions{}) },
+		"BuildReport":     func(r *Recorder) { r.BuildReport(ReportOptions{}, nil) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			rec := NewRecorder(des.New(1), mkClocks([]simtime.Duration{0, 0.1}, nil), adversary.Schedule{}, 100)
@@ -467,11 +464,8 @@ func TestReadAfterReleasePanics(t *testing.T) {
 // would silently drop those instants from the report: it panics instead.
 func TestLateReservePanics(t *testing.T) {
 	for name, record := range map[string]func(*Recorder){
-		"after a sample": func(r *Recorder) { r.TakeSample(1) },
-		"after an adjustment": func(r *Recorder) {
-			r.EnableSharded() // log the adjustment without sampling it
-			r.Adjust(1, 1, 0.01)
-		},
+		"after a sample":      func(r *Recorder) { r.TakeSample(1) },
+		"after an adjustment": func(r *Recorder) { r.clocks[1].Adjust(1, 0.01) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			rec := NewRecorder(des.New(1), mkClocks([]simtime.Duration{0, 0.1}, nil), adversary.Schedule{}, 100)
@@ -488,7 +482,8 @@ func TestLateReservePanics(t *testing.T) {
 }
 
 // Released storage serves the next Reserve of a run no larger: reserving,
-// measuring and releasing run after run allocates nothing.
+// measuring, sweeping the report and releasing run after run allocates
+// nothing.
 func TestReserveFromReleasedAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -496,19 +491,22 @@ func TestReserveFromReleasedAllocFree(t *testing.T) {
 	clocks := mkClocks([]simtime.Duration{0, 0.1, -0.2, 0.3, 5, -1, 0.05}, nil)
 	const runs = 50
 	recs := make([]*Recorder, runs+1) // AllocsPerRun adds one warm-up call
+	sims := make([]*des.Sim, runs+1)
 	for i := range recs {
-		recs[i] = NewRecorder(des.New(1), clocks, adversary.Schedule{}, 100)
+		sims[i] = des.New(1)
+		recs[i] = NewRecorder(sims[i], clocks, adversary.Schedule{}, 100)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(runs, func() {
-		rec := recs[i]
+		rec, sim := recs[i], sims[i]
 		i++
 		rec.Reserve(17, 4)
-		for at := simtime.Time(0); at < 16; at++ {
+		for at := simtime.Time(0); at < 17; at++ {
 			rec.TakeSample(at)
 		}
-		rec.Adjust(3, 16, 0.01) // the seventeenth sample
-		rec.BuildReport(ReportOptions{})
+		clocks[3].Adjust(16.5, 0.01)
+		sim.RunUntil(17)
+		rec.BuildReport(ReportOptions{LogicalDriftBound: 1e-4}, nil)
 		rec.Release()
 	})
 	if allocs != 0 {

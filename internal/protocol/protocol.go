@@ -129,7 +129,8 @@ type Harness struct {
 	Custom func(network.Message)
 
 	// OnAdjust observes every adjustment a correct processor applies; the
-	// metrics recorder uses it to measure discontinuity (Definition 3(ii)).
+	// scenario runner uses it to record the round events of protocols that
+	// do not record their own. The clock logs every write itself.
 	OnAdjust func(now simtime.Time, delta simtime.Duration)
 
 	// OnRelease lets the protocol rearm its loop when the adversary leaves
@@ -218,11 +219,12 @@ func (h *Harness) Release() {
 }
 
 // Adjust applies a correction to the logical clock on behalf of the correct
-// protocol and reports it to the metrics hook.
+// protocol and reports it to the OnAdjust hook.
 func (h *Harness) Adjust(delta simtime.Duration) {
-	h.clk.Adjust(delta)
+	now := h.sim.Now()
+	h.clk.Adjust(now, delta)
 	if h.OnAdjust != nil {
-		h.OnAdjust(h.sim.Now(), delta)
+		h.OnAdjust(now, delta)
 	}
 }
 

@@ -37,7 +37,7 @@ func TestEstimateSymmetricDelayIsExact(t *testing.T) {
 	// With constant symmetric delay and no drift, the ping estimate of the
 	// offset is exact and its error bound equals the one-way delay.
 	r := newRig(t, 2, network.ConstantDelay{D: 10 * simtime.Millisecond})
-	r.hs[1].Clock().Adjust(3) // C_1 − C_0 = 3
+	r.hs[1].Clock().Adjust(0, 3) // C_1 − C_0 = 3
 	var got Estimate
 	r.sim.At(0, func() {
 		r.hs[0].Ping(1, simtime.Second, func(e Estimate) { got = e })
@@ -61,7 +61,7 @@ func TestEstimateSatisfiesDefinitionFour(t *testing.T) {
 	// a ≤ Λ where Λ is induced by the delay bound.
 	delay := network.NewUniformDelay(simtime.Millisecond, 20*simtime.Millisecond)
 	r := newRig(t, 2, delay, 1.0005, 0.9995)
-	r.hs[1].Clock().Adjust(-7)
+	r.hs[1].Clock().Adjust(0, -7)
 	var got Estimate
 	r.sim.At(5, func() {
 		r.hs[0].Ping(1, simtime.Second, func(e Estimate) { got = e })
@@ -107,7 +107,7 @@ func TestPingTimeout(t *testing.T) {
 func TestEstimateAllOrderAndCompleteness(t *testing.T) {
 	r := newRig(t, 4, network.ConstantDelay{D: simtime.Millisecond})
 	for i := 1; i < 4; i++ {
-		r.hs[i].Clock().Adjust(simtime.Duration(i))
+		r.hs[i].Clock().Adjust(0, simtime.Duration(i))
 	}
 	var got []Estimate
 	r.sim.At(0, func() {

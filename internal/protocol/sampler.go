@@ -4,11 +4,16 @@ import "clocksync/internal/network"
 
 // PeerSampler draws the subset of peers a node estimates against each Sync
 // round. Full-mesh estimation sends O(n²) messages per round; sampling k
-// peers sends O(n·k), trading message complexity against precision exactly
-// as the Khanchandani–Lenzen line of work does — with k ≥ 2f+1 the
-// convergence function's (f+1)-st order statistics still trim every
-// Byzantine estimate, so agreement survives, while the accuracy envelope
-// widens with the sparser view (measured empirically in E21).
+// peers sends O(n·k), trading message complexity against precision as the
+// Khanchandani–Lenzen line of work does. With k ≥ 2f+1 the convergence
+// function's (f+1)-st order statistics still trim every Byzantine estimate,
+// which keeps each good node inside the range of the good readings it saw;
+// Lemma 7's halving also needs good nodes to share good readings, which a
+// full mesh gives and a sample gives only while the adversary cannot steer
+// it. So sampled mode's Theorem 5 envelope is expected under that
+// assumption, not proven: a sampler that keeps each node to its own half of
+// the cluster reached 2.64 Δ with zero faults in a checked n=8, k=3 run.
+// E21 measures the seeded sampler's envelope.
 //
 // The subset is a seeded uniform k-subset of the universe per round, keyed by
 // (seed, node, round): deterministic for replay, and independent across nodes

@@ -105,9 +105,10 @@ type Scenario struct {
 
 	// Observer, when non-nil, receives the run's observability stream: one
 	// shared counter Recorder and a structured event per clock adjustment,
-	// skipped round, estimation timeout, sample, corruption and release. An
-	// adjustment is a round event: Sync emits its own, and a node built by
-	// any other Builder gets one with fields.delta per Harness.Adjust.
+	// skipped round, estimation timeout, periodic sample, corruption and
+	// release. An adjustment is a round event: Sync emits its own, and a node
+	// built by any other Builder gets one with fields.delta per
+	// Harness.Adjust.
 	// EventSink attaches one more sink to the run's observer (creating a
 	// fresh observer when Observer is nil) — the convenience path for "just
 	// give me the events"; an obs.JSONL there is the run's recording.
@@ -130,16 +131,14 @@ type Scenario struct {
 
 	// Shards, when ≥ 1, runs the scenario on the conservative-lookahead
 	// parallel simulator (des.ShardedSim) with that many shards; the
-	// lookahead is the delay model's MinBound. Shards == 1 exercises the
-	// sharded machinery serially — the reference run the shard-count
-	// determinism contract is stated against: observable results (reports,
-	// stats, traffic totals) are identical for any shard count under
-	// continuous delay/drift distributions, and so are traffic, stats and
-	// adjustments on the serial engine (which also samples at adjustments).
-	// A model without a positive MinBound leaves no safe window, so the run
-	// silently collapses to one shard. Sharded runs reject the serial-only
-	// observability surfaces (Observer/EventSink/SpanSink/Check):
-	// their sinks are not thread-safe. Zero keeps the serial engine.
+	// lookahead is the delay model's MinBound. Zero keeps the serial engine.
+	// The engines run one execution: traffic, stats, every clock's writes
+	// and the report — measured after the run from the clocks' trajectories
+	// — are identical for any shard count and on the serial engine, and so
+	// are the online checker's verdicts. A model without a positive MinBound
+	// leaves no safe window, so the run silently collapses to one shard.
+	// Sharded runs reject the serial-only observability surfaces
+	// (Observer/EventSink/SpanSink): their sinks are not thread-safe.
 	Shards int
 	// ReuseSharded is ReuseSim's analogue for sharded runs: the simulator is
 	// Reset to Seed and reused; its shard count and lookahead (fixed at
@@ -153,13 +152,14 @@ type Scenario struct {
 	// envelope — E21 measures the trade-off.
 	SamplePeers int
 
-	// Check attaches the online invariant checker (internal/check) next to the
-	// metrics recorder's adjust hook: the sample taken at every clock
-	// adjustment is asserted against the Theorem 5 deviation envelope, the
-	// per-step discontinuity bound and the Equation 3 accuracy envelope, and
-	// every release against the Lemma 7(iii) halving schedule. It creates no
-	// observer and emits no events. Violations are surfaced in
-	// Result.Violations; the run itself is not interrupted.
+	// Check runs the invariant checker (internal/check) on the sweep that
+	// builds the report, after the run and on either engine: both limits of
+	// every instant where a clock is written or the good set changes are
+	// asserted against the Theorem 5 deviation envelope and the Equation 3
+	// accuracy envelope, every step against the per-step discontinuity
+	// bound, and every release against the Lemma 7(iii) halving schedule.
+	// It creates no observer and emits no events. Violations are surfaced
+	// in Result.Violations; the run itself is not interrupted.
 	Check bool
 }
 
@@ -168,8 +168,8 @@ type Scenario struct {
 type Result struct {
 	Scenario *Scenario
 	Bounds   analysis.Bounds
-	// Recorder holds the run's samples and adjustment logs; nil after
-	// Release.
+	// Recorder holds the run's periodic samples and reserves the clocks'
+	// write logs; nil after Release.
 	Recorder *metrics.Recorder
 	Report   metrics.Report
 	// MsgsSent and BytesSent total the network traffic of the run.
@@ -237,14 +237,12 @@ func (s *Scenario) Params() analysis.Params {
 }
 
 // shardedIncompat rejects scenario surfaces the parallel engine cannot
-// serve: observability sinks and the online checker are single-threaded
-// consumers wired into shard-local hot paths.
+// serve: observability sinks are single-threaded consumers wired into
+// shard-local hot paths.
 func (s *Scenario) shardedIncompat() error {
 	switch {
 	case s.Observer != nil || s.EventSink != nil || s.SpanSink != nil:
 		return fmt.Errorf("scenario %q: observability sinks are not supported on sharded runs", s.Name)
-	case s.Check:
-		return fmt.Errorf("scenario %q: the online checker is not supported on sharded runs (run the sampled campaign serially instead)", s.Name)
 	case s.ReuseSim != nil:
 		return fmt.Errorf("scenario %q: ReuseSim is a serial simulator; use ReuseSharded", s.Name)
 	}
@@ -252,26 +250,53 @@ func (s *Scenario) shardedIncompat() error {
 }
 
 // logSizes is what the run's recorder reserves: a sample per SamplePeriod
-// (the ticker's, plus one spare), and per processor an adjustment per SyncInt
-// — one Sync round each — which the serial engine also samples. The fit is
-// tight on purpose: every reserved sample costs N biases whether or not it
+// (the ticker's, plus one spare), and per processor a step per SyncInt — one
+// Sync round each — plus the one a first round staggered near 0 adds. The fit
+// is tight on purpose: every reserved sample costs N biases whether or not it
 // is taken, and a run that outgrows the reservation only pays an allocation.
-func (s *Scenario) logSizes(sharded bool) (samples, adjusts int) {
-	samples = max(0, int(s.Duration/s.SamplePeriod)+1)
-	adjusts = max(0, int(math.Ceil(float64(s.Duration/s.SyncInt))))
-	if !sharded {
-		samples += s.N * adjusts
-	}
-	return samples, adjusts
+func (s *Scenario) logSizes() (samples, steps int) {
+	return int(s.Duration/s.SamplePeriod) + 1, max(0, int(s.Duration/s.SyncInt)+1)
 }
+
+// checkLengths refuses the lengths and clock settings a run could not use:
+// a NaN or infinite duration never ends, bad slopes and biases panic inside
+// the clock or the event queue, and a negative or NaN Tick or InitSpread
+// would be silently ignored.
+func (s *Scenario) checkLengths() error {
+	bad := func(what string, v any) error {
+		return fmt.Errorf("scenario %q: %s %v is out of range", s.Name, what, v)
+	}
+	switch {
+	case !positive(float64(s.Duration)):
+		return bad("Duration", s.Duration)
+	case !(s.Tick >= 0) || math.IsInf(float64(s.Tick), 1):
+		return bad("Tick", s.Tick)
+	case !(s.InitSpread >= 0) || math.IsInf(float64(s.InitSpread), 1):
+		return bad("InitSpread", s.InitSpread)
+	}
+	for i, v := range s.Slopes {
+		if !positive(v) {
+			return bad(fmt.Sprintf("Slopes[%d]", i), v)
+		}
+	}
+	for i, b := range s.InitialBiases {
+		if math.IsNaN(float64(b)) || math.IsInf(float64(b), 0) {
+			return bad(fmt.Sprintf("InitialBiases[%d]", i), b)
+		}
+	}
+	return nil
+}
+
+// positive reports whether v is positive and finite (NaN is not).
+func positive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // Run executes the scenario and returns its result.
 func Run(s Scenario) (*Result, error) {
 	if s.N < 1 {
 		return nil, fmt.Errorf("scenario %q: need at least one processor", s.Name)
 	}
-	if s.Duration <= 0 {
-		return nil, fmt.Errorf("scenario %q: non-positive duration", s.Name)
+	if err := s.checkLengths(); err != nil {
+		return nil, err
 	}
 	params := s.Params()
 	s.Theta = params.Theta
@@ -288,6 +313,9 @@ func Run(s Scenario) (*Result, error) {
 	}
 	if s.SamplePeriod == 0 {
 		s.SamplePeriod = simtime.Second
+	}
+	if !positive(float64(s.SamplePeriod)) {
+		return nil, fmt.Errorf("scenario %q: SamplePeriod %v is not a positive, finite period", s.Name, s.SamplePeriod)
 	}
 
 	var bounds analysis.Bounds
@@ -384,13 +412,10 @@ func Run(s Scenario) (*Result, error) {
 
 	skipBefore := params.WarmupCutoff(s.InitSpread)
 
+	// The ticker's periodic samples run on the global barrier queue, where
+	// every shard is quiesced; the report is measured after the run.
 	rec := metrics.NewRecorder(sim, clocks, s.Adversary, s.Theta)
-	if ps != nil {
-		// Sharded run: deviation samples come only from the periodic ticker,
-		// which runs on the global barrier queue with every shard quiesced.
-		rec.EnableSharded()
-	}
-	rec.Reserve(s.logSizes(ps != nil))
+	rec.Reserve(s.logSizes())
 	res := &Result{Scenario: &s, Bounds: bounds, Recorder: rec, Sim: sim,
 		SyncStats: make([]*core.Stats, s.N)}
 
@@ -414,12 +439,8 @@ func Run(s Scenario) (*Result, error) {
 	}
 	var checker *check.Checker
 	if s.Check {
-		checker = check.New(check.Config{
-			Measure:    &rec.Measurer,
-			Bounds:     bounds,
-			SkipBefore: skipBefore,
-		})
-		checker.Attach(func(t simtime.Time, fn func()) { sim.At(t, fn) })
+		checker = check.New(check.Config{Schedule: s.Adversary, Bounds: bounds, SkipBefore: skipBefore})
+		checker.Attach(rec.At)
 	}
 	res.Obs = observer
 	if observer != nil {
@@ -459,24 +480,12 @@ func Run(s Scenario) (*Result, error) {
 		}
 		// Sync records its own round events (core.Round.Record); any other
 		// protocol's adjustments enter the stream here, as the same record.
-		recordRound := observer != nil && !isSync
-		if checker == nil && !recordRound {
-			harnesses[i].OnAdjust = func(at simtime.Time, delta simtime.Duration) { rec.Adjust(i, at, delta) }
-		} else {
+		if observer != nil && !isSync {
 			harnesses[i].OnAdjust = func(at simtime.Time, delta simtime.Duration) {
-				rec.Adjust(i, at, delta)
-				if checker != nil {
-					// The recorder just sampled this instant; the checker
-					// reads that very sample.
-					samples := rec.Samples()
-					checker.Round(samples[len(samples)-1], i, delta)
-				}
-				if recordRound {
-					observer.Emit(obs.Event{
-						At: float64(at), Kind: obs.KindRound, Node: i,
-						Fields: map[string]float64{"delta": float64(delta)},
-					})
-				}
+				observer.Emit(obs.Event{
+					At: float64(at), Kind: obs.KindRound, Node: i,
+					Fields: map[string]float64{"delta": float64(delta)},
+				})
 			}
 		}
 		node.Start()
@@ -506,15 +515,19 @@ func Run(s Scenario) (*Result, error) {
 		rec.MessagesDropped.Add(int64(net.TotalDropped()))
 		res.EventCounts = observer.EventCounts()
 	}
+	var visit func(metrics.Sample, int, simtime.Duration)
 	if checker != nil {
-		res.Violations, res.ViolationsDropped = checker.Violations(), checker.Dropped()
+		visit = checker.Round
 	}
 	res.Report = rec.BuildReport(metrics.ReportOptions{
 		SkipBefore:        skipBefore,
 		RecoveryMargin:    bounds.MaxDeviation,
 		MinRateWindow:     simtime.MaxDuration(10*s.SyncInt, simtime.Duration(float64(s.Duration)/10)),
 		LogicalDriftBound: bounds.LogicalDrift,
-	})
+	}, visit)
+	if checker != nil {
+		res.Violations, res.ViolationsDropped = checker.Violations(), checker.Dropped()
+	}
 	return res, nil
 }
 

@@ -1,9 +1,11 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"clocksync/internal/adversary"
 	"clocksync/internal/core"
@@ -300,4 +302,51 @@ func maxf(xs []float64) float64 {
 		}
 	}
 	return m
+}
+
+// TestRunRefusesBadLengths: a run length that never ends and clock settings
+// that would panic in the clock or the event queue, or be silently ignored,
+// are refused with an error naming the setting. Each case runs under a
+// deadline, since a NaN or infinite Duration used to spin forever.
+func TestRunRefusesBadLengths(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		set  func(*Scenario)
+	}{
+		{"Duration", func(s *Scenario) { s.Duration = simtime.Duration(nan) }},
+		{"Duration", func(s *Scenario) { s.Duration = simtime.Duration(inf) }},
+		{"Duration", func(s *Scenario) { s.Duration = -simtime.Minute }},
+		{"SamplePeriod", func(s *Scenario) { s.SamplePeriod = -simtime.Second }},
+		{"SamplePeriod", func(s *Scenario) { s.SamplePeriod = simtime.Duration(nan) }},
+		{"Slopes[1]", func(s *Scenario) { s.Slopes = []float64{1, nan} }},
+		{"Slopes[0]", func(s *Scenario) { s.Slopes = []float64{0} }},
+		{"Slopes[2]", func(s *Scenario) { s.Slopes = []float64{1, 1, -1} }},
+		{"InitialBiases[3]", func(s *Scenario) { s.InitialBiases = []simtime.Duration{0, 0, 0, simtime.Duration(nan)} }},
+		{"Tick", func(s *Scenario) { s.Tick = -simtime.Millisecond }},
+		{"Tick", func(s *Scenario) { s.Tick = simtime.Duration(nan) }},
+		{"InitSpread", func(s *Scenario) { s.InitSpread = -simtime.Second }},
+		{"InitSpread", func(s *Scenario) { s.InitSpread = simtime.Duration(nan) }},
+	} {
+		s := baseScenario()
+		tc.set(&s)
+		done := make(chan error, 1)
+		go func() {
+			defer func() {
+				if p := recover(); p != nil {
+					done <- fmt.Errorf("panic: %v", p)
+				}
+			}()
+			_, err := Run(s)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), tc.name) {
+				t.Errorf("%s case: got %v, want an error naming %s", tc.name, err, tc.name)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("%s case: Run did not return within 10 s", tc.name)
+		}
+	}
 }

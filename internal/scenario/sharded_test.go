@@ -7,46 +7,24 @@ import (
 	"testing"
 
 	"clocksync/internal/adversary"
+	"clocksync/internal/clock"
 	"clocksync/internal/core"
 	"clocksync/internal/des"
 	"clocksync/internal/network"
 	"clocksync/internal/obs"
-	"clocksync/internal/protocol"
 	"clocksync/internal/simtime"
 )
 
 // shardObservables is everything the shard-count independence contract
 // promises is identical: the run report, traffic totals, per-node protocol
-// counters and every node's adjustment log.
+// counters and every clock's step log.
 type shardObservables struct {
 	report    string
 	msgs      int
 	bytes     int
 	stats     []core.Stats
-	adjusts   [][]adjustment
+	adjusts   [][]clock.Step
 	deviation simtime.Duration
-}
-
-type adjustment struct {
-	at    simtime.Time
-	delta simtime.Duration
-}
-
-// loggedNode is a Sync node that logs its own adjustments: Start wraps the
-// hook the scenario installed, so it logs exactly what the recorder logs.
-type loggedNode struct {
-	*core.Node
-	h   *protocol.Harness
-	log []adjustment
-}
-
-func (n *loggedNode) Start() {
-	hook := n.h.OnAdjust
-	n.h.OnAdjust = func(at simtime.Time, delta simtime.Duration) {
-		n.log = append(n.log, adjustment{at, delta})
-		hook(at, delta)
-	}
-	n.Node.Start()
 }
 
 // observe runs the independence scenario on the serial engine (shards 0) or
@@ -54,7 +32,7 @@ func (n *loggedNode) Start() {
 // answer with a RandomLiar's noise over [20 s, 90 s).
 func observe(t *testing.T, shards, samplePeers int, hostile bool) shardObservables {
 	t.Helper()
-	nodes := make([]*loggedNode, 16)
+	nodes := make([]*core.Node, 16)
 	s := Scenario{
 		Name:        "shard-independence",
 		Seed:        1234,
@@ -69,7 +47,7 @@ func observe(t *testing.T, shards, samplePeers int, hostile bool) shardObservabl
 		Shards:      shards,
 		SamplePeers: samplePeers,
 		Builder: func(ctx BuildContext) Starter {
-			n := &loggedNode{Node: SyncBuilder(nil)(ctx).(*core.Node), h: ctx.Harness}
+			n := SyncBuilder(nil)(ctx).(*core.Node)
 			nodes[ctx.Index] = n
 			return n
 		},
@@ -86,14 +64,14 @@ func observe(t *testing.T, shards, samplePeers int, hostile bool) shardObservabl
 		t.Fatal(err)
 	}
 	o := shardObservables{
-		report:    res.Report.MaxDeviation.String() + "/" + res.Report.MeanDeviation.String() + "/" + res.Report.MaxAdjustment.String() + "/" + res.Report.MaxDiscontinuity.String(),
+		report:    fmt.Sprintf("%#v", res.Report),
 		msgs:      res.MsgsSent,
 		bytes:     res.BytesSent,
 		deviation: res.Report.MaxDeviation,
 	}
 	for _, n := range nodes {
 		o.stats = append(o.stats, n.Stats())
-		o.adjusts = append(o.adjusts, n.log)
+		o.adjusts = append(o.adjusts, n.Harness().Clock().Steps())
 	}
 	return o
 }
@@ -103,10 +81,9 @@ func observe(t *testing.T, shards, samplePeers int, hostile bool) shardObservabl
 // is keyed by what it is about, so the serial engine and the sharded one at
 // 1, 2, 3, 4 and 8 shards send the same messages, drop the same ones, hear
 // the same lies and apply the same adjustments — full-mesh and sampled, with
-// and without message loss and a RandomLiar. Reports are compared across
-// shard counts only: the serial engine also samples at every adjustment, so
-// its report sees more instants. Exact equality is intentional: every
-// divergence in event ordering shows up here.
+// and without message loss and a RandomLiar — and their reports, measured
+// from the clocks' trajectories, are float-identical in every field. Exact
+// equality is intentional: every divergence in event ordering shows up here.
 func TestShardCountIndependence(t *testing.T) {
 	for _, hostile := range []bool{false, true} {
 		for _, samplePeers := range []int{0, 7} {
@@ -120,7 +97,7 @@ func TestShardCountIndependence(t *testing.T) {
 			}
 			for _, shards := range []int{0, 2, 3, 4, 8} {
 				got := observe(t, shards, samplePeers, hostile)
-				if shards > 0 && got.report != base.report {
+				if got.report != base.report {
 					t.Errorf("%s shards=%d: report %s, want %s", name, shards, got.report, base.report)
 				}
 				if got.msgs != base.msgs || got.bytes != base.bytes {
@@ -168,7 +145,6 @@ func TestShardedIncompatibleSurfaces(t *testing.T) {
 		Shards: 2,
 	}
 	bad := []func(*Scenario){
-		func(s *Scenario) { s.Check = true },
 		func(s *Scenario) { s.EventSink = obs.NewRing(1) },
 		func(s *Scenario) { s.ReuseSim = des.New(0) },
 	}
@@ -178,6 +154,37 @@ func TestShardedIncompatibleSurfaces(t *testing.T) {
 		if _, err := Run(s); err == nil {
 			t.Errorf("case %d: sharded run accepted a serial-only surface", i)
 		}
+	}
+}
+
+// TestCheckedShardedMinute runs the online checker on the scale it was kept
+// from while it read shared state during the run: an n=1024, k=31 minute on
+// two shards, checked from the report's sweep after the run, with zero
+// violations — and the same verdict and report as the serial engine.
+func TestCheckedShardedMinute(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates two n=1024 cluster minutes")
+	}
+	s := sampledMinute("checked-sharded", 1024, 10, 31, 2)
+	s.Seed, s.Check = 1, true
+	res, err := Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range res.Violations {
+		t.Errorf("violation: %s", v)
+	}
+	if res.ViolationsDropped != 0 || res.Report.MaxDeviation <= 0 {
+		t.Fatalf("%d violations dropped, MaxDeviation %v", res.ViolationsDropped, res.Report.MaxDeviation)
+	}
+	s.ReuseSharded = nil
+	serial, err := Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprintf("%#v", serial.Report) != fmt.Sprintf("%#v", res.Report) || len(serial.Violations) != 0 {
+		t.Errorf("serial run: report %+v with %d violations, want the two-shard %+v",
+			serial.Report, len(serial.Violations), res.Report)
 	}
 }
 
