@@ -348,7 +348,8 @@ func (r *Recorder) BuildReport(opts ReportOptions, visit func(s Sample, node int
 }
 
 // goodAt reports whether node is good at t (Definition 3(i)): outside the
-// Θ-shadow [From, To+Θ) of each of its corruptions.
+// Θ-shadow [From, To+Θ) of each of its corruptions, whose end is computed as
+// nextBound computes it, so that the sweep lands on it exactly.
 func (r *Recorder) goodAt(node int, t simtime.Time) bool {
 	for _, c := range r.Schedule.Corruptions {
 		if c.Node == node && c.From <= t && t < c.To.Add(r.Theta) {
