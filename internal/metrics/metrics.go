@@ -143,14 +143,26 @@ type mark struct {
 // with the samples taken, so their number is logarithmic in the run.
 const minSlabSamples = 16
 
-// slabs is one run's measurement storage. Nothing stale is read from a reused
-// set: a sample writes its n biases and flags before anything reads them,
-// and step logs are cut at length 0.
+// slabs is one run's measurement storage: the periodic samples' views, the
+// clocks' step logs, and the report sweep's state, one entry per clock.
+// Nothing stale is read from a reused set: a sample writes its n biases and
+// flags before anything reads them, step logs are cut at length 0, and the
+// sweep sets each clock's entries before it reads them.
 type slabs struct {
-	samples []Sample
-	biases  []simtime.Duration
-	good    []bool
-	steps   []clock.Step
+	samples     []Sample
+	biases      []simtime.Duration
+	good        []bool
+	steps       []clock.Step
+	lines       []line
+	bias        []simtime.Duration
+	now, spare  []bool
+	order, cand []int32
+}
+
+// fitSweep sizes the sweep's state for n clocks.
+func (st *slabs) fitSweep(n int) {
+	st.lines, st.bias, st.order, st.cand = fit(st.lines, n), fit(st.bias, n), fit(st.order, n), fit(st.cand, n)[:0]
+	st.now, st.spare = fit(st.now, n), fit(st.spare, n)
 }
 
 var slabPool = sync.Pool{New: func() any { return new(slabs) }}
@@ -177,8 +189,9 @@ func NewRecorder(sim *des.Sim, clocks []*clock.Local, sched adversary.Schedule, 
 }
 
 // Reserve sizes the recorder, from what released recorders gave back, for up
-// to samples periodic samples and steps clock steps per processor: within
-// those counts nothing allocates. It panics once anything is recorded.
+// to samples periodic samples and steps clock steps per processor, and for
+// the report's sweep: within those counts nothing allocates. It panics once
+// anything is recorded.
 func (r *Recorder) Reserve(samples, steps int) {
 	recorded := len(r.samples) > 0
 	for _, c := range r.clocks {
@@ -196,6 +209,7 @@ func (r *Recorder) Reserve(samples, steps int) {
 	st.biases = fit(st.biases, samples*n)
 	st.good = fit(st.good, samples*n)
 	st.steps = fit(st.steps, n*steps)
+	st.fitSweep(n)
 	r.samples = st.samples[:0]
 	r.biasFree, r.goodFree = st.biases, st.good
 	for i, c := range r.clocks {

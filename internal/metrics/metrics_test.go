@@ -252,6 +252,25 @@ func TestRecoveryNeverCompletes(t *testing.T) {
 	}
 }
 
+// An At mark is handed its instant's right limit, after the writes made
+// there, and fires once: a second BuildReport does not run it again.
+func TestAtMarksFireOnce(t *testing.T) {
+	sim := des.New(1)
+	clocks := mkClocks([]simtime.Duration{0, 0, 10}, nil)
+	rec := NewRecorder(sim, clocks, adversary.Schedule{}, 5)
+	clocks[2].Adjust(13, -5)
+	var got []simtime.Duration
+	for _, at := range []simtime.Time{16, 13} {
+		rec.At(at, func(s Sample) { got = append(got, s.Biases[2]) })
+	}
+	sim.RunUntil(20)
+	rec.BuildReport(ReportOptions{}, nil)
+	rec.BuildReport(ReportOptions{}, nil)
+	if len(got) != 2 || math.Abs(float64(got[0])-5) > 1e-9 || math.Abs(float64(got[1])-5) > 1e-9 {
+		t.Fatalf("marks saw %v, want [5 5] once each", got)
+	}
+}
+
 func TestSeriesExtraction(t *testing.T) {
 	sim := des.New(1)
 	clocks := mkClocks([]simtime.Duration{1, 2}, nil)
@@ -380,28 +399,32 @@ func TestSampleViewsDoNotAlias(t *testing.T) {
 }
 
 // One Envelope walked over a hand series reproduces the report's
-// AccuracyDrawdown/Runup: with a negligible ρ̃ both rate lines have slope 1,
-// so the drawdown is the largest fall of the bias from an earlier peak and
-// the runup its largest rise from an earlier trough. The report also reads
-// each level at its left limit, just before the next step; with ρ̃ = 1e-12
-// over 10 s that moves the rate lines by 1e-11, so the two agree within 1e-9.
+// AccuracyDrawdown/Runup exactly when it advances where the report does: at
+// the stretch's start and end, and at both limits of each step, the level
+// before and the level after. With a negligible ρ̃ both rate lines have
+// slope 1, so the drawdown is the largest fall of the bias from an earlier
+// peak and the runup its largest rise from an earlier trough.
 func TestEnvelopeReproducesReport(t *testing.T) {
 	sim := des.New(1)
 	clocks := mkClocks([]simtime.Duration{0}, nil)
 	rec := NewRecorder(sim, clocks, adversary.Schedule{}, 100)
 	var env Envelope
-	var drawdown, runup, bias simtime.Duration
-	for i, target := range []simtime.Duration{0, 0.3, 0.1, -0.4, 0.2, 0.1} {
-		at := simtime.Time(10 * (i + 1))
-		clocks[0].Adjust(at, target-bias)
-		bias = target
-		rec.TakeSample(at)
-		d, u := env.Advance(at, rec.Samples()[i].Biases[0], 1e-12)
+	var drawdown, runup simtime.Duration
+	advance := func(at simtime.Time) {
+		d, u := env.Advance(at, clocks[0].Adj(), 1e-12)
 		drawdown, runup = simtime.MaxDuration(drawdown, d), simtime.MaxDuration(runup, u)
 	}
+	advance(0)
+	for i, target := range []simtime.Duration{0, 0.3, 0.1, -0.4, 0.2, 0.1} {
+		at := simtime.Time(10 * (i + 1))
+		advance(at)
+		clocks[0].Adjust(at, target-clocks[0].Adj())
+		advance(at)
+	}
 	sim.RunUntil(70)
+	advance(70)
 	rep := rec.BuildReport(ReportOptions{LogicalDriftBound: 1e-12}, nil)
-	if math.Abs(float64(rep.AccuracyDrawdown-drawdown)) > 1e-9 || math.Abs(float64(rep.AccuracyRunup-runup)) > 1e-9 {
+	if rep.AccuracyDrawdown != drawdown || rep.AccuracyRunup != runup {
 		t.Fatalf("report (%.17g, %.17g) ≠ envelope (%.17g, %.17g)", rep.AccuracyDrawdown, rep.AccuracyRunup, drawdown, runup)
 	}
 	if math.Abs(float64(drawdown)-0.7) > 1e-9 || math.Abs(float64(runup)-0.6) > 1e-9 {

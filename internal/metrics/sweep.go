@@ -10,129 +10,209 @@ import (
 	"clocksync/internal/simtime"
 )
 
-// track is one clock in the sweep: between its writes it reads
-// C(τ) = (1+g)·Q(h0 + hs·τ) + d, Q truncating to the hardware's tick if any.
-type track struct {
-	h0, hs, tick, g, d float64
-	log                []clock.Step
-	gains              []clock.GainStep
-	cur, gcur          int      // the next step's and gain change's index
-	env                Envelope // Equation 3 over the current good stretch
-	from               simtime.Time
-	fromBias           simtime.Duration // where the current good stretch began
+// line is one clock between two of its writes: after its first step steps
+// and gain gain changes, and before its next write at next, its bias reads
+// a + b·τ, less (1+g)·(h − Q(h)) when a tick Q truncates its hardware
+// reading h = h0 + hs·τ, where b = (1+g)·hs − 1.
+type line struct {
+	a, b       float64
+	next       simtime.Time
+	step, gain int32
 }
 
-func (tr *track) reading(t simtime.Time) float64 {
-	h := tr.h0 + tr.hs*float64(t)
-	if tr.tick > 0 {
-		h = math.Floor(h/tr.tick) * tr.tick
+// sweep is BuildReport's working state, its slices cut from the recorder's
+// slabs. The good clocks' range is kept through candidates, not all n
+// clocks: a rebuild at t0 takes the range [lo, hi] and the rates [bLo, bHi]
+// of every good clock and keeps those within δ, a tenth of a second of that
+// rate spread, of either end. Every other good clock stays inside the window
+// (lo + δ + bLo·(t−t0), hi − δ + bHi·(t−t0)) until it is written, and a
+// written clock left inside it at a rate within [bLo, bHi] does too; so
+// while the candidates reach past both ends of the window, their range is
+// the good clocks' range.
+type sweep struct {
+	*Recorder
+	lines            []line
+	bias             []simtime.Duration
+	good, spare      []bool
+	quantized        bool // any clock's hardware
+	cands            []int32
+	lo, hi, bLo, bHi float64 // the window at t0
+	t0               simtime.Time
+}
+
+// hardware is clock i's hardware line h0 + hs·τ and its tick, 0 if none.
+func (sw *sweep) hardware(i int) (h0, hs, tick float64) {
+	hw := sw.clocks[i].Hardware()
+	if q, ok := hw.(*clock.Quantized); ok {
+		hw, tick = q.HW, float64(q.Tick)
 	}
-	return h
+	d, ok := hw.(*clock.Drifting)
+	if !ok {
+		panic(fmt.Sprintf("metrics: a trajectory needs a Drifting hardware clock, got %T", hw))
+	}
+	return float64(d.Read(0)), d.Slope(), tick
 }
 
-func (tr *track) advance(t simtime.Time, b simtime.Duration, opts ReportOptions, rep *Report) {
-	if opts.LogicalDriftBound > 0 {
-		d, u := tr.env.Advance(t, b, opts.LogicalDriftBound)
-		rep.AccuracyDrawdown, rep.AccuracyRunup = max(rep.AccuracyDrawdown, d), max(rep.AccuracyRunup, u)
+// start is clock i's line before its first write.
+func (sw *sweep) start(i int) line {
+	h0, hs, tick := sw.hardware(i)
+	ln := line{a: h0, b: hs - 1}
+	sw.write(i, &ln, simtime.Time(math.Inf(-1)))
+	sw.quantized = sw.quantized || tick > 0
+	return ln
+}
+
+// write makes clock i's writes up to t on ln and moves ln.next on.
+func (sw *sweep) write(i int, ln *line, t simtime.Time) {
+	steps, gains := sw.clocks[i].Steps(), sw.clocks[i].Gains()
+	for ; int(ln.step) < len(steps) && steps[ln.step].At <= t; ln.step++ {
+		ln.a += float64(steps[ln.step].Delta)
+	}
+	for ; int(ln.gain) < len(gains) && gains[ln.gain].At <= t; ln.gain++ {
+		// The clock is continuous across a gain change g → g' at the
+		// hardware reading q, so a moves by (g'−g)·(h0−q).
+		h0, hs, tick := sw.hardware(i)
+		q := h0 + hs*float64(gains[ln.gain].At)
+		if tick > 0 {
+			q = math.Floor(q/tick) * tick
+		}
+		g := gains[ln.gain].Gain
+		ln.a += (1 + g - (ln.b+1)/hs) * (h0 - q)
+		ln.b = (1+g)*hs - 1
+	}
+	ln.next = simtime.Time(math.Inf(1))
+	if int(ln.step) < len(steps) {
+		ln.next = steps[ln.step].At
+	}
+	if int(ln.gain) < len(gains) {
+		ln.next = min(ln.next, gains[ln.gain].At)
 	}
 }
 
-// endStretch closes the clock's good stretch at t, where it reads b.
-func (tr *track) endStretch(t simtime.Time, b simtime.Duration, opts ReportOptions, rep *Report) {
-	if tr.env.in {
-		tr.advance(t, b, opts, rep)
+// at is clock i's bias at t on ln.
+func (sw *sweep) at(i int, ln *line, t simtime.Time) simtime.Duration {
+	v := ln.a + ln.b*float64(t)
+	if !sw.quantized {
+		return simtime.Duration(v)
 	}
-	tr.env.Reset()
-	if span := t.Sub(tr.from); span >= opts.MinRateWindow {
-		rep.WorstRate = math.Max(rep.WorstRate, math.Abs(float64(b-tr.fromBias+span)/float64(span)-1))
+	if h0, hs, tick := sw.hardware(i); tick > 0 {
+		h := h0 + hs*float64(t)
+		v -= (ln.b + 1) / hs * (h - math.Floor(h/tick)*tick)
 	}
+	return simtime.Duration(v)
 }
 
-// write is one instant at which a clock is written.
-type write struct {
-	at    simtime.Time
-	clock int
-}
-
-// scratch is the sweep's working storage, which scratches keeps for later
-// sweeps past the collections that empty a sync.Pool during a large run
-// (four, for a few concurrent workers). Clock i's bias is a[i] + b[i]·τ
-// between its writes, unless a tick quantizes it.
-//
-// The good clocks' range is kept through candidates, not all n clocks: a
-// rebuild at t0 takes the range [lo0, hi0] and the rates [bLo, bHi] of every
-// good clock and keeps those within δ, a tenth of a second of that rate
-// spread, of either end. Every other good clock stays inside the window
-// (lo0 + δ + bLo·(t−t0), hi0 − δ + bHi·(t−t0)), and a written clock left
-// inside it at an in-range rate does too; so while the candidates reach past
-// both ends of the window, their range is the good clocks' range.
-type scratch struct {
-	tracks                    []track
-	writes                    []write
-	a, b                      []float64
-	bias                      []simtime.Duration
-	good, spare               []bool
-	writers, cands            []int
-	lo0, hi0, bLo, bHi, delta float64
-	t0                        simtime.Time
-}
-
-var scratches = make(chan *scratch, 4)
-
-// at is clock i's bias at t.
-func (sc *scratch) at(i int, t simtime.Time) simtime.Duration {
-	if tr := &sc.tracks[i]; tr.tick > 0 {
-		return simtime.Duration((1+tr.g)*tr.reading(t) + tr.d - float64(t))
-	}
-	return simtime.Duration(sc.a[i] + sc.b[i]*float64(t))
-}
-
-// reread brings clock i's flat state up to date and returns its bias at t.
-func (sc *scratch) reread(i int, t simtime.Time) simtime.Duration {
-	tr := &sc.tracks[i]
-	sc.a[i], sc.b[i] = (1+tr.g)*tr.h0+tr.d, (1+tr.g)*tr.hs-1
-	return sc.at(i, t)
-}
-
-func (sc *scratch) window(t simtime.Time) (lo, hi float64) {
-	dt := float64(t - sc.t0)
-	return sc.lo0 + sc.delta + sc.bLo*dt, sc.hi0 - sc.delta + sc.bHi*dt
-}
-
-// rebuild evaluates every clock at t into bias and returns the good ones'
-// range, picking the candidates anew.
-func (sc *scratch) rebuild(t simtime.Time, good []bool) (lo, hi float64) {
-	lo, hi, bLo, bHi := math.Inf(1), math.Inf(-1), math.Inf(1), math.Inf(-1)
-	for i, g := range good {
-		if sc.bias[i] = sc.at(i, t); g {
-			lo, hi = min(lo, float64(sc.bias[i])), max(hi, float64(sc.bias[i]))
-			bLo, bHi = min(bLo, sc.b[i]), max(bHi, sc.b[i])
+// trace walks clock i alone through [0, end]: Equation 3's envelope at both
+// limits of its writes and at the ends of its good stretches from skip on,
+// its rate between a stretch's ends, and the size of each of its steps.
+func (sw *sweep) trace(i int, skip, end simtime.Time, opts ReportOptions, rep *Report) {
+	var env Envelope
+	advance := func(t simtime.Time, b simtime.Duration) {
+		if opts.LogicalDriftBound > 0 {
+			d, u := env.Advance(t, b, opts.LogicalDriftBound)
+			rep.AccuracyDrawdown, rep.AccuracyRunup = max(rep.AccuracyDrawdown, d), max(rep.AccuracyRunup, u)
 		}
 	}
-	sc.lo0, sc.hi0, sc.bLo, sc.bHi, sc.delta, sc.t0 = lo, hi, bLo, bHi, (bHi-bLo)*0.1, t
-	sc.cands = sc.cands[:0]
-	for i, g := range good {
-		if v := float64(sc.bias[i]); g && (v <= lo+sc.delta || v >= hi-sc.delta) {
-			sc.cands = append(sc.cands, i)
+	ln, good, from := sw.start(i), sw.goodAt(i, 0), simtime.Time(0)
+	fromBias := sw.at(i, &ln, 0)
+	endStretch := func(t simtime.Time, b simtime.Duration) {
+		if span := t.Sub(from); span >= opts.MinRateWindow {
+			rep.WorstRate = math.Max(rep.WorstRate, math.Abs(float64(b-fromBias+span)/float64(span)-1))
 		}
+		env.Reset()
 	}
-	return lo, hi
+	for t := simtime.Time(0); ; {
+		b, gr := sw.at(i, &ln, t), sw.goodAt(i, t)
+		if good && t > skip {
+			advance(t, b)
+		}
+		if good && !gr {
+			endStretch(t, b)
+		}
+		made := ln.step
+		sw.write(i, &ln, t)
+		for _, st := range sw.clocks[i].Steps()[made:ln.step] {
+			// The adversary's writes are not adjustments, and Theorem
+			// 5(ii)'s ψ covers the good processors after the warm-up.
+			if d := st.Delta.Abs(); !sw.Schedule.ActiveAt(i, t) {
+				rep.MaxAdjustment = max(rep.MaxAdjustment, d)
+				if gr && t >= skip {
+					rep.MaxDiscontinuity = max(rep.MaxDiscontinuity, d)
+				}
+			}
+		}
+		if b = sw.at(i, &ln, t); gr && !good {
+			from, fromBias = t, b
+		}
+		if gr && t >= skip {
+			advance(t, b)
+		}
+		if t >= end {
+			if gr {
+				endStretch(t, b)
+			}
+			return
+		}
+		good, t = gr, min(ln.next, sw.nextBound(t, skip, i), end)
+	}
 }
 
-// extremes is the good clocks' range at t from the candidates, or from a
-// rebuild when they do not reach past the window. It reads the flat state,
-// so a run with a quantized clock takes every range from a rebuild.
-func (sc *scratch) extremes(t simtime.Time, good []bool) (lo, hi float64) {
+func (sw *sweep) window(t simtime.Time) (lo, hi float64) {
+	dt := float64(t - sw.t0)
+	return sw.lo + sw.bLo*dt, sw.hi + sw.bHi*dt
+}
+
+// span is the good clocks' range at t: from the candidates, or from a
+// rebuild, which evaluates every clock into bias and picks the candidates
+// anew, when full or when they no longer reach past the window. A quantized
+// clock is not affine between its writes, so a run with one always rebuilds.
+func (sw *sweep) span(t simtime.Time, full bool) (lo, hi float64, rebuilt bool) {
 	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, i := range sc.cands {
-		if v := sc.a[i] + sc.b[i]*float64(t); good[i] {
-			lo, hi = min(lo, v), max(hi, v)
+	for _, i := range sw.cands {
+		v := float64(sw.at(int(i), &sw.lines[i], t))
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	if wLo, wHi := sw.window(t); !full && !sw.quantized && lo <= wLo && hi >= wHi {
+		return lo, hi, false
+	}
+	lo, hi, sw.bLo, sw.bHi, sw.t0 = math.Inf(1), math.Inf(-1), math.Inf(1), math.Inf(-1), t
+	for i := range sw.lines {
+		if sw.bias[i] = sw.at(i, &sw.lines[i], t); sw.good[i] {
+			lo, hi = min(lo, float64(sw.bias[i])), max(hi, float64(sw.bias[i]))
+			sw.bLo, sw.bHi = min(sw.bLo, sw.lines[i].b), max(sw.bHi, sw.lines[i].b)
 		}
 	}
-	if wLo, wHi := sc.window(t); lo <= wLo && hi >= wHi {
-		return lo, hi
+	d := (sw.bHi - sw.bLo) * 0.1
+	sw.lo, sw.hi, sw.cands = lo+d, hi-d, sw.cands[:0]
+	for i, g := range sw.good {
+		if v := float64(sw.bias[i]); g && (v <= sw.lo || v >= sw.hi) {
+			sw.cands = append(sw.cands, int32(i))
+		}
 	}
-	return sc.rebuild(t, good)
+	return lo, hi, true
+}
+
+// admit makes good clock w, just written at t, a candidate unless it stays
+// inside the window at a rate within it.
+func (sw *sweep) admit(t simtime.Time, w int) {
+	v, b := float64(sw.at(w, &sw.lines[w], t)), sw.lines[w].b
+	if lo, hi := sw.window(t); v <= lo || v >= hi || b < sw.bLo || b > sw.bHi {
+		sw.cands = append(sw.cands, int32(w))
+	}
+}
+
+// down restores the heap order of clocks below j, the earliest next write
+// on top.
+func down(order []int32, lines []line, j int) {
+	for c := 2*j + 1; c < len(order); j, c = c, 2*c+1 {
+		if c+1 < len(order) && lines[order[c+1]].next < lines[order[c]].next {
+			c++
+		}
+		if lines[order[j]].next <= lines[order[c]].next {
+			return
+		}
+		order[j], order[c] = order[c], order[j]
+	}
 }
 
 // BuildReport computes the report of the run over [0, the simulator's
@@ -141,14 +221,14 @@ func (sc *scratch) extremes(t simtime.Time, good []bool) (lo, hi float64) {
 // minus a min of affine functions, is convex between the instants where a
 // clock is written or the good set changes: its supremum is a left or right
 // limit at one of them. One sweep visits those, the periodic samples', the
-// At marks', releases, SkipBefore and the end in time order, and takes the
-// good range at both limits of each. A clock's Equation 3 envelope advances
-// at both limits of its writes and at the ends of its good stretches, where
-// its rate is taken. visit, when non-nil, is handed the limits from
-// SkipBefore on, as check.Checker.Round takes them: at an instant where a
-// clock is written or the good set may change, the left limit (node −1)
-// where something changes, then the right limit once per step made there
-// (its node and delta; −1 and 0 when none is).
+// At marks', releases, SkipBefore and the end in time order and takes the
+// good range at both limits; each clock's Equation 3 envelope, rate and
+// steps come from a walk over its own writes (trace). visit, when non-nil,
+// is handed the limits from SkipBefore on, as check.Checker.Round takes
+// them: where a clock is written or the good set may change, the left limit
+// (node −1) if something changes, then the right limit once per step made
+// there (its node and delta; −1 and 0 when none is). At marks fire in the
+// first call only.
 func (r *Recorder) BuildReport(opts ReportOptions, visit func(s Sample, node int, delta simtime.Duration)) Report {
 	r.live()
 	if opts.RecoveryMargin <= 0 {
@@ -157,143 +237,87 @@ func (r *Recorder) BuildReport(opts ReportOptions, visit func(s Sample, node int
 	if opts.MinRateWindow <= 0 {
 		opts.MinRateWindow = 10 * simtime.Second
 	}
-	var sc *scratch
-	select {
-	case sc = <-scratches:
-	default:
-		sc = new(scratch)
+	if r.store == nil {
+		r.store = new(slabs)
 	}
-	n, quantized, writes := len(r.clocks), false, sc.writes[:0]
-	sc.tracks, sc.a, sc.b, sc.bias = fit(sc.tracks, n), fit(sc.a, n), fit(sc.b, n), fit(sc.bias, n)
-	tracks, bias, good, spare := sc.tracks, sc.bias, fit(sc.good, n), fit(sc.spare, n)
-	for i, c := range r.clocks {
-		tracks[i], good[i] = track{log: c.Steps(), gains: c.Gains()}, r.goodAt(i, 0)
-		hw := c.Hardware()
-		if q, ok := hw.(*clock.Quantized); ok {
-			hw, tracks[i].tick, quantized = q.HW, float64(q.Tick), true
-		}
-		d, ok := hw.(*clock.Drifting)
-		if !ok {
-			panic(fmt.Sprintf("metrics: a trajectory needs a Drifting hardware clock, got %T", hw))
-		}
-		tracks[i].h0, tracks[i].hs = float64(d.Read(0)), d.Slope()
-		tracks[i].fromBias = sc.reread(i, 0)
-		for _, st := range c.Steps() {
-			writes = append(writes, write{st.At, i})
-		}
-		for _, g := range c.Gains() {
-			writes = append(writes, write{g.At, i})
-		}
+	st := r.store
+	st.fitSweep(len(r.clocks))
+	sw, order := sweep{Recorder: r, lines: st.lines, bias: st.bias, good: st.now, spare: st.spare, cands: st.cand}, st.order
+	for i := range sw.lines {
+		sw.lines[i], sw.good[i], order[i] = sw.start(i), r.goodAt(i, 0), int32(i)
 	}
-	slices.SortFunc(writes, func(x, y write) int { return cmp.Or(cmp.Compare(x.at, y.at), x.clock-y.clock) })
-	slices.SortStableFunc(r.marks, func(a, b mark) int { return cmp.Compare(a.at, b.at) })
+	for j := len(order)/2 - 1; j >= 0; j-- {
+		down(order, sw.lines, j)
+	}
 	var rep Report
 	for _, c := range r.Schedule.Corruptions {
 		rep.Recoveries = append(rep.Recoveries, Recovery{Node: c.Node, ReleasedAt: c.To})
 	}
+	slices.SortStableFunc(rep.Recoveries, func(a, b Recovery) int { return cmp.Compare(a.ReleasedAt, b.ReleasedAt) })
+	slices.SortStableFunc(r.marks, func(a, b mark) int { return cmp.Compare(a.at, b.at) })
+	end, skip := r.sim.Now(), max(opts.SkipBefore, 0)
+	for i := range sw.lines {
+		sw.trace(i, skip, end, opts, &rep)
+	}
 
-	end, skip, writers := r.sim.Now(), max(opts.SkipBefore, 0), sc.writers[:0]
-	var sum, samples, lo, hi float64
-	bound, wi, mi, pi := r.nextBound(0, skip), 0, 0, 0
+	var sum, samples float64
+	bound, mi, pi := r.nextBound(0, skip, -1), 0, 0
+	sw.span(0, true)
 	for t := simtime.Time(0); ; {
 		// gr is the right limit's good set, which may differ from the left
-		// one where a corruption starts or leaves its Θ-shadow; there every
-		// clock counts as written. A full instant evaluates every clock; the
-		// others measure from SkipBefore on, from the candidates.
-		gr, all, wrote := good, t == bound || t == skip || t >= end, wi < len(writes) && writes[wi].at <= t
-		for writers = writers[:0]; wi < len(writes) && writes[wi].at <= t; wi++ {
-			if w := writes[wi].clock; !all && (len(writers) == 0 || writers[len(writers)-1] != w) {
-				writers = append(writers, w)
+		// one where a corruption starts or leaves its Θ-shadow.
+		all, gr := t == bound || t == skip || t >= end, sw.good
+		if all {
+			gr = sw.spare
+			for i := range gr {
+				gr[i] = r.goodAt(i, t)
 			}
 		}
-		for i := 0; all && i < n; i++ {
-			gr, spare[i], writers = spare, r.goodAt(i, t), append(writers, i)
-		}
-		full := all || quantized || visit != nil && t >= skip && wrote || mi < len(r.marks) && r.marks[mi].at == t
-		for _, rv := range rep.Recoveries {
-			full = full || !rv.Ok && rv.ReleasedAt <= t
-		}
-		measure := full || t >= skip
-
-		// The left limit.
-		if full {
-			lo, hi = sc.rebuild(t, good)
-		} else if measure {
-			lo, hi = sc.extremes(t, good)
-		}
-		for _, w := range writers {
-			bias[w] = sc.at(w, t)
-		}
-		if t > skip && (wrote || all && !slices.Equal(good, gr)) {
-			left := Sample{At: t, Biases: bias, Good: good, Deviation: simtime.Duration(max(hi-lo, 0))}
-			if rep.MaxDeviation = max(rep.MaxDeviation, left.Deviation); visit != nil {
+		wrote := len(order) > 0 && sw.lines[order[0]].next <= t
+		read := visit != nil && t >= skip && (wrote || all)
+		if t > skip && (wrote || all && !slices.Equal(sw.good, gr)) {
+			lo, hi, _ := sw.span(t, read)
+			left := Sample{At: t, Biases: sw.bias, Good: sw.good, Deviation: simtime.Duration(max(hi-lo, 0))}
+			if rep.MaxDeviation = max(rep.MaxDeviation, left.Deviation); read {
 				visit(left, -1, 0)
 			}
-			for _, w := range writers {
-				if good[w] {
-					tracks[w].advance(t, bias[w], opts, &rep)
-				}
-			}
 		}
 
-		// The writes and good-set changes of t, then the right limit.
-		wLo, wHi := sc.window(t)
-		for _, w := range writers {
-			tr := &tracks[w]
-			if good[w] && !gr[w] {
-				tr.endStretch(t, bias[w], opts, &rep)
-			}
-			for ; tr.cur < len(tr.log) && tr.log[tr.cur].At <= t; tr.cur++ {
-				d := tr.log[tr.cur].Delta
-				tr.d += float64(d)
-				// The adversary's writes are not adjustments, and Theorem
-				// 5(ii)'s ψ covers the good processors after the warm-up.
-				if d = d.Abs(); !r.Schedule.ActiveAt(w, t) {
-					rep.MaxAdjustment = max(rep.MaxAdjustment, d)
-					if gr[w] && t >= skip {
-						rep.MaxDiscontinuity = max(rep.MaxDiscontinuity, d)
-					}
-				}
-			}
-			for ; tr.gcur < len(tr.gains) && tr.gains[tr.gcur].At <= t; tr.gcur++ {
-				g := tr.gains[tr.gcur].Gain
-				tr.d += (tr.g - g) * tr.reading(t)
-				tr.g = g
-			}
-			bias[w] = sc.reread(w, t)
-			if v := float64(bias[w]); measure && (v <= wLo || v >= wHi || sc.b[w] < sc.bLo || sc.b[w] > sc.bHi) {
-				sc.cands = append(sc.cands, w)
-			}
-			if gr[w] && !good[w] {
-				tr.from, tr.fromBias = t, bias[w]
-				tr.env.Reset()
+		// The writes of t, then the right limit; before SkipBefore only a
+		// mark or a recovery reads it.
+		for ; len(order) > 0 && sw.lines[order[0]].next <= t; down(order, sw.lines, 0) {
+			w := int(order[0])
+			if sw.write(w, &sw.lines[w], t); gr[w] {
+				sw.admit(t, w)
 			}
 		}
 		if all {
-			good, spare, bound = gr, good, r.nextBound(t, skip)
+			sw.good, sw.spare, bound = gr, sw.good, r.nextBound(t, skip, -1)
 		}
-		if full {
-			lo, hi = sc.rebuild(t, good)
-		} else if measure {
-			lo, hi = sc.extremes(t, good)
+		marked := mi < len(r.marks) && r.marks[mi].at == t
+		measure := all || marked || t >= skip
+		for _, rv := range rep.Recoveries {
+			measure = measure || !rv.Ok && rv.ReleasedAt <= t
 		}
-		right := Sample{At: t, Biases: bias, Good: good, Deviation: simtime.Duration(max(hi-lo, 0))}
+		var lo, hi float64
+		var rebuilt bool
+		if measure {
+			lo, hi, rebuilt = sw.span(t, read || all || marked)
+		}
+		right := Sample{At: t, Biases: sw.bias, Good: sw.good, Deviation: simtime.Duration(max(hi-lo, 0))}
 		if t >= skip {
 			rep.MaxDeviation = max(rep.MaxDeviation, right.Deviation)
-			stepped := false
-			for _, w := range writers {
-				tr := &tracks[w]
-				for j := tr.cur - 1; visit != nil && j >= 0 && tr.log[j].At == t; j-- {
-					visit(right, w, tr.log[j].Delta)
-					stepped = true
-				}
-				if good[w] {
-					tr.advance(t, bias[w], opts, &rep)
-				}
+		}
+		stepped := false
+		for w := 0; read && w < len(sw.lines); w++ {
+			steps := r.clocks[w].Steps()
+			for j := sw.lines[w].step - 1; j >= 0 && steps[j].At == t; j-- {
+				visit(right, w, steps[j].Delta)
+				stepped = true
 			}
-			if visit != nil && !stepped && (wrote || all) {
-				visit(right, -1, 0)
-			}
+		}
+		if read && !stepped {
+			visit(right, -1, 0)
 		}
 		for ; mi < len(r.marks) && r.marks[mi].at <= t; mi++ {
 			if r.marks[mi].at == t {
@@ -301,14 +325,25 @@ func (r *Recorder) BuildReport(opts ReportOptions, visit func(s Sample, node int
 			}
 		}
 		for i := range rep.Recoveries {
-			if rv := &rep.Recoveries[i]; !rv.Ok && rv.ReleasedAt <= t {
-				dist, ok := right.DistanceToGood(rv.Node)
-				if t == rv.ReleasedAt {
-					rv.InitialDistance = dist
+			rv := &rep.Recoveries[i]
+			if rv.Ok || rv.ReleasedAt > t {
+				continue
+			}
+			// The range is the other good clocks' too unless the node is
+			// good and at one of its ends.
+			v := float64(sw.at(rv.Node, &sw.lines[rv.Node], t))
+			dist, ok := simtime.Duration(max(0, lo-v, v-hi)), lo <= hi
+			if sw.good[rv.Node] && (v <= lo || v >= hi) {
+				if !rebuilt {
+					lo, hi, rebuilt = sw.span(t, true)
 				}
-				if ok && dist <= opts.RecoveryMargin {
-					rv.Rejoined, rv.Ok = t, true
-				}
+				dist, ok = right.DistanceToGood(rv.Node)
+			}
+			if t == rv.ReleasedAt {
+				rv.InitialDistance = dist
+			}
+			if ok && dist <= opts.RecoveryMargin {
+				rv.Rejoined, rv.Ok = t, true
 			}
 		}
 		for ; pi < len(r.samples) && r.samples[pi].At <= t; pi++ {
@@ -317,16 +352,11 @@ func (r *Recorder) BuildReport(opts ReportOptions, visit func(s Sample, node int
 			}
 		}
 		if t >= end {
-			for i := range tracks {
-				if good[i] {
-					tracks[i].endStretch(t, bias[i], opts, &rep)
-				}
-			}
 			break
 		}
 		next := min(bound, end)
-		if wi < len(writes) {
-			next = min(next, writes[wi].at)
+		if len(order) > 0 {
+			next = min(next, sw.lines[order[0]].next)
 		}
 		if pi < len(r.samples) {
 			next = min(next, r.samples[pi].At)
@@ -336,14 +366,8 @@ func (r *Recorder) BuildReport(opts ReportOptions, visit func(s Sample, node int
 		}
 		t = next
 	}
-	slices.SortStableFunc(rep.Recoveries, func(a, b Recovery) int { return cmp.Compare(a.ReleasedAt, b.ReleasedAt) })
+	st.cand, r.marks = sw.cands, nil
 	rep.MeanDeviation = simtime.Duration(sum / max(samples, 1))
-	clear(tracks) // let go of the clocks' logs
-	sc.writes, sc.good, sc.spare, sc.writers = writes, good, spare, writers
-	select {
-	case scratches <- sc:
-	default:
-	}
 	return rep
 }
 
@@ -359,15 +383,16 @@ func (r *Recorder) goodAt(node int, t simtime.Time) bool {
 	return true
 }
 
-// nextBound is the first corruption start, release, shadow end or skip after t.
-func (r *Recorder) nextBound(t, skip simtime.Time) simtime.Time {
+// nextBound is the first corruption start, release or shadow end of node
+// (of any node if it is −1), or SkipBefore, after t.
+func (r *Recorder) nextBound(t, skip simtime.Time, node int) simtime.Time {
 	next := simtime.Time(math.Inf(1))
 	if skip > t {
 		next = skip
 	}
 	for _, c := range r.Schedule.Corruptions {
 		for _, b := range [...]simtime.Time{c.From, c.To, c.To.Add(r.Theta)} {
-			if b > t {
+			if b > t && (node < 0 || c.Node == node) {
 				next = min(next, b)
 			}
 		}
