@@ -11,8 +11,11 @@ import (
 // TestCampaignRunAllocBudget pins what a campaign run allocates on the
 // benchmark's family mix, measured over a whole campaign after one warm-up
 // campaign has filled the pools: its sample log comes from a released run
-// and its scenario's draws from SplitMix64 words on the stack. Measured
-// 11.4 kB per run; when every run reserved a fresh log it was 84.5 kB.
+// and its scenario's draws from SplitMix64 words on the stack, and its
+// envelopes, wire payloads and round buffers from what its worker's
+// simulator kept across Reset. Measured 9.2 kB in 86 objects per run; 11.2
+// kB in 143 objects when every run built its message layer afresh, and
+// 84.5 kB when every run reserved a fresh log too.
 func TestCampaignRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -34,9 +37,13 @@ func TestCampaignRunAllocBudget(t *testing.T) {
 		t.Fatalf("%d of %d runs completed, %d failed", res.Completed, cfg.Runs, len(res.Failures))
 	}
 	perRun := float64(after.TotalAlloc-before.TotalAlloc) / float64(cfg.Runs) / 1000
-	t.Logf("%.1f kB per run", perRun)
+	objects := float64(after.Mallocs-before.Mallocs) / float64(cfg.Runs)
+	t.Logf("%.1f kB in %.1f objects per run", perRun, objects)
 	if perRun > 16 {
 		t.Errorf("%.1f kB per campaign run, budget 16 — a run's sample log stopped coming from released storage", perRun)
+	}
+	if objects > 100 {
+		t.Errorf("%.1f objects per campaign run, budget 100 — a run's message layer stopped coming from its worker's simulator", objects)
 	}
 }
 

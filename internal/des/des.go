@@ -80,6 +80,7 @@ type Sim struct {
 	arena []slot    // pooled event storage
 	free  []int32   // recycled arena slots
 	heap  []heapEnt // 4-ary min-heap ordered by (hi, lo)
+	owned []any     // what the layers above keep on the queue (Owned)
 }
 
 // A heap entry's lo word is seq<<slotBits | slot, so a Sim holds at most
@@ -136,10 +137,13 @@ func New(seed int64) *Sim {
 
 // Reset rewinds the simulator to the state New(seed) returns — time 0, empty
 // queue, the new seed — while keeping the event arena and heap storage for
-// reuse. Campaign workers run thousands of scenarios back to back;
-// resetting instead of reallocating keeps the queue's memory warm across
-// runs. A reset simulator replays a seed byte-for-byte identically to a
-// fresh one.
+// reuse, and every value the layers above own on the queue (Owned): the
+// message layer's envelopes, wire payloads and round buffers. Campaign
+// workers run thousands of scenarios back to back; resetting instead of
+// reallocating keeps the queue's memory warm across runs, until the
+// simulator is dropped. An event still pending is dropped with whatever its
+// callback holds, never fired or recycled. A reset simulator replays a seed
+// byte-for-byte identically to a fresh one.
 func (s *Sim) Reset(seed int64) {
 	s.now = 0
 	s.seq = 0

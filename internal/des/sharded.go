@@ -73,9 +73,11 @@ func NewSharded(seed int64, shards int, lookahead simtime.Duration) *ShardedSim 
 }
 
 // Reset rewinds every shard and the global queue to time zero for the run
-// with the given seed, keeping all event arenas warm (the ShardedSim analogue
-// of Sim.Reset). Barrier hooks are cleared: they belong to the run's message
-// layer, which is rebuilt per run.
+// with the given seed, keeping all event arenas warm and what each shard owns
+// (Owned) — the ShardedSim analogue of Sim.Reset: a message layer built on
+// the reset simulator takes over each shard's envelopes, outbox storage and
+// lists, until the simulator is dropped. Barrier hooks are cleared: they
+// belong to the run's message layer, whose per-run state is rebuilt.
 func (p *ShardedSim) Reset(seed int64) {
 	for _, sh := range p.shards {
 		sh.Reset(seed)

@@ -260,8 +260,11 @@ func (r *Recorder) BuildReport(opts ReportOptions, visit func(s Sample, node int
 		sw.trace(i, skip, end, opts, &rep)
 	}
 
+	// Recoveries[:released] are those released by t, sorted by ReleasedAt;
+	// all before first have rejoined, and waiting counts those that have not.
 	var sum, samples float64
 	bound, mi, pi := r.nextBound(0, skip, -1), 0, 0
+	first, released, waiting := 0, 0, 0
 	sw.span(0, true)
 	for t := simtime.Time(0); ; {
 		// gr is the right limit's good set, which may differ from the left
@@ -295,10 +298,10 @@ func (r *Recorder) BuildReport(opts ReportOptions, visit func(s Sample, node int
 			sw.good, sw.spare, bound = gr, sw.good, r.nextBound(t, skip, -1)
 		}
 		marked := mi < len(r.marks) && r.marks[mi].at == t
-		measure := all || marked || t >= skip
-		for _, rv := range rep.Recoveries {
-			measure = measure || !rv.Ok && rv.ReleasedAt <= t
+		for ; released < len(rep.Recoveries) && rep.Recoveries[released].ReleasedAt <= t; released++ {
+			waiting++
 		}
+		measure := all || marked || t >= skip || waiting > 0
 		var lo, hi float64
 		var rebuilt bool
 		if measure {
@@ -324,9 +327,12 @@ func (r *Recorder) BuildReport(opts ReportOptions, visit func(s Sample, node int
 				r.marks[mi].fn(right)
 			}
 		}
-		for i := range rep.Recoveries {
+		for first < released && rep.Recoveries[first].Ok {
+			first++
+		}
+		for i := first; waiting > 0 && i < released; i++ {
 			rv := &rep.Recoveries[i]
-			if rv.Ok || rv.ReleasedAt > t {
+			if rv.Ok {
 				continue
 			}
 			// The range is the other good clocks' too unless the node is
@@ -344,6 +350,7 @@ func (r *Recorder) BuildReport(opts ReportOptions, visit func(s Sample, node int
 			}
 			if ok && dist <= opts.RecoveryMargin {
 				rv.Rejoined, rv.Ok = t, true
+				waiting--
 			}
 		}
 		for ; pi < len(r.samples) && r.samples[pi].At <= t; pi++ {

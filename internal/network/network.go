@@ -42,17 +42,25 @@ const nominalSize = 32
 
 // Network is the simulated authenticated message layer. It runs over lanes: a
 // lane is one event queue plus what that queue owns — its envelope and
-// payload free lists, its draw stream, rekeyed per message, and its outbox of
-// messages bound for other lanes. A network over a serial simulator has one
-// lane, one over a sharded simulator one lane per shard (see NewSharded).
-// Every processor belongs to one lane: its sends draw there and its deliveries
-// land there, so a lane's state is touched only by the goroutine running its
-// queue, and needs no lock.
+// payload free lists and its outbox of messages bound for other lanes — and
+// the run's draw stream on it, rekeyed per message. A network over a serial
+// simulator has one lane, one over a sharded simulator one lane per shard
+// (see NewSharded). Every processor belongs to one lane: its sends draw there
+// and its deliveries land there, so a lane's state is touched only by the
+// goroutine running its queue, and needs no lock.
+//
+// The network holds no storage of its own beyond the run: the free lists and
+// the outbox's storage belong to the queue (des.Owned), which keeps them
+// across Reset until it is dropped. A network built on a reused simulator
+// takes them over, with every envelope and payload the last run gave back;
+// it builds only the run's node table, draw streams and empty outboxes.
+// Networks on one simulator share that storage, and building one empties the
+// outboxes, so build a run's networks before running it.
 type Network struct {
 	topo  Topology
 	delay DelayModel
 	nodes []node
-	lanes []*lane
+	lanes []lane
 	// DropProb is the probability a message is silently lost, for failure
 	// injection. The paper's link model is reliable; experiments that check
 	// the analytic bounds leave this at zero.
@@ -73,19 +81,40 @@ type node struct {
 	seq      uint64
 }
 
-// lane is one event queue's share of the network. Send rekeys src per
-// message; a stream on Send's stack would escape through DelayModel.Sample.
+// lane is one event queue's share of one run's network: the queue, the run's
+// draw stream on it, and what the queue keeps. Send rekeys src per message; a
+// stream on Send's stack would escape through DelayModel.Sample.
 type lane struct {
-	sim      *des.Sim
-	src      SplitMix64
-	free     []*envelope
-	payloads []any // the lane's FreeLists, one per payload or buffer type
-	outbox   []pending
+	sim *des.Sim
+	src SplitMix64
+	*store
+}
+
+// store is what a lane's queue owns (des.Owned): its recycled envelopes and
+// its outbox's storage. The payload lists are owned the same way, one per
+// type (PayloadList).
+type store struct {
+	free   des.FreeList[envelope]
+	outbox []pending
+}
+
+// newLane takes over sim's store for a new run. A run cut short mid-window —
+// by a panicking event — leaves messages in the outbox; they and their
+// payloads belong to that run, so they are dropped, not delivered or
+// recycled.
+func newLane(sim *des.Sim) lane {
+	st := des.Owned[store](sim)
+	clear(st.outbox)
+	st.outbox = st.outbox[:0]
+	return lane{sim: sim, store: st}
 }
 
 // envelope is one in-flight message plus its delivery closure, bound once for
-// the envelope's lifetime: a send costs one pooled event and no closure.
+// the envelope's lifetime: a send costs one pooled event and no closure. The
+// envelope outlives the run, so the closure does not capture the network:
+// Send sets net, and delivery clears it with the message.
 type envelope struct {
+	net *Network
 	msg Message
 	fn  func()
 }
@@ -101,7 +130,7 @@ type pending struct {
 // simulator's seed.
 func New(sim *des.Sim, topo Topology, delay DelayModel) *Network {
 	n := newNetwork(topo, delay, sim.Seed(), 1)
-	n.lanes[0] = &lane{sim: sim}
+	n.lanes[0] = newLane(sim)
 	return n
 }
 
@@ -124,7 +153,7 @@ func NewSharded(ps *des.ShardedSim, topo Topology, delay DelayModel, seed int64)
 		n.nodes[i].lane = ps.ShardOf(i)
 	}
 	for s := range n.lanes {
-		n.lanes[s] = &lane{sim: ps.Shard(s)}
+		n.lanes[s] = newLane(ps.Shard(s))
 	}
 	ps.OnBarrier(n.flushOutboxes)
 	return n
@@ -135,54 +164,24 @@ func newNetwork(topo Topology, delay DelayModel, seed int64, lanes int) *Network
 		topo:  topo,
 		delay: delay,
 		nodes: make([]node, topo.N()),
-		lanes: make([]*lane, lanes),
+		lanes: make([]lane, lanes),
 		seed:  seed,
 	}
 }
 
-// FreeList recycles the wire payloads of one type on one lane — and, under
-// the same rule, the round-sized buffers the protocol layer borrows for the
-// length of an estimation round (a FreeList[[]T] lends *[]T). The protocol
-// layer sends payloads as pointers (boxing a value per message dominated the
-// simulator's allocation profile) and the handler that consumed one puts it
-// back after it has read the fields — handlers never retain the pointer. The
-// network owns the lists so that they live as long as the run, not as long as
-// one processor: a list holds at most the payloads ever in flight at once on
-// its lane, whichever processors sent them. A handler that returns nothing
-// merely leaves its payloads to the garbage collector, and a payload the list
-// did not hand out is as good as one it did.
-type FreeList[T any] struct{ free []*T }
-
-// Get pops a recycled payload or allocates one. The caller sets every field.
-func (l *FreeList[T]) Get() *T {
-	if last := len(l.free) - 1; last >= 0 {
-		p := l.free[last]
-		l.free = l.free[:last]
-		return p
-	}
-	return new(T)
-}
-
-// Put recycles a payload whose handler has returned.
-func (l *FreeList[T]) Put(p *T) { l.free = append(l.free, p) }
-
-// Len reports how many items the list holds for the next Get.
-func (l *FreeList[T]) Len() int { return len(l.free) }
-
 // PayloadList returns the free list for payloads of type T on the lane that
-// runs processor id, creating it on first use. Call it while wiring the run
-// (processors register before the simulation starts) and keep the result:
-// after that the list belongs to the lane's goroutine.
-func PayloadList[T any](n *Network, id int) *FreeList[T] {
-	l := n.lanes[n.nodes[id].lane]
-	for _, p := range l.payloads {
-		if fl, ok := p.(*FreeList[T]); ok {
-			return fl
-		}
-	}
-	fl := new(FreeList[T])
-	l.payloads = append(l.payloads, fl)
-	return fl
+// runs processor id. The protocol layer sends payloads as pointers (boxing a
+// value per message dominated the simulator's allocation profile), and the
+// handler that consumed one puts it back after it has read the fields —
+// handlers never retain the pointer; the round buffers the protocol layer
+// borrows go back the same way. The list belongs to the lane's queue
+// (des.Owned), not to a processor or a run: it holds at most the items ever
+// out at once on its lane, whichever processors took them, and a reused
+// simulator keeps it across Reset until it is dropped. Call it while wiring
+// the run (processors register before the simulation starts) and keep the
+// result: after that the list belongs to the lane's goroutine.
+func PayloadList[T any](n *Network, id int) *des.FreeList[T] {
+	return des.Owned[des.FreeList[T]](n.lanes[n.nodes[id].lane].sim)
 }
 
 // Topology returns the network's topology.
@@ -214,7 +213,7 @@ func (n *Network) Send(from, to int, payload any) {
 	src := &n.nodes[from]
 	src.counters.Sent++
 	src.counters.Bytes += size
-	l := n.lanes[src.lane]
+	l := &n.lanes[src.lane]
 	l.src.State = Key(n.seed, MsgTag, uint64(from), uint64(to), src.seq)
 	src.seq++
 	if n.DropProb > 0 && l.src.Float64() < n.DropProb {
@@ -223,8 +222,11 @@ func (n *Network) Send(from, to int, payload any) {
 	}
 	now := l.sim.Now()
 	d := n.delay.Sample(from, to, &l.src)
-	env := n.newEnvelope(l)
-	env.msg = Message{From: from, To: to, Payload: payload, SentAt: now}
+	env := l.free.Get()
+	if env.fn == nil {
+		env.fn = env.deliver
+	}
+	env.net, env.msg = n, Message{From: from, To: to, Payload: payload, SentAt: now}
 	if n.nodes[to].lane == src.lane {
 		l.sim.After(d, env.fn)
 		return
@@ -237,30 +239,17 @@ func (n *Network) Send(from, to int, payload any) {
 	l.outbox = append(l.outbox, pending{at: now.Add(d), env: env})
 }
 
-// newEnvelope pops a recycled envelope off lane l or builds one with its
-// delivery closure.
-func (n *Network) newEnvelope(l *lane) *envelope {
-	if last := len(l.free) - 1; last >= 0 {
-		env := l.free[last]
-		l.free = l.free[:last]
-		return env
-	}
-	env := &envelope{}
-	env.fn = func() { n.deliver(env) }
-	return env
-}
-
 // deliver hands an envelope's message to the destination handler and recycles
 // the envelope onto the destination's lane — envelopes migrate with their
 // messages. The envelope is recycled before the handler runs: handlers send
 // messages of their own, and reusing the hot envelope keeps the pool at the
 // lane's maximum in-flight footprint.
-func (n *Network) deliver(env *envelope) {
-	msg := env.msg
-	env.msg = Message{} // drop the payload reference; the pool must not pin it
+func (env *envelope) deliver() {
+	n, msg := env.net, env.msg
+	env.net, env.msg = nil, Message{} // the list must pin neither the run nor the payload
 	dst := &n.nodes[msg.To]
-	l := n.lanes[dst.lane]
-	l.free = append(l.free, env)
+	l := &n.lanes[dst.lane]
+	l.free.Put(env)
 	if dst.handler == nil {
 		return
 	}

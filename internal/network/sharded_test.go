@@ -174,7 +174,7 @@ func TestPayloadListsPerShardAndType(t *testing.T) {
 
 	l := PayloadList[req](n, 1)
 	first := l.Get()
-	if first == nil || len(l.free) != 0 {
+	if first == nil || l.Len() != 0 {
 		t.Fatal("an empty list must allocate")
 	}
 	foreign := &req{n: 9}

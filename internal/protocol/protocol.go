@@ -97,11 +97,12 @@ type Harness struct {
 	// (pending.go).
 	pend pendingWindow
 	// reqs and resps recycle wire payloads: pings travel as pointers, and the
-	// receiver puts them back after dispatch. The lists belong to the network,
-	// one pair per shard (network.PayloadList), so they outlive any one
-	// processor and are shared by all that run on the shard.
-	reqs  *network.FreeList[TimeReq]
-	resps *network.FreeList[TimeResp]
+	// receiver puts them back after dispatch. The lists belong to the queue
+	// that runs the processor, one pair per shard (network.PayloadList), so
+	// they outlive any one processor and any one run on a reused simulator,
+	// and are shared by all processors that run on the shard.
+	reqs  *des.FreeList[TimeReq]
+	resps *des.FreeList[TimeResp]
 	// est is the estimation round in flight (round.go) and the only record of
 	// its pings; the fields after it are what driving it through the
 	// simulator takes. The round's slots live in estBuf, borrowed from the
@@ -114,7 +115,7 @@ type Harness struct {
 	// bound once in NewHarness, and the caller's callback. A steady-state
 	// round allocates nothing.
 	est          Round
-	ests         *network.FreeList[[]Estimate]
+	ests         *des.FreeList[[]Estimate]
 	estBuf       *[]Estimate
 	roundFirst   uint64
 	roundSentAt  simtime.Time

@@ -1,6 +1,9 @@
 package protocol
 
-import "clocksync/internal/network"
+import (
+	"clocksync/internal/des"
+	"clocksync/internal/network"
+)
 
 // PeerSampler draws the subset of peers a node estimates against each Sync
 // round. Full-mesh estimation sends O(n²) messages per round; sampling k
@@ -35,7 +38,7 @@ type PeerSampler struct {
 	seed  int64
 	node  int
 	round uint64
-	lend  *network.FreeList[[]int] // where the picks are written
+	lend  *des.FreeList[[]int] // where the picks are written
 }
 
 // NewPeerSampler samples k of the given peers per round. When k ≤ 0 or
@@ -44,7 +47,7 @@ type PeerSampler struct {
 // is valid until its next Sample.
 func NewPeerSampler(peers []int, k int, seed int64, node int) *PeerSampler {
 	return &PeerSampler{peers: peers, size: len(peers), k: k, seed: seed, node: node,
-		lend: new(network.FreeList[[]int])}
+		lend: new(des.FreeList[[]int])}
 }
 
 // NewNeighborSampler samples k of node's neighbours in net's topology per

@@ -123,10 +123,12 @@ type Scenario struct {
 	// ReuseSim, when non-nil, runs the scenario on this simulator instead of
 	// constructing a fresh one: Run resets it to Seed first (des.Sim.Reset),
 	// so the run is byte-identical to a fresh-simulator run while reusing the
-	// event arena — what lets campaign workers amortize allocation across
-	// thousands of runs. The caller must not use the simulator concurrently,
-	// and Result.Sim aliases it (except under Sweep, which lends its
-	// workers' simulators and leaves Result.Sim nil).
+	// event arena and the message layer's storage the simulator keeps — its
+	// envelopes, wire payloads and round buffers (des.Owned), held until the
+	// simulator is dropped. That is what lets campaign workers amortize
+	// allocation across thousands of runs. The caller must not use the
+	// simulator concurrently, and Result.Sim aliases it (except under Sweep,
+	// which lends its workers' simulators and leaves Result.Sim nil).
 	ReuseSim *des.Sim
 
 	// Shards, when ≥ 1, runs the scenario on the conservative-lookahead
@@ -141,8 +143,10 @@ type Scenario struct {
 	// (Observer/EventSink/SpanSink): their sinks are not thread-safe.
 	Shards int
 	// ReuseSharded is ReuseSim's analogue for sharded runs: the simulator is
-	// Reset to Seed and reused; its shard count and lookahead (fixed at
-	// construction) take precedence over Shards.
+	// Reset to Seed and reused, each shard keeping its arena and its lane's
+	// envelopes, outbox storage and lists until the simulator is dropped; its
+	// shard count and lookahead (fixed at construction) take precedence over
+	// Shards.
 	ReuseSharded *des.ShardedSim
 
 	// SamplePeers, when positive, runs Sync in sparse-estimation mode: each
