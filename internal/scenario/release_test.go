@@ -1,14 +1,18 @@
 package scenario_test
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 
 	"clocksync/internal/adversary"
+	"clocksync/internal/baseline"
 	"clocksync/internal/campaign"
+	"clocksync/internal/core"
 	"clocksync/internal/des"
 	"clocksync/internal/network"
+	"clocksync/internal/obs"
 	"clocksync/internal/scenario"
 	"clocksync/internal/simtime"
 )
@@ -18,9 +22,12 @@ import (
 // the same samples and report as a run on storage of its own. The reference
 // runs come first, before this test releases anything. A reused two-shard
 // engine, which keeps its lanes' envelopes, outboxes and lists across Reset,
-// is held to the same standard (shardedReuseMatchesFresh).
+// is held to the same standard (shardedReuseMatchesFresh), and so are both
+// engines over a sequence of runs that differ in everything a processor holds
+// (reusedEnginesMatchFresh).
 func TestReleasedRunsMatchFreshRuns(t *testing.T) {
 	shardedReuseMatchesFresh(t)
+	reusedEnginesMatchFresh(t)
 
 	runs := []struct {
 		n        int
@@ -142,5 +149,112 @@ func shardedReuseMatchesFresh(t *testing.T) {
 			cut.ReuseSharded = ps
 			scenario.Run(cut)
 		}()
+	}
+}
+
+// reusedEnginesMatchFresh runs, twice over on one reused serial engine and on
+// one reused two-shard engine, a sequence of runs that leave different state
+// in every processor: a Sync run with the cached estimation variant, drift
+// compensation, a RandomLiar still in control at the horizon and a
+// smash-and-release; a BoundedCF baseline run; a run on more processors than
+// any before it, and one on fewer; and, on the serial engine, a run with an
+// event sink. Each must report exactly what it reports on a fresh engine —
+// report, Sync counters, traffic, events fired, violations and, for the sink,
+// every event — so nothing a processor held may reach the next run.
+func reusedEnginesMatchFresh(t *testing.T) {
+	smash := func(node int, from, to simtime.Duration) adversary.Corruption {
+		return adversary.Corruption{Node: node, From: simtime.Time(from), To: simtime.Time(to),
+			Behavior: adversary.ClockSmash{Offset: 3 * simtime.Second}}
+	}
+	base := func(name string, seed int64, n int) scenario.Scenario {
+		return scenario.Scenario{
+			Name: name, Seed: seed, N: n, F: (n - 1) / 3,
+			Duration: 2 * simtime.Minute, Theta: simtime.Minute, Rho: 1e-4,
+			SyncInt: 10 * simtime.Second, InitSpread: 100 * simtime.Millisecond, Check: true,
+			Adversary: adversary.Schedule{Corruptions: []adversary.Corruption{smash(1, 20*simtime.Second, 50*simtime.Second)}},
+		}
+	}
+	type run struct {
+		s    scenario.Scenario
+		sink bool // serial only: the run's events are compared too
+	}
+	runs := func() []run {
+		cached := base("cached", 11, 16)
+		cached.Adversary.Corruptions = append(cached.Adversary.Corruptions, adversary.Corruption{
+			Node: 6, From: simtime.Time(90 * simtime.Second), To: simtime.Time(5 * simtime.Minute),
+			Behavior: adversary.RandomLiar{Amplitude: 500 * simtime.Millisecond},
+		})
+		cached.Builder = scenario.SyncBuilder(func(c *core.Config, _ scenario.BuildContext) {
+			c.CachedEstimation, c.CacheInvalidateOnAdjust, c.DriftComp = true, true, true
+		})
+		bounded := base("boundedcf", 12, 16)
+		bounded.Builder = baseline.BoundedCFBuilder(0)
+		return []run{
+			{s: cached},
+			{s: bounded},
+			{s: base("grow", 13, 64)},
+			{s: base("shrink", 14, 7)},
+			{s: base("sink", 15, 16), sink: true},
+		}
+	}
+	measure := func(r run, sim *des.Sim, ps *des.ShardedSim) string {
+		var events bytes.Buffer
+		var sink *obs.JSONL
+		if r.sink {
+			sink = obs.NewJSONL(&events)
+			r.s.EventSink = sink
+		}
+		r.s.ReuseSim, r.s.ReuseSharded = sim, ps
+		res, err := scenario.Run(r.s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sink != nil {
+			if err := sink.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fired := res.Sim.Fired()
+		if ps != nil {
+			fired = ps.Fired()
+		}
+		var stats []core.Stats
+		for _, st := range res.SyncStats {
+			if st != nil {
+				stats = append(stats, *st)
+			}
+		}
+		return fmt.Sprintf("%#v\nstats=%#v msgs=%d fired=%d violations=%#v\nevents=%q",
+			res.Report, stats, res.MsgsSent, fired, res.Violations, events.String())
+	}
+	engines := []struct {
+		name string
+		sim  func() *des.Sim
+		ps   func() *des.ShardedSim
+	}{
+		{"serial", func() *des.Sim { return des.New(0) }, func() *des.ShardedSim { return nil }},
+		{"two-shard", func() *des.Sim { return nil }, func() *des.ShardedSim { return des.NewSharded(0, 2, 5*simtime.Millisecond) }},
+	}
+	for _, e := range engines {
+		var want []string
+		for _, r := range runs() {
+			if r.sink && e.sim() == nil {
+				continue
+			}
+			want = append(want, measure(r, e.sim(), e.ps()))
+		}
+		sim, ps := e.sim(), e.ps()
+		for pass := 0; pass < 2; pass++ {
+			i := 0
+			for _, r := range runs() {
+				if r.sink && sim == nil {
+					continue
+				}
+				if got := measure(r, sim, ps); got != want[i] {
+					t.Errorf("pass %d, reused %s engine: %s reported\n%s\nwant\n%s", pass, e.name, r.s.Name, got, want[i])
+				}
+				i++
+			}
+		}
 	}
 }
