@@ -12,10 +12,11 @@ import (
 // benchmark's family mix, measured over a whole campaign after one warm-up
 // campaign has filled the pools: its sample log comes from a released run
 // and its scenario's draws from SplitMix64 words on the stack, and its
-// envelopes, wire payloads and round buffers from what its worker's
-// simulator kept across Reset. Measured 9.2 kB in 86 objects per run; 11.2
-// kB in 143 objects when every run built its message layer afresh, and
-// 84.5 kB when every run reserved a fresh log too.
+// envelopes, wire payloads, round buffers, harnesses and Sync nodes from what
+// its worker's simulator kept across Reset. Measured 3.7 kB in 26 objects per
+// run; 9.2 kB in 86 objects when every run built its processors afresh, 11.2
+// kB in 143 objects when it built its message layer afresh too, and 84.5 kB
+// when every run reserved a fresh log as well.
 func TestCampaignRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -39,11 +40,11 @@ func TestCampaignRunAllocBudget(t *testing.T) {
 	perRun := float64(after.TotalAlloc-before.TotalAlloc) / float64(cfg.Runs) / 1000
 	objects := float64(after.Mallocs-before.Mallocs) / float64(cfg.Runs)
 	t.Logf("%.1f kB in %.1f objects per run", perRun, objects)
-	if perRun > 16 {
-		t.Errorf("%.1f kB per campaign run, budget 16 — a run's sample log stopped coming from released storage", perRun)
+	if perRun > 6 {
+		t.Errorf("%.1f kB per campaign run, budget 6 — a run's sample log or processors stopped coming from storage kept for it", perRun)
 	}
-	if objects > 100 {
-		t.Errorf("%.1f objects per campaign run, budget 100 — a run's message layer stopped coming from its worker's simulator", objects)
+	if objects > 35 {
+		t.Errorf("%.1f objects per campaign run, budget 35 — a run's message layer or processors stopped coming from its worker's simulator", objects)
 	}
 }
 

@@ -47,10 +47,18 @@ type Drifting struct {
 // NewDrifting returns a clock that reads offset at real time origin and
 // advances with the given slope (1.0 = perfect; 1+ρ = fastest allowed).
 func NewDrifting(origin, offset simtime.Time, slope float64) *Drifting {
+	c := new(Drifting)
+	c.Init(origin, offset, slope)
+	return c
+}
+
+// Init makes c the clock NewDrifting returns, in place, for clocks kept in a
+// slab (a scenario run holds its n clocks in one).
+func (c *Drifting) Init(origin, offset simtime.Time, slope float64) {
 	if slope <= 0 {
 		panic(fmt.Sprintf("clock: non-positive slope %v", slope))
 	}
-	return &Drifting{origin: origin, offset: offset, slope: slope}
+	*c = Drifting{origin: origin, offset: offset, slope: slope}
 }
 
 // Read implements Hardware.
@@ -228,7 +236,15 @@ type GainStep struct {
 }
 
 // NewLocal wraps a hardware clock with a zero adjustment.
-func NewLocal(hw Hardware) *Local { return &Local{hw: hw} }
+func NewLocal(hw Hardware) *Local {
+	l := new(Local)
+	l.Init(hw)
+	return l
+}
+
+// Init makes l the clock NewLocal returns, in place, for clocks kept in a
+// slab: zero adjustment and gain, empty logs.
+func (l *Local) Init(hw Hardware) { *l = Local{hw: hw} }
 
 // Now returns C(now) = H(now) + adj, plus any discipline-accumulated offset.
 func (l *Local) Now(now simtime.Time) simtime.Time {

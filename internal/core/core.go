@@ -227,8 +227,9 @@ type Node struct {
 	// sampler draws each round's peers from the node's topology neighbours:
 	// cfg.SamplePeers of them in the sparse-estimation mode, and every one of
 	// them otherwise. Either way it writes them into a buffer of the node's
-	// lane, so the node holds no peer list at all.
-	sampler *protocol.PeerSampler
+	// lane, so the node holds no peer list at all. It is held by value, so
+	// Init sets it up in place.
+	sampler protocol.PeerSampler
 
 	// round is the Sync round machine (round.go). It owns no buffer: the
 	// estimates are lent by the harness for the length of the round and the
@@ -242,7 +243,7 @@ type Node struct {
 
 	// tickCB and applyCB are the tick/apply method values, bound once —
 	// passing n.tick directly to ScheduleLocal would allocate a fresh
-	// closure every round.
+	// closure every round — and kept by Init.
 	tickCB  func()
 	applyCB func([]protocol.Estimate)
 }
@@ -251,15 +252,33 @@ type Node struct {
 // its neighbours in the harness's network topology; the node adds its own
 // trivial self-estimate per Figure 1's "for each q ∈ {1,…,n}".
 func New(h *protocol.Harness, cfg Config) *Node {
+	n := new(Node)
+	n.Init(h, cfg)
+	return n
+}
+
+// Init makes n the node New builds, in place. Every field starts from zero —
+// counters, drift estimator, cache, sampler, round — except the callbacks
+// bound to n's address, which are bound on first use and kept: a node that
+// lives on its queue (the scenario runner keeps one per processor across
+// Reset) is re-initialised for each run without allocating. It panics on a
+// Config that fails Validate, and must not run while n's simulator does.
+func (n *Node) Init(h *protocol.Harness, cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	n := &Node{h: h, cfg: cfg,
+	tick, apply := n.tickCB, n.applyCB
+	*n = Node{h: h, cfg: cfg,
 		round:   Round{id: h.ID(), f: cfg.F, wayOff: cfg.WayOff},
-		sampler: protocol.NewNeighborSampler(h.Net(), h.ID(), cfg.SamplePeers, h.Sim().Seed())}
-	n.tickCB = n.tick
-	n.applyCB = n.apply
-	return n
+		tickCB:  tick,
+		applyCB: apply}
+	n.sampler.InitNeighbors(h.Net(), h.ID(), cfg.SamplePeers, h.Sim().Seed())
+	if n.tickCB == nil {
+		n.tickCB = n.tick
+	}
+	if n.applyCB == nil {
+		n.applyCB = n.apply
+	}
 }
 
 // Harness exposes the node's harness (for corruption and measurement).

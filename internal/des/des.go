@@ -138,7 +138,8 @@ func New(seed int64) *Sim {
 // Reset rewinds the simulator to the state New(seed) returns — time 0, empty
 // queue, the new seed — while keeping the event arena and heap storage for
 // reuse, and every value the layers above own on the queue (Owned): the
-// message layer's envelopes, wire payloads and round buffers. Campaign
+// message layer's envelopes, wire payloads and round buffers, and the
+// scenario runner's processor slots. Campaign
 // workers run thousands of scenarios back to back; resetting instead of
 // reallocating keeps the queue's memory warm across runs, until the
 // simulator is dropped. An event still pending is dropped with whatever its

@@ -2,9 +2,9 @@ package des
 
 // Owned returns s's value of type T, a zero T made on first use. It is how
 // the layers above a queue keep what belongs to the queue rather than to one
-// run: the message layer's envelopes and outbox, and the free lists behind
+// run: the message layer's envelopes and outbox, the free lists behind
 // network.PayloadList — wire payloads, estimation-round buffers, sampler
-// picks. Reset keeps every owned value, as it keeps the event arena, so a run
+// picks — and the scenario runner's processor slots. Reset keeps every owned value, as it keeps the event arena, so a run
 // on a reset simulator takes over what the previous run gave back; the values
 // live until the simulator is dropped, and a fresh simulator owns nothing.
 //

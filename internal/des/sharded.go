@@ -76,7 +76,8 @@ func NewSharded(seed int64, shards int, lookahead simtime.Duration) *ShardedSim 
 // with the given seed, keeping all event arenas warm and what each shard owns
 // (Owned) — the ShardedSim analogue of Sim.Reset: a message layer built on
 // the reset simulator takes over each shard's envelopes, outbox storage and
-// lists, until the simulator is dropped. Barrier hooks are cleared: they
+// lists, and a scenario run its processor slots, until the simulator is
+// dropped. Barrier hooks are cleared: they
 // belong to the run's message layer, whose per-run state is rebuilt.
 func (p *ShardedSim) Reset(seed int64) {
 	for _, sh := range p.shards {

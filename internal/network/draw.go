@@ -65,7 +65,13 @@ const (
 // draw, the words that single it out — into a SplitMix64 state, so a draw is
 // a function of what it is about, not of when the engine reaches it.
 func Key(seed int64, tag uint64, words ...uint64) uint64 {
-	x := Mix64(uint64(seed) ^ tag)
+	return extendKey(Mix64(uint64(seed)^tag), words...)
+}
+
+// extendKey continues a key's chain with more words:
+// extendKey(Key(seed, tag, a), b) is Key(seed, tag, a, b). A caller that keys
+// many draws on one prefix — a sender's messages — hashes the prefix once.
+func extendKey(x uint64, words ...uint64) uint64 {
 	for _, w := range words {
 		x = Mix64(x ^ w)
 	}

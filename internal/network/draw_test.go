@@ -111,3 +111,18 @@ func TestKeyTagsDistinct(t *testing.T) {
 		}
 	}
 }
+
+// TestExtendKeyContinuesKey: a message's draw is keyed from its sender's
+// cached prefix, which must give what hashing the whole key does.
+func TestExtendKeyContinuesKey(t *testing.T) {
+	for seed := int64(-3); seed < 50; seed++ {
+		for from := uint64(0); from < 8; from++ {
+			prefix := Key(seed, MsgTag, from)
+			for to, seq := uint64(0), uint64(1<<40); to < 8; to, seq = to+1, seq*3+1 {
+				if got, want := extendKey(prefix, to, seq), Key(seed, MsgTag, from, to, seq); got != want {
+					t.Fatalf("seed %d, %d → %d #%d: extended %#x, whole key %#x", seed, from, to, seq, got, want)
+				}
+			}
+		}
+	}
+}

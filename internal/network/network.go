@@ -66,19 +66,19 @@ type Network struct {
 	// the analytic bounds leave this at zero.
 	DropProb float64
 
-	// seed keys the per-message draws, and lookahead is the shortest delay a
-	// message may take to another lane.
-	seed      int64
+	// lookahead is the shortest delay a message may take to another lane.
 	lookahead simtime.Duration
 }
 
 // node is one processor's entry: its handler, its traffic counters, the lane
-// that runs it, and the count of messages it has sent.
+// that runs it, the count of messages it has sent, and the prefix its
+// messages' draws are keyed by, Key(seed, MsgTag, id).
 type node struct {
 	handler  Handler
 	counters Counters
 	lane     int
 	seq      uint64
+	key      uint64
 }
 
 // lane is one event queue's share of one run's network: the queue, the run's
@@ -160,13 +160,16 @@ func NewSharded(ps *des.ShardedSim, topo Topology, delay DelayModel, seed int64)
 }
 
 func newNetwork(topo Topology, delay DelayModel, seed int64, lanes int) *Network {
-	return &Network{
+	n := &Network{
 		topo:  topo,
 		delay: delay,
 		nodes: make([]node, topo.N()),
 		lanes: make([]lane, lanes),
-		seed:  seed,
 	}
+	for i := range n.nodes {
+		n.nodes[i].key = Key(seed, MsgTag, uint64(i))
+	}
+	return n
 }
 
 // PayloadList returns the free list for payloads of type T on the lane that
@@ -214,7 +217,7 @@ func (n *Network) Send(from, to int, payload any) {
 	src.counters.Sent++
 	src.counters.Bytes += size
 	l := &n.lanes[src.lane]
-	l.src.State = Key(n.seed, MsgTag, uint64(from), uint64(to), src.seq)
+	l.src.State = extendKey(src.key, uint64(to), src.seq) // Key(seed, MsgTag, from, to, seq)
 	src.seq++
 	if n.DropProb > 0 && l.src.Float64() < n.DropProb {
 		src.counters.Dropped++

@@ -112,7 +112,7 @@ type Harness struct {
 	// out back to back at one instant, so slot i has nonce roundFirst+i, and
 	// every slot shares the send instant in local and in simulation time and
 	// the span the pings parent to. Then the round's one timeout, its callback
-	// bound once in NewHarness, and the caller's callback. A steady-state
+	// bound once by Init, and the caller's callback. A steady-state
 	// round allocates nothing.
 	est          Round
 	ests         *des.FreeList[[]Estimate]
@@ -124,6 +124,10 @@ type Harness struct {
 	timeout      des.Event
 	roundAlarm   func()
 	roundDone    func([]Estimate)
+
+	// recv is the receive method value Init registers with the network, bound
+	// once like roundAlarm.
+	recv network.Handler
 
 	// Custom handles payloads other than TimeReq/TimeResp (round-based
 	// baselines exchange their own message types). Nil for Sync.
@@ -154,19 +158,40 @@ type Harness struct {
 // NewHarness builds the harness for processor id and registers its network
 // handler.
 func NewHarness(id int, sim *des.Sim, net *network.Network, clk *clock.Local) *Harness {
-	h := &Harness{
-		id:    id,
-		sim:   sim,
-		net:   net,
-		clk:   clk,
-		pend:  pendingWindow{base: 1, next: 1}, // nonces start at 1
-		reqs:  network.PayloadList[TimeReq](net, id),
-		resps: network.PayloadList[TimeResp](net, id),
-		ests:  network.PayloadList[[]Estimate](net, id),
-	}
-	h.roundAlarm = h.expireRound
-	net.Register(id, h.receive)
+	h := new(Harness)
+	h.Init(id, sim, net, clk)
 	return h
+}
+
+// Init makes h the harness for processor id, as NewHarness builds it, and
+// registers its network handler. Every field starts from zero — the hooks, the
+// observer, the adversary's hold and any round or ping the harness had in
+// flight — except the callbacks bound to h's address, which are bound on
+// first use and kept: a harness that lives on its queue (the scenario runner
+// keeps one per processor across Reset) is re-initialised for each run
+// without allocating. It must not be re-initialised while its simulator
+// runs.
+func (h *Harness) Init(id int, sim *des.Sim, net *network.Network, clk *clock.Local) {
+	alarm, recv := h.roundAlarm, h.recv
+	*h = Harness{
+		id:         id,
+		sim:        sim,
+		net:        net,
+		clk:        clk,
+		pend:       pendingWindow{base: 1, next: 1}, // nonces start at 1
+		reqs:       network.PayloadList[TimeReq](net, id),
+		resps:      network.PayloadList[TimeResp](net, id),
+		ests:       network.PayloadList[[]Estimate](net, id),
+		roundAlarm: alarm,
+		recv:       recv,
+	}
+	if h.roundAlarm == nil {
+		h.roundAlarm = h.expireRound
+	}
+	if h.recv == nil {
+		h.recv = h.receive
+	}
+	net.Register(id, h.recv)
 }
 
 // ID returns the processor's identity.

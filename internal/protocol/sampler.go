@@ -59,8 +59,17 @@ func NewPeerSampler(peers []int, k int, seed int64, node int) *PeerSampler {
 // the lane, which is enough for Harness.EstimateAll — it copies the picks into
 // its round before anything else on the lane runs.
 func NewNeighborSampler(net *network.Network, node, k int, seed int64) *PeerSampler {
+	s := new(PeerSampler)
+	s.InitNeighbors(net, node, k, seed)
+	return s
+}
+
+// InitNeighbors makes s the sampler NewNeighborSampler builds, in place: a
+// sampler held by value (core.Node keeps one) is re-initialised for each run
+// without allocating.
+func (s *PeerSampler) InitNeighbors(net *network.Network, node, k int, seed int64) {
 	topo := net.Topology()
-	return &PeerSampler{topo: topo, size: topo.Degree(node), k: k, seed: seed, node: node,
+	*s = PeerSampler{topo: topo, size: topo.Degree(node), k: k, seed: seed, node: node,
 		lend: network.PayloadList[[]int](net, node)}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"clocksync/internal/des"
+	"clocksync/internal/network"
 	"clocksync/internal/simtime"
 )
 
@@ -49,11 +50,15 @@ func clusterMinuteAllocs(t *testing.T, n, runs int, check bool) float64 {
 // ~14,250 to ~9,690, and keeping a round's pings and readings in the round
 // alone (no window ring, no estimate copy, one selection buffer) n=7 to ~174
 // and n=256 to ~9,180, and lending a round's buffers from the lane n=7 to
-// ~153 and n=256 to ~7,930. What is left is per run, not per ping or per sample: the
-// envelopes and payloads in flight at the peak (the network is rebuilt every
-// run), each node's state and the reserved logs. The last row budgets the cost
-// of observing itself: the online checker reads the recorder's samples, so it
-// may add its own fixed state and nothing per sample.
+// ~153 and n=256 to ~7,930. Keeping the envelopes, payloads and round
+// buffers on the simulator across Reset took them to ~94 and ~3,457, and
+// keeping each processor's harness and Sync node there too — the clocks in two
+// slabs — to ~34 and ~1,155. What is left is per run, not per ping, per
+// sample or per processor: what a run leaves in flight at its horizon, which
+// the next run allocates again (three objects a message), the run's slabs and
+// the reserved logs. The last row budgets the cost of observing itself: the
+// online checker reads the recorder's samples, so it may add its own fixed
+// state and nothing per sample.
 func TestClusterMinuteAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs multi-second cluster simulations")
@@ -61,15 +66,81 @@ func TestClusterMinuteAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts include race-detector bookkeeping")
 	}
-	plain := clusterMinuteAllocs(t, 7, 50, false) // measured 153
-	if plain > 240 {
-		t.Errorf("cluster minute n=7: %v allocs per run over budget 240 — a payload, event or sample path stopped pooling", plain)
+	plain := clusterMinuteAllocs(t, 7, 50, false) // measured 34
+	if plain > 60 {
+		t.Errorf("cluster minute n=7: %v allocs per run over budget 60 — a payload, event, sample or processor path stopped pooling", plain)
 	}
-	if big := clusterMinuteAllocs(t, 256, 2, false); big > 12_000 { // measured 7,932
-		t.Errorf("cluster minute n=256: %v allocs per run over budget 12000 — a payload, event or sample path stopped pooling", big)
+	if big := clusterMinuteAllocs(t, 256, 2, false); big > 2_000 { // measured 1,155
+		t.Errorf("cluster minute n=256: %v allocs per run over budget 2000 — a payload, event, sample or processor path stopped pooling", big)
 	}
-	if extra := clusterMinuteAllocs(t, 7, 50, true) - plain; extra > 32 { // measured +9
+	if extra := clusterMinuteAllocs(t, 7, 50, true) - plain; extra > 32 { // measured +2
 		t.Errorf("checked cluster minute n=7: %v allocs more than unchecked, budget 32 — the checker is measuring or allocating per sample again", extra)
+	}
+}
+
+// warmMinuteAllocs is the allocation count of one simulated minute of an
+// n-processor full mesh at seed 1 on an engine that has run it before — sim,
+// or ps when sim is nil — and the number of messages the minute leaves in
+// flight at its horizon.
+func warmMinuteAllocs(t *testing.T, n int, sim *des.Sim, ps *des.ShardedSim) (allocs float64, inFlight int) {
+	var net *network.Network
+	build := SyncBuilder(nil)
+	s := Scenario{
+		Name: "warm-minute", Seed: 1, N: n, F: (n - 1) / 3,
+		Duration: simtime.Minute, Theta: 2 * simtime.Minute,
+		Rho: 1e-4, SyncInt: 10 * simtime.Second,
+		ReuseSim: sim, ReuseSharded: ps,
+		Builder: func(ctx BuildContext) Starter {
+			net = ctx.Harness.Net()
+			return build(ctx)
+		},
+	}
+	run := func() {
+		if _, err := Run(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	allocs = testing.AllocsPerRun(10, run)
+	return allocs, net.TotalSent() - net.TotalDelivered() - net.TotalDropped()
+}
+
+// TestWarmEngineAllocFlatInN pins that a run on a warm engine builds no
+// processor: each harness, Sync node and peer sampler is a slot its queue
+// keeps across Reset, re-initialised in place, and the clocks are two slabs
+// of the run. So a 64-node minute allocates no more than a 7-node one, on
+// the serial engine and on two shards alike — bar what each leaves in flight
+// at its horizon: a message still in flight is dropped with its run, and the
+// next run allocates its envelope, the envelope's delivery closure and its
+// payload again (des.Owned). At seed 1 the 64-node minute leaves 17 messages
+// in flight and the 7-node one none; measured +53 objects on both engines,
+// +2 past those three per message, and +566 when every run built each
+// processor afresh, nine objects a processor.
+func TestWarmEngineAllocFlatInN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts include race-detector bookkeeping")
+	}
+	held := des.AcquireWorkers(1 << 20) // the shards run inline: no helper goroutines
+	defer des.ReleaseWorkers(held)
+	const budget, perMessage = 16, 3
+	engines := []struct {
+		name string
+		run  func(n int) (float64, int)
+	}{
+		{"serial", func(n int) (float64, int) { return warmMinuteAllocs(t, n, des.New(0), nil) }},
+		{"two-shard", func(n int) (float64, int) {
+			return warmMinuteAllocs(t, n, nil, des.NewSharded(0, 2, 5*simtime.Millisecond))
+		}},
+	}
+	for _, e := range engines {
+		small, smallFlight := e.run(7)
+		big, bigFlight := e.run(64)
+		t.Logf("%s: n=7 %v allocs, %d messages in flight at the horizon; n=64 %v allocs, %d in flight",
+			e.name, small, smallFlight, big, bigFlight)
+		if extra := big - small - float64(perMessage*(bigFlight-smallFlight)); extra > budget {
+			t.Errorf("%s engine: a warm 64-node minute allocates %v objects, a 7-node one %v — %v more than their messages in flight account for, budget %d: a run builds its processors again",
+				e.name, big, small, extra, budget)
+		}
 	}
 }
 
@@ -102,8 +173,11 @@ func sampledMinuteBytesPerNode(t *testing.T, n, k int) float64 {
 // 84 KB at n=4096 with the two (n−1)-long neighbour slices and the
 // per-processor ping map before that); 3.8 / 3.7 / 3.7 KB once a round became
 // the only record of its pings and readings, when k = 7 / 31 / 63 at n=1024
-// took 2.3 / 3.7 / 5.7 KB; and 2.0 / 1.8 / 1.8 KB, with k = 7 / 31 / 63 at
-// 1.75 / 1.83 / 1.93 KB, since the round's buffers are lent.
+// took 2.3 / 3.7 / 5.7 KB; 2.0 / 1.8 / 1.8 KB, with k = 7 / 31 / 63 at
+// 1.75 / 1.83 / 1.93 KB, once the round's buffers were lent; and 1.09 / 1.02
+// / 1.02 KB, with k = 7 / 31 / 63 at 1.01 / 1.04 / 1.07 KB, since a warm
+// engine keeps each processor's harness, Sync node and sampler in a slot and
+// the run's clocks are two slabs.
 func TestSampledStateAllocFlatInN(t *testing.T) {
 	if raceEnabled {
 		t.Skip("byte counts include race-detector bookkeeping")

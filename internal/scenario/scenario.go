@@ -28,13 +28,47 @@ type Starter interface {
 	Start()
 }
 
-// BuildContext is what a Builder gets for one processor.
+// BuildContext is what a Builder gets for one processor. The harness lives on
+// the queue that runs the processor, as does the node SyncBuilder builds for
+// it (processors): on a reused engine (ReuseSim, ReuseSharded, Sweep) a harness
+// or Sync node a builder keeps past its run is valid until the next run there,
+// which re-initialises both in place.
 type BuildContext struct {
 	Harness  *protocol.Harness
 	Index    int
 	Scenario *Scenario
 	Bounds   analysis.Bounds
 	Rand     *network.SplitMix64
+
+	node *core.Node // the processor's Sync node slot; nil outside Run
+}
+
+// processor is one processor's slot on the queue that runs it: its harness
+// and the Sync node SyncBuilder builds there. The queue owns its slots
+// (des.Owned) and keeps them across Reset, and each run re-initialises them in
+// place (protocol.Harness.Init, core.Node.Init), keeping the callbacks bound
+// to their addresses — so a run on a warm engine allocates no processor. A
+// slot is never copied: it is reached through a pointer, and only the run on
+// its queue touches it.
+type processor struct {
+	h    protocol.Harness
+	node core.Node
+}
+
+// processors is a queue's slot list. A serial simulator runs processor i in
+// slot i; shard s of a sharded one runs processors s, s+shards, … in slots 0,
+// 1, …, processor i in slot i/shards.
+type processors struct{ slots []*processor }
+
+// fit returns the first n slots, growing the list into fresh zeroed slots.
+func (p *processors) fit(n int) []*processor {
+	if k := n - len(p.slots); k > 0 {
+		fresh := make([]processor, k)
+		for i := range fresh {
+			p.slots = append(p.slots, &fresh[i])
+		}
+	}
+	return p.slots[:n]
 }
 
 // Peers returns the processor's topology neighbours. The list is built on
@@ -123,12 +157,15 @@ type Scenario struct {
 	// ReuseSim, when non-nil, runs the scenario on this simulator instead of
 	// constructing a fresh one: Run resets it to Seed first (des.Sim.Reset),
 	// so the run is byte-identical to a fresh-simulator run while reusing the
-	// event arena and the message layer's storage the simulator keeps — its
-	// envelopes, wire payloads and round buffers (des.Owned), held until the
-	// simulator is dropped. That is what lets campaign workers amortize
-	// allocation across thousands of runs. The caller must not use the
-	// simulator concurrently, and Result.Sim aliases it (except under Sweep,
-	// which lends its workers' simulators and leaves Result.Sim nil).
+	// event arena, the message layer's storage the simulator keeps — its
+	// envelopes, wire payloads and round buffers — and every processor's
+	// harness and Sync node (des.Owned), held until the simulator is dropped.
+	// That is what lets campaign workers amortize allocation across thousands
+	// of runs. The caller must not use the simulator concurrently, and
+	// Result.Sim aliases it (except under Sweep, which lends its workers'
+	// simulators and leaves Result.Sim nil). Like Result.Sim, a harness or
+	// Sync node a builder keeps past the run is valid until the next run on
+	// the simulator.
 	ReuseSim *des.Sim
 
 	// Shards, when ≥ 1, runs the scenario on the conservative-lookahead
@@ -143,10 +180,11 @@ type Scenario struct {
 	// (Observer/EventSink/SpanSink): their sinks are not thread-safe.
 	Shards int
 	// ReuseSharded is ReuseSim's analogue for sharded runs: the simulator is
-	// Reset to Seed and reused, each shard keeping its arena and its lane's
-	// envelopes, outbox storage and lists until the simulator is dropped; its
-	// shard count and lookahead (fixed at construction) take precedence over
-	// Shards.
+	// Reset to Seed and reused, each shard keeping its arena, its lane's
+	// envelopes, outbox storage and lists, and its processors' harnesses and
+	// Sync nodes until the simulator is dropped — a harness or node a builder
+	// keeps is valid until the next run there; its shard count and lookahead
+	// (fixed at construction) take precedence over Shards.
 	ReuseSharded *des.ShardedSim
 
 	// SamplePeers, when positive, runs Sync in sparse-estimation mode: each
@@ -384,6 +422,23 @@ func Run(s Scenario) (*Result, error) {
 	// one stream keyed by the seed alone, so both engines build the same run.
 	rng := &network.SplitMix64{State: network.Key(s.Seed, network.SetupTag)}
 
+	// The clocks are the run's, in two slabs: a Result measures them after
+	// the engine has moved on. The processors are the queues' (processors).
+	queues := []*des.Sim{sim}
+	if ps != nil {
+		queues = make([]*des.Sim, ps.Shards())
+		for q := range queues {
+			queues[q] = ps.Shard(q)
+		}
+	}
+	stride := len(queues)
+	slots := make([][]*processor, stride)
+	for q, qs := range queues {
+		slots[q] = des.Owned[processors](qs).fit((s.N - q + stride - 1) / stride)
+	}
+	slotOf := func(i int) *processor { return slots[i%stride][i/stride] }
+	hardware := make([]clock.Drifting, s.N)
+	locals := make([]clock.Local, s.N)
 	clocks := make([]*clock.Local, s.N)
 	harnesses := make([]*protocol.Harness, s.N)
 	loSlope, hiSlope := clock.SlopeBounds(s.Rho)
@@ -402,16 +457,15 @@ func Run(s Scenario) (*Result, error) {
 		case s.InitSpread > 0:
 			bias = simtime.Duration((rng.Float64() - 0.5) * float64(s.InitSpread))
 		}
-		var hw clock.Hardware = clock.NewDrifting(0, simtime.Time(bias), slope)
+		hardware[i].Init(0, simtime.Time(bias), slope)
+		var hw clock.Hardware = &hardware[i]
 		if s.Tick > 0 {
 			hw = clock.NewQuantized(hw, s.Tick)
 		}
-		clocks[i] = clock.NewLocal(hw)
-		hsim := sim
-		if ps != nil {
-			hsim = ps.Shard(ps.ShardOf(i))
-		}
-		harnesses[i] = protocol.NewHarness(i, hsim, net, clocks[i])
+		locals[i].Init(hw)
+		clocks[i] = &locals[i]
+		harnesses[i] = &slotOf(i).h
+		harnesses[i].Init(i, queues[i%stride], net, clocks[i])
 	}
 
 	skipBefore := params.WarmupCutoff(s.InitSpread)
@@ -477,6 +531,7 @@ func Run(s Scenario) (*Result, error) {
 			Scenario: &s,
 			Bounds:   bounds,
 			Rand:     rng,
+			node:     &slotOf(i).node,
 		})
 		sn, isSync := node.(*core.Node)
 		if isSync {
@@ -538,7 +593,9 @@ func Run(s Scenario) (*Result, error) {
 // SyncBuilder returns the builder of the paper's Sync protocol with the
 // derived parameters, first executions staggered uniformly across SyncInt.
 // mutate, when non-nil, overrides the config per processor (ablation
-// experiments, E11); scenarios without a Builder run SyncBuilder(nil).
+// experiments, E11); scenarios without a Builder run SyncBuilder(nil). Within
+// Run the node is the processor's slot, re-initialised in place (see
+// BuildContext); a context from anywhere else gets a node of its own.
 func SyncBuilder(mutate func(*core.Config, BuildContext)) Builder {
 	return func(ctx BuildContext) Starter {
 		sc := ctx.Scenario
@@ -555,8 +612,18 @@ func SyncBuilder(mutate func(*core.Config, BuildContext)) Builder {
 			// build moves a Config to the heap.
 			mutated := cfg
 			mutate(&mutated, ctx)
-			return core.New(ctx.Harness, mutated)
+			return ctx.syncNode(mutated)
 		}
-		return core.New(ctx.Harness, cfg)
+		return ctx.syncNode(cfg)
 	}
+}
+
+// syncNode builds the processor's Sync node in its slot, or afresh when the
+// context has none.
+func (c BuildContext) syncNode(cfg core.Config) *core.Node {
+	if c.node == nil {
+		return core.New(c.Harness, cfg)
+	}
+	c.node.Init(c.Harness, cfg)
+	return c.node
 }

@@ -29,8 +29,11 @@ func newWorkerSim() *des.Sim { return des.New(0) }
 // goroutines per entry point instead of multiplying
 // (TestWorkerBudgetComposes pins the ceiling). Each worker reuses one
 // simulator arena across its seeds via ReuseSim, so steady-state sweeping
-// allocates per run, not per event. A result run on a simulator Sweep lent
-// has a nil Sim: the worker resets that simulator for its next seed. When mk's
+// allocates per run, not per event, and builds no processor once warm. A
+// result run on a simulator Sweep lent has a nil Sim: the worker resets that
+// simulator for its next seed, and re-initialises in place any harness or
+// Sync node a builder kept from the run: one is valid only until the
+// worker's next seed. When mk's
 // scenario brings its own ReuseSim, Result.Sim is that simulator.
 //
 // When some seeds fail, Sweep still returns every successful result (failed
