@@ -214,3 +214,39 @@ func TestSampledStateAllocFlatInN(t *testing.T) {
 		t.Logf("n=1024, k = 7 / 31 / 63: %.0f / %.0f / %.0f bytes per node per minute", perK[0], perK[1], perK[2])
 	}
 }
+
+// releasedMinuteAllocs is the allocation count of one simulated minute of an
+// n-processor full mesh at seed 1 on an engine that has run it before — sim,
+// or ps when sim is nil — with each result released, as campaign workers
+// release theirs: the run's measurement slabs come back from the pool, so
+// what is counted is what the run itself builds.
+func releasedMinuteAllocs(t *testing.T, n int, sim *des.Sim, ps *des.ShardedSim) float64 {
+	s := Scenario{
+		Name: "released-minute", Seed: 1, N: n, F: (n - 1) / 3,
+		Duration: simtime.Minute, Theta: 2 * simtime.Minute,
+		Rho: 1e-4, SyncInt: 10 * simtime.Second,
+		ReuseSim: sim, ReuseSharded: ps,
+	}
+	run := func() {
+		res, err := Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Release()
+	}
+	run()
+	return testing.AllocsPerRun(20, run)
+}
+
+// TestReleasedMinuteAllocBudget pins the objects a warm, released n=7 minute
+// allocates on a reused simulator: measured 22 — the run's node table,
+// clocks, recorder, ticker and topology, and nothing per event, message or
+// processor.
+func TestReleasedMinuteAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	if got := releasedMinuteAllocs(t, 7, des.New(0), nil); got > 22 {
+		t.Errorf("warm n=7 minute on a reused simulator: %v objects, budget 22", got)
+	}
+}
