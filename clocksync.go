@@ -145,16 +145,19 @@ func WithPeerSampling(k int) RunOption {
 	return func(s *Scenario) { s.SamplePeers = k }
 }
 
-// WithShards runs the simulation on a sharded event queue: nodes are
+// WithShards runs the simulation on n shards of one event engine: nodes are
 // partitioned across shards whose queues execute concurrently inside
 // conservative lookahead windows bounded by the delay model's minimum link
-// delay. Observable results are independent of the shard count: a run at any
-// n sends, drops and adjusts as the serial engine does, and its report and
-// the checker's verdicts (WithCheck) are the serial engine's, since both are
-// measured after the run from the clocks' trajectories. Sharding is purely a
-// wall-clock optimization for large n. Requires a delay model with a
-// positive minimum delay (network.MinBounder); incompatible with observers
-// and tracing. See docs/PERFORMANCE.md, "Scaling the simulator".
+// delay. n of 0 or 1 is the serial engine, one queue. Observable results are
+// independent of the shard count: a run at any n sends, drops and adjusts as
+// the one-shard run does, and its report and the checker's verdicts
+// (WithCheck) are the same, since both are measured after the run from the
+// clocks' trajectories. Sharding is purely a wall-clock optimization for large
+// n. More than one shard needs a delay model with a positive minimum delay
+// (network.MinBounder), or the run collapses to one shard, and refuses
+// observers and tracing (WithObserver, WithEventSink, WithSpanSink), which
+// every one-shard run accepts. See docs/PERFORMANCE.md, "Scaling the
+// simulator".
 func WithShards(n int) RunOption {
 	return func(s *Scenario) { s.Shards = n }
 }
@@ -171,8 +174,8 @@ func RunScenario(s Scenario, opts ...RunOption) (*Result, error) {
 // Sweep runs independently-built scenarios, one per seed, concurrently,
 // returning results in seed order. When some seeds fail, the successful
 // results are still returned (failed seeds leave nil slots) alongside an
-// error joining one descriptive error per failed seed. Each worker reuses
-// one simulator across its seeds, so a result run on it has a nil Sim.
+// error joining one descriptive error per failed seed. Each worker lends one
+// engine to its seeds, so a result run on it has a nil Sim.
 func Sweep(mk func(seed int64) Scenario, seeds []int64) ([]*Result, error) {
 	return scenario.Sweep(mk, seeds)
 }

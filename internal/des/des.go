@@ -7,7 +7,8 @@
 // processors in the simulated network are state machines driven by events,
 // which makes every bias measurable at every instant without races.
 // ShardedSim (sharded.go) runs one Sim per shard, plus a global one, in
-// conservative windows; each is still driven by one goroutine at a time.
+// conservative windows; each is still driven by one goroutine at a time. A
+// one-shard ShardedSim is one Sim, run as it is.
 //
 // Internally the queue is an index-based 4-ary min-heap over a pooled event
 // arena: scheduling an event takes a slot from a free list instead of

@@ -17,6 +17,11 @@
 // observes a consistent snapshot of all shards. At equal times the global
 // event runs first (windows are strictly below the next global instant).
 //
+// One shard is the serial engine. A one-shard simulator keeps one queue,
+// which is both its shard and its global queue: it runs no windows and fires
+// every event in (time, sequence) order, as a lone Sim does. OneShard makes
+// that engine over a Sim the caller holds.
+//
 // Observable results are shard-count independent: the window sequence is a
 // function of the pending-event times alone (which do not depend on the
 // partition), every event fires at the same virtual instant regardless of
@@ -41,8 +46,9 @@ import (
 
 // ShardedSim is a parallel discrete-event simulator: per-shard event queues
 // executed in windows of length lookahead on a worker pool, plus a global
-// queue for cross-cutting events. Entity i belongs to shard ShardOf(i); all
-// of entity i's events must be scheduled on Shard(ShardOf(i)).
+// queue for cross-cutting events — or, with one shard, a single queue that is
+// both. Entity i belongs to shard ShardOf(i); all of entity i's events must
+// be scheduled on Shard(ShardOf(i)).
 type ShardedSim struct {
 	shards    []*Sim
 	global    *Sim
@@ -55,8 +61,8 @@ type ShardedSim struct {
 // NewSharded returns a sharded simulator with the given number of shards and
 // conservative lookahead (the minimum cross-shard latency). A non-positive
 // lookahead leaves no safe parallel window, so the shard count collapses to
-// one — the degenerate serial fallback for zero-delay links; shard counts
-// below one are clamped to one.
+// one — the serial engine, also the fallback for zero-delay links; shard
+// counts below one are clamped to one.
 func NewSharded(seed int64, shards int, lookahead simtime.Duration) *ShardedSim {
 	if shards < 1 || lookahead <= 0 {
 		shards = 1
@@ -68,7 +74,21 @@ func NewSharded(seed int64, shards int, lookahead simtime.Duration) *ShardedSim 
 	for i := range p.shards {
 		p.shards[i] = New(seed)
 	}
-	p.global = New(seed)
+	p.global = p.shards[0]
+	if shards > 1 {
+		p.global = New(seed)
+	}
+	return p
+}
+
+// OneShard returns the one-shard engine whose only queue is s. The engine is
+// s's own (Owned), so a caller that holds a Sim gets the same engine every
+// time, and s keeps it across Reset.
+func OneShard(s *Sim) *ShardedSim {
+	p := Owned[ShardedSim](s)
+	if p.global == nil {
+		p.shards, p.global = []*Sim{s}, s
+	}
 	return p
 }
 
@@ -83,7 +103,9 @@ func (p *ShardedSim) Reset(seed int64) {
 	for _, sh := range p.shards {
 		sh.Reset(seed)
 	}
-	p.global.Reset(seed)
+	if len(p.shards) > 1 {
+		p.global.Reset(seed)
+	}
 	p.hooks = p.hooks[:0]
 }
 
@@ -101,21 +123,24 @@ func (p *ShardedSim) Shard(i int) *Sim { return p.shards[i] }
 func (p *ShardedSim) ShardOf(entity int) int { return entity % len(p.shards) }
 
 // Global returns the serial barrier queue for cross-cutting events (metrics
-// ticks, adversary corruptions). Global events run with every shard
-// quiesced and advanced to the event's instant; they may schedule onto any
-// shard, but shard events must never schedule onto the global queue — that
-// would race with other shards doing the same.
+// ticks, adversary corruptions); on a one-shard simulator it is the shard.
+// Global events run with every shard quiesced and advanced to the event's
+// instant; they may schedule onto any shard, but shard events must never
+// schedule onto the global queue — that would race with other shards doing
+// the same.
 func (p *ShardedSim) Global() *Sim { return p.global }
 
 // Now returns the global queue's current time (the barrier clock).
 func (p *ShardedSim) Now() simtime.Time { return p.global.Now() }
 
 // Fired returns the total number of events executed across all shards and
-// the global queue.
+// the global queue, each event once.
 func (p *ShardedSim) Fired() uint64 {
 	total := p.global.Fired()
-	for _, sh := range p.shards {
-		total += sh.Fired()
+	if len(p.shards) > 1 {
+		for _, sh := range p.shards {
+			total += sh.Fired()
+		}
 	}
 	return total
 }
@@ -123,14 +148,16 @@ func (p *ShardedSim) Fired() uint64 {
 // OnBarrier registers fn to run (serially, on the coordinating goroutine)
 // after every window, with the window's exclusive upper bound. The sharded
 // message layer uses it to merge buffered cross-shard deliveries into the
-// destination shards while they are quiesced. Hooks are cleared by Reset.
+// destination shards while they are quiesced. A one-shard simulator runs no
+// windows, so its hooks never run. Hooks are cleared by Reset.
 func (p *ShardedSim) OnBarrier(fn func(w simtime.Time)) {
 	p.hooks = append(p.hooks, fn)
 }
 
 // RunUntil executes events until virtual time reaches horizon (inclusive of
 // events at exactly horizon) on all queues. Afterwards every queue's clock
-// reads horizon. Windows execute on the calling goroutine plus up to
+// reads horizon. A one-shard simulator runs its queue's RunUntil. Windows
+// execute on the calling goroutine plus up to
 // Shards()−1 helpers acquired non-blockingly from the process-wide worker
 // pool (AcquireWorkers); with no helpers available the shards run inline,
 // serially — same results, one goroutine.
@@ -141,16 +168,17 @@ func (p *ShardedSim) OnBarrier(fn func(w simtime.Time)) {
 // panic value of the lowest-numbered panicking shard is re-raised. The queues
 // are then mid-window; Reset the simulator before using it again.
 func (p *ShardedSim) RunUntil(horizon simtime.Time) {
+	if len(p.shards) == 1 {
+		p.global.RunUntil(horizon)
+		return
+	}
 	// end is the exclusive window cap that makes horizon inclusive under the
 	// strictly-before window semantics.
 	end := simtime.Time(math.Nextafter(float64(horizon), math.Inf(1)))
 
-	helpers := 0
+	helpers := AcquireWorkers(len(p.shards) - 1)
 	var startCh chan simtime.Time
 	var doneCh chan *shardPanic
-	if len(p.shards) > 1 {
-		helpers = AcquireWorkers(len(p.shards) - 1)
-	}
 	if helpers > 0 {
 		var stop func()
 		startCh, doneCh, stop = p.startHelpers(helpers)
@@ -193,11 +221,6 @@ func (p *ShardedSim) RunUntil(horizon simtime.Time) {
 			continue
 		}
 		w := tmin.Add(p.lookahead)
-		if len(p.shards) == 1 {
-			// A single shard has no cross-shard hazards: run straight to the
-			// next global event (or the horizon).
-			w = infTime
-		}
 		if tg < w {
 			w = tg
 		}
@@ -205,9 +228,9 @@ func (p *ShardedSim) RunUntil(horizon simtime.Time) {
 			w = end
 		}
 		if w <= tmin {
-			// Cannot happen: w ≥ tmin+lookahead > tmin (multi-shard), and the
-			// caps tg and end both exceed tmin here. Guard against a silent
-			// infinite loop all the same.
+			// Cannot happen: w ≥ tmin+lookahead > tmin, and the caps tg and
+			// end both exceed tmin here. Guard against a silent infinite loop
+			// all the same.
 			panic(fmt.Sprintf("des: empty shard window [%v, %v)", tmin, w))
 		}
 		if helpers > 0 {

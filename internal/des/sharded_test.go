@@ -136,6 +136,36 @@ func TestShardedGlobalFirst(t *testing.T) {
 	}
 }
 
+// TestOneShardIsOneQueue: a one-shard simulator keeps one queue, both its
+// shard and its global queue, so same-instant events fire in scheduling order
+// whichever handle scheduled them, and Fired counts each once. OneShard
+// wraps a Sim the caller holds, the same engine on every call.
+func TestOneShardIsOneQueue(t *testing.T) {
+	sim := New(1)
+	if OneShard(sim) != OneShard(sim) || OneShard(sim).Global() != sim {
+		t.Fatal("OneShard(sim) is not one engine whose queue is sim")
+	}
+	for _, ps := range []*ShardedSim{NewSharded(1, 1, simtime.Millisecond), OneShard(sim)} {
+		if ps.Shards() != 1 || ps.Global() != ps.Shard(0) {
+			t.Fatalf("one-shard simulator has %d shards and a separate global queue", ps.Shards())
+		}
+		var order []string
+		ps.Shard(0).At(0.5, func() { order = append(order, "shard") })
+		ps.Global().At(0.5, func() { order = append(order, "global") })
+		ps.RunUntil(1)
+		if len(order) != 2 || order[0] != "shard" || order[1] != "global" {
+			t.Errorf("order = %v, want [shard global]: scheduling order", order)
+		}
+		if ps.Fired() != 2 || ps.Now() != 1 {
+			t.Errorf("Fired %d at %v, want 2 at 1", ps.Fired(), ps.Now())
+		}
+		ps.Reset(2)
+		if ps.Fired() != 0 || ps.Now() != 0 || ps.Global().Seed() != 2 {
+			t.Errorf("after Reset(2): Fired %d at %v, seed %d", ps.Fired(), ps.Now(), ps.Global().Seed())
+		}
+	}
+}
+
 // TestShardedReset: Reset rewinds clocks, clears barrier hooks, and replays
 // identically for the same seed.
 func TestShardedReset(t *testing.T) {

@@ -43,9 +43,9 @@ const nominalSize = 32
 // Network is the simulated authenticated message layer. It runs over lanes: a
 // lane is one event queue plus what that queue owns — its envelope and
 // payload free lists and its outbox of messages bound for other lanes — and
-// the run's draw stream on it, rekeyed per message. A network over a serial
-// simulator has one lane, one over a sharded simulator one lane per shard
-// (see NewSharded). Every processor belongs to one lane: its sends draw there
+// the run's draw stream on it, rekeyed per message. A network has one lane
+// per shard of its simulator (see NewSharded), so one over a serial simulator
+// has one lane. Every processor belongs to one lane: its sends draw there
 // and its deliveries land there, so a lane's state is touched only by the
 // goroutine running its queue, and needs no lock.
 //
@@ -127,11 +127,9 @@ type pending struct {
 }
 
 // New wires a one-lane network over a serial simulator, keyed by the
-// simulator's seed.
+// simulator's seed: NewSharded on the one-shard engine sim owns.
 func New(sim *des.Sim, topo Topology, delay DelayModel) *Network {
-	n := newNetwork(topo, delay, sim.Seed(), 1)
-	n.lanes[0] = newLane(sim)
-	return n
+	return NewSharded(des.OneShard(sim), topo, delay, sim.Seed())
 }
 
 // NewSharded wires a network with one lane per shard of a conservative
@@ -139,7 +137,8 @@ func New(sim *des.Sim, topo Topology, delay DelayModel) *Network {
 // on the shard's queue directly; one to another shard waits in the sender's
 // outbox and is merged into the destination shard at the window barrier —
 // conservativeness puts its delivery at or beyond the window bound, so no
-// shard misses a delivery it should have seen.
+// shard misses a delivery it should have seen. With one shard no message
+// crosses lanes, and the network registers no barrier hook.
 //
 // Draws are keyed per message, as on the serial engine, so they do not depend
 // on the partition. The delay model's MinBound must be a true minimum ≥ the
@@ -147,27 +146,22 @@ func New(sim *des.Sim, topo Topology, delay DelayModel) *Network {
 // panics, since it would break the conservative window and silently misorder
 // events.
 func NewSharded(ps *des.ShardedSim, topo Topology, delay DelayModel, seed int64) *Network {
-	n := newNetwork(topo, delay, seed, ps.Shards())
-	n.lookahead = ps.Lookahead()
+	n := &Network{
+		topo:      topo,
+		delay:     delay,
+		nodes:     make([]node, topo.N()),
+		lanes:     make([]lane, ps.Shards()),
+		lookahead: ps.Lookahead(),
+	}
 	for i := range n.nodes {
 		n.nodes[i].lane = ps.ShardOf(i)
+		n.nodes[i].key = Key(seed, MsgTag, uint64(i))
 	}
 	for s := range n.lanes {
 		n.lanes[s] = newLane(ps.Shard(s))
 	}
-	ps.OnBarrier(n.flushOutboxes)
-	return n
-}
-
-func newNetwork(topo Topology, delay DelayModel, seed int64, lanes int) *Network {
-	n := &Network{
-		topo:  topo,
-		delay: delay,
-		nodes: make([]node, topo.N()),
-		lanes: make([]lane, lanes),
-	}
-	for i := range n.nodes {
-		n.nodes[i].key = Key(seed, MsgTag, uint64(i))
+	if len(n.lanes) > 1 {
+		ps.OnBarrier(n.flushOutboxes)
 	}
 	return n
 }

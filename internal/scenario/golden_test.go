@@ -35,8 +35,9 @@ func sampledMinute(name string, n, f, k, shards int) Scenario {
 
 // sampledFingerprint is one sharded run reduced to a line: traffic totals,
 // events fired, and a SHA-256 over the bits of every sample's biases and of
-// every node's Syncs / Skipped / LastDelta. Sharded runs refuse every trace
-// surface, so this digest is the finest identity such a run offers.
+// every node's Syncs / Skipped / LastDelta. Runs on two or more shards refuse
+// every trace surface, so this digest is the finest identity they offer; a
+// one-shard run can also be recorded (TestEventStreamOneShard).
 func sampledFingerprint(t *testing.T, label string, s Scenario) string {
 	t.Helper()
 	res, err := Run(s)
@@ -158,6 +159,28 @@ func TestEventStreamGolden(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("recorded stream drifted from %s: %d bytes, want %d (regenerate with -update if intended; diff the two to see where)",
 			path, len(got), len(want))
+	}
+}
+
+// TestEventStreamOneShard: the serial engine is the one-shard engine, so
+// streamScenario recorded on one shard — fresh, and twice on one reused
+// engine — is testdata/stream.golden byte for byte.
+func TestEventStreamOneShard(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "stream.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := streamScenario()
+	fresh.Shards = 1
+	reused := streamScenario()
+	reused.ReuseSharded = des.NewSharded(0, 1, 5*simtime.Millisecond)
+	for _, tc := range []struct {
+		name string
+		s    Scenario
+	}{{"Shards=1", fresh}, {"reused, first run", reused}, {"reused, second run", reused}} {
+		if got := recordStream(t, tc.s); !bytes.Equal(got, want) {
+			t.Errorf("%s: recorded stream is %d bytes and differs from stream.golden's %d", tc.name, len(got), len(want))
+		}
 	}
 }
 

@@ -154,38 +154,32 @@ type Scenario struct {
 	// nil. Tracing costs nothing when unset (see obs.Observer.SpansEnabled).
 	SpanSink obs.SpanSink
 
-	// ReuseSim, when non-nil, runs the scenario on this simulator instead of
-	// constructing a fresh one: Run resets it to Seed first (des.Sim.Reset),
-	// so the run is byte-identical to a fresh-simulator run while reusing the
-	// event arena, the message layer's storage the simulator keeps — its
-	// envelopes, wire payloads and round buffers — and every processor's
-	// harness and Sync node (des.Owned), held until the simulator is dropped.
-	// That is what lets campaign workers amortize allocation across thousands
-	// of runs. The caller must not use the simulator concurrently, and
-	// Result.Sim aliases it (except under Sweep, which lends its workers'
-	// simulators and leaves Result.Sim nil). Like Result.Sim, a harness or
-	// Sync node a builder keeps past the run is valid until the next run on
-	// the simulator.
-	ReuseSim *des.Sim
-
-	// Shards, when ≥ 1, runs the scenario on the conservative-lookahead
-	// parallel simulator (des.ShardedSim) with that many shards; the
-	// lookahead is the delay model's MinBound. Zero keeps the serial engine.
-	// The engines run one execution: traffic, stats, every clock's writes
-	// and the report — measured after the run from the clocks' trajectories
-	// — are identical for any shard count and on the serial engine, and so
-	// are the online checker's verdicts. A model without a positive MinBound
-	// leaves no safe window, so the run silently collapses to one shard.
-	// Sharded runs reject the serial-only observability surfaces
-	// (Observer/EventSink/SpanSink): their sinks are not thread-safe.
+	// Shards is how many shards of the conservative-lookahead simulator
+	// (des.ShardedSim) run the scenario; the lookahead is the delay model's
+	// MinBound. 0 and 1 both mean one shard, the serial engine: one queue
+	// firing every event in (time, sequence) order. Every shard count runs one
+	// execution: traffic, stats, every clock's writes, the report — measured
+	// after the run from the clocks' trajectories — and the online checker's
+	// verdicts are identical. A model without a positive MinBound leaves no
+	// safe window, so the run collapses to one shard. Observer, EventSink
+	// and SpanSink need one shard: span ids come from one counter, so on two
+	// or more shards they would follow how the goroutines interleave.
 	Shards int
-	// ReuseSharded is ReuseSim's analogue for sharded runs: the simulator is
-	// Reset to Seed and reused, each shard keeping its arena, its lane's
-	// envelopes, outbox storage and lists, and its processors' harnesses and
-	// Sync nodes until the simulator is dropped — a harness or node a builder
-	// keeps is valid until the next run there; its shard count and lookahead
-	// (fixed at construction) take precedence over Shards.
+	// ReuseSharded, when non-nil, is the engine the scenario runs on; its
+	// shard count and lookahead, fixed at construction, take precedence over
+	// Shards. Run resets it to Seed (des.ShardedSim.Reset), so the run is
+	// byte-identical to one on a fresh engine, while each queue keeps its
+	// event arena, its lane's envelopes, payloads, outbox storage and round
+	// buffers, and its processors' harnesses and Sync nodes (des.Owned) until
+	// the engine is dropped. That is what lets campaign and sweep workers
+	// amortize allocation across thousands of runs. The caller must not use
+	// the engine concurrently, and a harness or Sync node a builder keeps
+	// past the run is valid until the next run there.
 	ReuseSharded *des.ShardedSim
+	// ReuseSim runs the scenario on the one-shard engine this simulator owns
+	// (des.OneShard), reused as ReuseSharded is; Result.Sim aliases it. It
+	// runs with neither ReuseSharded nor Shards > 1.
+	ReuseSim *des.Sim
 
 	// SamplePeers, when positive, runs Sync in sparse-estimation mode: each
 	// node pings a seeded random SamplePeers-of-n subset per round instead of
@@ -225,8 +219,9 @@ type Result struct {
 	// EventCounts is its per-kind event tally.
 	Obs         *obs.Observer
 	EventCounts map[string]int64
-	// Sim is the simulator after the run (for follow-up measurement); nil on
-	// a Sweep result whose simulator Sweep lent, since later seeds reset it.
+	// Sim is the engine's global queue after the run — a one-shard run's one
+	// queue — for follow-up measurement; nil on a Sweep result whose engine
+	// Sweep lent, since later seeds reset it.
 	Sim *des.Sim
 	// Violations lists every invariant breach the online checker recorded
 	// (nil when the scenario did not set Check), at most check.Config.Limit
@@ -276,19 +271,6 @@ func (s *Scenario) Params() analysis.Params {
 		SyncInt: syncInt,
 		MaxWait: maxWait,
 	}
-}
-
-// shardedIncompat rejects scenario surfaces the parallel engine cannot
-// serve: observability sinks are single-threaded consumers wired into
-// shard-local hot paths.
-func (s *Scenario) shardedIncompat() error {
-	switch {
-	case s.Observer != nil || s.EventSink != nil || s.SpanSink != nil:
-		return fmt.Errorf("scenario %q: observability sinks are not supported on sharded runs", s.Name)
-	case s.ReuseSim != nil:
-		return fmt.Errorf("scenario %q: ReuseSim is a serial simulator; use ReuseSharded", s.Name)
-	}
-	return nil
 }
 
 // logSizes is what the run's recorder reserves: a sample per SamplePeriod
@@ -391,31 +373,32 @@ func Run(s Scenario) (*Result, error) {
 		return nil, fmt.Errorf("scenario %q: SamplePeers %d < 2f+1 = %d — the trimmed extremes would be unsafe",
 			s.Name, s.SamplePeers, 2*s.F+1)
 	}
-
-	var ps *des.ShardedSim
-	var sim *des.Sim
-	var net *network.Network
-	if s.Shards >= 1 || s.ReuseSharded != nil {
-		if err := s.shardedIncompat(); err != nil {
-			return nil, err
-		}
-		ps = s.ReuseSharded
-		if ps != nil {
-			ps.Reset(s.Seed)
-		} else {
-			ps = des.NewSharded(s.Seed, s.Shards, network.MinDelay(s.Delay))
-		}
-		sim = ps.Global()
-		net = network.NewSharded(ps, s.Topology, s.Delay, s.Seed)
-	} else {
-		sim = s.ReuseSim
-		if sim != nil {
-			sim.Reset(s.Seed)
-		} else {
-			sim = des.New(s.Seed)
-		}
-		net = network.New(sim, s.Topology, s.Delay)
+	minDelay := network.MinDelay(s.Delay)
+	if !(minDelay >= 0) {
+		return nil, fmt.Errorf("scenario %q: delay model's minimum %v is not ≥ 0", s.Name, minDelay)
 	}
+
+	// One engine runs every scenario: a one-shard simulator is the serial
+	// one, and ReuseSim's is the one-shard engine its Sim owns.
+	ps := s.ReuseSharded
+	switch {
+	case ps != nil:
+	case s.ReuseSim != nil && s.Shards <= 1:
+		ps = des.OneShard(s.ReuseSim)
+	default:
+		ps = des.NewSharded(s.Seed, s.Shards, minDelay)
+	}
+	switch {
+	case ps.Shards() > 1 && (s.Observer != nil || s.EventSink != nil || s.SpanSink != nil):
+		// A span id comes from the observer's one counter, so on two shards
+		// the ids would follow how the goroutines interleave.
+		return nil, fmt.Errorf("scenario %q: observability sinks need a one-shard engine, not %d shards", s.Name, ps.Shards())
+	case s.ReuseSim != nil && ps.Global() != s.ReuseSim:
+		return nil, fmt.Errorf("scenario %q: ReuseSim is a one-shard engine: it runs with neither ReuseSharded nor Shards > 1", s.Name)
+	}
+	ps.Reset(s.Seed)
+	sim := ps.Global()
+	net := network.NewSharded(ps, s.Topology, s.Delay, s.Seed)
 	net.DropProb = s.DropProb
 
 	// Setup draws — slopes, biases and whatever the builders draw — come from
@@ -424,17 +407,10 @@ func Run(s Scenario) (*Result, error) {
 
 	// The clocks are the run's, in two slabs: a Result measures them after
 	// the engine has moved on. The processors are the queues' (processors).
-	queues := []*des.Sim{sim}
-	if ps != nil {
-		queues = make([]*des.Sim, ps.Shards())
-		for q := range queues {
-			queues[q] = ps.Shard(q)
-		}
-	}
-	stride := len(queues)
+	stride := ps.Shards()
 	slots := make([][]*processor, stride)
-	for q, qs := range queues {
-		slots[q] = des.Owned[processors](qs).fit((s.N - q + stride - 1) / stride)
+	for q := range slots {
+		slots[q] = des.Owned[processors](ps.Shard(q)).fit((s.N - q + stride - 1) / stride)
 	}
 	slotOf := func(i int) *processor { return slots[i%stride][i/stride] }
 	hardware := make([]clock.Drifting, s.N)
@@ -465,7 +441,7 @@ func Run(s Scenario) (*Result, error) {
 		locals[i].Init(hw)
 		clocks[i] = &locals[i]
 		harnesses[i] = &slotOf(i).h
-		harnesses[i].Init(i, queues[i%stride], net, clocks[i])
+		harnesses[i].Init(i, ps.Shard(i%stride), net, clocks[i])
 	}
 
 	skipBefore := params.WarmupCutoff(s.InitSpread)
@@ -552,11 +528,7 @@ func Run(s Scenario) (*Result, error) {
 
 	s.Adversary.Apply(sim, harnesses)
 	rec.Start(s.SamplePeriod)
-	if ps != nil {
-		ps.RunUntil(simtime.Time(s.Duration))
-	} else {
-		sim.RunUntil(simtime.Time(s.Duration))
-	}
+	ps.RunUntil(simtime.Time(s.Duration))
 
 	stats := make([]core.Stats, s.N) // one slice behind every SyncStats entry
 	for i, sn := range syncNodes {

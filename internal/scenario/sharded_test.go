@@ -27,8 +27,8 @@ type shardObservables struct {
 	deviation simtime.Duration
 }
 
-// observe runs the independence scenario on the serial engine (shards 0) or
-// the sharded one. A hostile run loses 1 % of its messages and has node 3
+// observe runs the independence scenario on the given number of shards; 0
+// and 1 both mean the one-shard engine. A hostile run loses 1 % of its messages and has node 3
 // answer with a RandomLiar's noise over [20 s, 90 s).
 func observe(t *testing.T, shards, samplePeers int, hostile bool) shardObservables {
 	t.Helper()
@@ -185,6 +185,51 @@ func TestCheckedShardedMinute(t *testing.T) {
 	if fmt.Sprintf("%#v", serial.Report) != fmt.Sprintf("%#v", res.Report) || len(serial.Violations) != 0 {
 		t.Errorf("serial run: report %+v with %d violations, want the two-shard %+v",
 			serial.Report, len(serial.Violations), res.Report)
+	}
+}
+
+// roundSink counts each node's round events.
+type roundSink struct{ rounds []int }
+
+func (r *roundSink) Emit(e obs.Event) {
+	if e.Kind == obs.KindRound {
+		r.rounds[e.Node]++
+	}
+}
+
+// TestObservedSampledMinute: a sink is accepted on a one-shard run of any
+// size. An n=1024, k=31 checked minute with an event sink has zero
+// violations, reports what the unobserved run reports, and records a round
+// from every node.
+func TestObservedSampledMinute(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates two n=1024 cluster minutes")
+	}
+	s := sampledMinute("observed-sampled", 1024, 10, 31, 1)
+	s.Seed, s.Check = 1, true
+	plain, err := Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &roundSink{rounds: make([]int, s.N)}
+	s.EventSink = sink
+	observed, err := Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range observed.Violations {
+		t.Errorf("violation: %s", v)
+	}
+	if observed.ViolationsDropped != 0 {
+		t.Errorf("%d violations dropped", observed.ViolationsDropped)
+	}
+	if got, want := fmt.Sprintf("%#v", observed.Report), fmt.Sprintf("%#v", plain.Report); got != want {
+		t.Errorf("observed run reports %s, the unobserved one %s", got, want)
+	}
+	for i, n := range sink.rounds {
+		if n == 0 {
+			t.Errorf("node %d recorded no round event", i)
+		}
 	}
 }
 

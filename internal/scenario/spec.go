@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"clocksync/internal/adversary"
 	"clocksync/internal/network"
@@ -66,8 +67,18 @@ type DelaySpec struct {
 	SpikeMax  float64 `json:"spike_max_sec,omitempty"`
 }
 
-// Model resolves the spec to a DelayModel.
+// Model resolves the spec to a DelayModel. Every field must be finite, and
+// every range well ordered with a non-negative floor: 0 ≤ min ≤ max.
 func (d *DelaySpec) Model() (network.DelayModel, error) {
+	for _, v := range []float64{d.D, d.Min, d.Max, d.FwdMin, d.FwdMax, d.RevMin, d.RevMax, d.SpikeProb, d.SpikeMax} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("scenario: %s delay has a non-finite field %g", d.Kind, v)
+		}
+	}
+	bad := func(lo, hi float64) bool { return lo < 0 || hi < lo }
+	uniform := func() network.UniformDelay {
+		return network.NewUniformDelay(simtime.Duration(d.Min), simtime.Duration(d.Max))
+	}
 	switch d.Kind {
 	case "constant":
 		if d.D <= 0 {
@@ -75,21 +86,25 @@ func (d *DelaySpec) Model() (network.DelayModel, error) {
 		}
 		return network.ConstantDelay{D: simtime.Duration(d.D)}, nil
 	case "uniform":
-		if d.Min < 0 || d.Max < d.Min {
+		if bad(d.Min, d.Max) {
 			return nil, fmt.Errorf("scenario: bad uniform delay [%g, %g]", d.Min, d.Max)
 		}
-		return network.NewUniformDelay(simtime.Duration(d.Min), simtime.Duration(d.Max)), nil
+		return uniform(), nil
 	case "asymmetric":
+		if bad(d.FwdMin, d.FwdMax) || bad(d.RevMin, d.RevMax) {
+			return nil, fmt.Errorf("scenario: bad asymmetric delay [%g, %g] forward, [%g, %g] reverse",
+				d.FwdMin, d.FwdMax, d.RevMin, d.RevMax)
+		}
 		return network.AsymmetricDelay{
 			FwdMin: simtime.Duration(d.FwdMin), FwdMax: simtime.Duration(d.FwdMax),
 			RevMin: simtime.Duration(d.RevMin), RevMax: simtime.Duration(d.RevMax),
 		}, nil
 	case "spiky":
-		return network.SpikyDelay{
-			Base:      network.NewUniformDelay(simtime.Duration(d.Min), simtime.Duration(d.Max)),
-			SpikeProb: d.SpikeProb,
-			SpikeMax:  simtime.Duration(d.SpikeMax),
-		}, nil
+		if bad(d.Min, d.Max) || !(d.SpikeProb >= 0 && d.SpikeProb <= 1) || d.SpikeMax < 0 {
+			return nil, fmt.Errorf("scenario: bad spiky delay [%g, %g], spike_prob %g, spike_max_sec %g",
+				d.Min, d.Max, d.SpikeProb, d.SpikeMax)
+		}
+		return network.SpikyDelay{Base: uniform(), SpikeProb: d.SpikeProb, SpikeMax: simtime.Duration(d.SpikeMax)}, nil
 	default:
 		return nil, fmt.Errorf("scenario: unknown delay kind %q", d.Kind)
 	}

@@ -3,10 +3,12 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"clocksync/internal/network"
 	"clocksync/internal/simtime"
 )
 
@@ -94,6 +96,51 @@ func TestDelaySpecVariants(t *testing.T) {
 		if _, err := spec.Model(); err == nil {
 			t.Fatalf("%+v accepted", spec)
 		}
+	}
+}
+
+// TestDelayProbesRefused: a delay spec or model outside 0 ≤ min ≤ max — or
+// with a spike probability outside [0, 1], a negative spike, or a NaN or
+// infinite field — is an error from Spec.Build or Run, never a panic inside
+// the network or the event queue.
+func TestDelayProbesRefused(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name  string
+		spec  *DelaySpec
+		model network.DelayModel // run directly when spec is nil
+	}{
+		{"spiky min > max", &DelaySpec{Kind: "spiky", Min: 0.01, Max: 0.001}, nil},
+		{"spiky prob > 1", &DelaySpec{Kind: "spiky", Min: 0.001, Max: 0.01, SpikeProb: 1.5}, nil},
+		{"spiky prob < 0", &DelaySpec{Kind: "spiky", Min: 0.001, Max: 0.01, SpikeProb: -0.1}, nil},
+		{"spiky negative spike", &DelaySpec{Kind: "spiky", Min: 0.001, Max: 0.01, SpikeProb: 0.1, SpikeMax: -1}, nil},
+		{"spiky NaN prob", &DelaySpec{Kind: "spiky", Min: 0.001, Max: 0.01, SpikeProb: nan}, nil},
+		{"asymmetric negative fwd_min", &DelaySpec{Kind: "asymmetric", FwdMin: -0.01, FwdMax: 0.03, RevMin: 0.001, RevMax: 0.002}, nil},
+		{"asymmetric rev_min > rev_max", &DelaySpec{Kind: "asymmetric", FwdMin: 0.01, FwdMax: 0.03, RevMin: 0.002, RevMax: 0.001}, nil},
+		{"asymmetric infinite fwd_max", &DelaySpec{Kind: "asymmetric", FwdMin: 0.01, FwdMax: inf, RevMin: 0.001, RevMax: 0.002}, nil},
+		{"uniform NaN max", &DelaySpec{Kind: "uniform", Min: 0.001, Max: nan}, nil},
+		{"constant infinite", &DelaySpec{Kind: "constant", D: inf}, nil},
+		{"model with negative minimum", nil, network.AsymmetricDelay{FwdMin: -0.01, FwdMax: 0.03, RevMin: 0.001, RevMax: 0.002}},
+	}
+	for _, tc := range cases {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", tc.name, r)
+				}
+			}()
+			sp := Spec{Name: tc.name, N: 4, F: 1, DurationSec: 60, Delay: tc.spec}
+			s, err := sp.Build(nil)
+			if err == nil {
+				if tc.model != nil {
+					s.Delay = tc.model
+				}
+				_, err = Run(s)
+			}
+			if err == nil {
+				t.Errorf("%s: accepted", tc.name)
+			}
+		}()
 	}
 }
 

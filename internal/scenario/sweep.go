@@ -9,11 +9,6 @@ import (
 	"clocksync/internal/des"
 )
 
-// newWorkerSim builds the simulator a sweep worker reuses across its seeds.
-// The construction seed is irrelevant: Run resets the simulator to each
-// scenario's seed before running it.
-func newWorkerSim() *des.Sim { return des.New(0) }
-
 // Sweep runs independently-built scenarios, one per seed, concurrently, and
 // returns the results in seed order. Simulations are single-threaded and
 // fully independent, so a sweep parallelizes perfectly across cores;
@@ -27,14 +22,15 @@ func newWorkerSim() *des.Sim { return des.New(0) }
 // workers, so nested parallelism — a sweep of sharded runs, a campaign
 // launched next to a sweep — composes to at most GOMAXPROCS simulation
 // goroutines per entry point instead of multiplying
-// (TestWorkerBudgetComposes pins the ceiling). Each worker reuses one
-// simulator arena across its seeds via ReuseSim, so steady-state sweeping
+// (TestWorkerBudgetComposes pins the ceiling). Each worker lends one
+// one-shard engine (ReuseSharded) to every seed whose scenario brings no
+// engine of its own and asks for at most one shard, so steady-state sweeping
 // allocates per run, not per event, and builds no processor once warm. A
-// result run on a simulator Sweep lent has a nil Sim: the worker resets that
-// simulator for its next seed, and re-initialises in place any harness or
-// Sync node a builder kept from the run: one is valid only until the
-// worker's next seed. When mk's
-// scenario brings its own ReuseSim, Result.Sim is that simulator.
+// result run on an engine Sweep lent has a nil Sim: the worker resets that
+// engine for its next seed, and re-initialises in place any harness or Sync
+// node a builder kept from the run: one is valid only until the worker's
+// next seed. When mk's scenario brings its own ReuseSim, Result.Sim is that
+// simulator.
 //
 // When some seeds fail, Sweep still returns every successful result (failed
 // seeds leave a nil slot, preserving seed order) alongside an error joining
@@ -49,7 +45,7 @@ func Sweep(mk func(seed int64) Scenario, seeds []int64) ([]*Result, error) {
 	errs := make([]error, len(seeds))
 	var next atomic.Int64
 	work := func() {
-		sim := newWorkerSim()
+		engine := des.NewSharded(0, 1, 0) // Run resets it to each seed
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= len(seeds) {
@@ -61,9 +57,9 @@ func Sweep(mk func(seed int64) Scenario, seeds []int64) ([]*Result, error) {
 			if s.Name != "" {
 				s.Name = fmt.Sprintf("%s/seed%d", s.Name, seed)
 			}
-			lent := s.ReuseSim == nil && s.Shards == 0 && s.ReuseSharded == nil
+			lent := s.ReuseSim == nil && s.ReuseSharded == nil && s.Shards <= 1
 			if lent {
-				s.ReuseSim = sim
+				s.ReuseSharded = engine
 			}
 			results[i], errs[i] = Run(s)
 			if lent && results[i] != nil {
