@@ -32,6 +32,21 @@ func (p Params) Eps() simtime.Duration {
 	return simtime.Duration((1 + p.Rho) * float64(p.MaxWait) / 2)
 }
 
+// Resolution is the coarsest spacing of float64 seconds at which a run's
+// clock readings are taken, as a fraction of ε: the spacing at a run's
+// largest reading may not exceed Resolution·ε. Past it a reading's last bit
+// is a visible share of the reading error. A bias of 1e13 s (a 2 ms spacing)
+// moved an n=7 run's deviation at ε = 50 ms by 0.3 ms, one of 1e15 s (0.125
+// s) raised it from 42 ms to 1.2 s with 64 violations, and one of 1e300 s
+// made a processor's estimation rounds overlap.
+const Resolution = 1.0 / 64
+
+// Resolves reports whether float64 seconds resolve clock readings up to
+// magnitude m finely enough: to Resolution·ε or better.
+func (p Params) Resolves(m float64) bool {
+	return math.Nextafter(m, math.Inf(1))-m <= Resolution*float64(p.Eps())
+}
+
 // T returns the analysis interval length T = (1+ρ)·SyncInt + 2·MaxWait
 // (§4): every non-faulty processor completes between one and two full Syncs
 // in any real-time window of length T.

@@ -7,29 +7,19 @@
 //
 //	(τ2−τ1)/(1+ρ) ≤ H_p(τ2) − H_p(τ1) ≤ (τ2−τ1)·(1+ρ)
 //
-// The simulator's runs realize hardware clocks as Drifting lines, one slope
-// per processor drawn inside that envelope; Piecewise can also express drift
-// rates that change during a run, though no scenario builds one.
+// The hardware clock is one type, Drifting: a line, one slope per processor
+// drawn inside that envelope, optionally read through a tick. How a clock's
+// reading evolves between its writes — the line, the tick, the adjustment
+// steps and the gain changes — is computed in this package only: Local reads
+// it at one instant, and a Cursor walks it for a run's report.
 package clock
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"clocksync/internal/simtime"
 )
-
-// Hardware is a processor's unresettable hardware clock H_p.
-type Hardware interface {
-	// Read returns H(now), the hardware reading at real time now.
-	Read(now simtime.Time) simtime.Time
-	// RealAt returns the real time τ ≥ after at which the hardware clock
-	// reads target. It is used to convert "wake me when my clock reads h"
-	// alarms into simulator events. If the clock already reads past target
-	// at time after, RealAt returns after.
-	RealAt(target simtime.Time, after simtime.Time) simtime.Time
-}
 
 // SlopeBounds returns the [min, max] slope dH/dτ allowed by drift bound rho
 // per Equation 2.
@@ -37,37 +27,61 @@ func SlopeBounds(rho float64) (lo, hi float64) {
 	return 1 / (1 + rho), 1 + rho
 }
 
-// Drifting is a hardware clock with a constant drift: H(τ) = offset + slope·(τ−origin).
+// Drifting is a processor's unresettable hardware clock H_p, with a constant
+// drift: H(τ) = offset + slope·(τ−origin), read at the granularity of its
+// tick when it has one.
 type Drifting struct {
 	origin simtime.Time
 	offset simtime.Time
 	slope  float64
+	tick   simtime.Duration // 0: readings are not truncated
 }
 
 // NewDrifting returns a clock that reads offset at real time origin and
 // advances with the given slope (1.0 = perfect; 1+ρ = fastest allowed).
-func NewDrifting(origin, offset simtime.Time, slope float64) *Drifting {
-	c := new(Drifting)
-	c.Init(origin, offset, slope)
-	return c
-}
-
-// Init makes c the clock NewDrifting returns, in place, for clocks kept in a
-// slab (a scenario run holds its n clocks in one).
-func (c *Drifting) Init(origin, offset simtime.Time, slope float64) {
+func NewDrifting(origin, offset simtime.Time, slope float64) Drifting {
 	if slope <= 0 {
 		panic(fmt.Sprintf("clock: non-positive slope %v", slope))
 	}
-	*c = Drifting{origin: origin, offset: offset, slope: slope}
+	return Drifting{origin: origin, offset: offset, slope: slope}
 }
 
-// Read implements Hardware.
-func (c *Drifting) Read(now simtime.Time) simtime.Time {
+// WithTick returns c with readings only available at a finite tick
+// granularity, as real oscillator/counter hardware provides: Read truncates
+// the smooth reading to a multiple of tick. This adds up to one tick of
+// reading error on top of the network-induced ε — the estimation
+// experiments use it to model coarse clocks. RealAt inverts the smooth clock
+// (alarms fire when the true clock crosses the target; only *readings* are
+// coarse).
+func (c Drifting) WithTick(tick simtime.Duration) Drifting {
+	if tick <= 0 {
+		panic(fmt.Sprintf("clock: non-positive tick %v", tick))
+	}
+	c.tick = tick
+	return c
+}
+
+// smooth is the clock's line at now, before any tick truncates it.
+func (c Drifting) smooth(now simtime.Time) simtime.Time {
 	return c.offset + simtime.Time(c.slope*float64(now-c.origin))
 }
 
-// RealAt implements Hardware.
-func (c *Drifting) RealAt(target, after simtime.Time) simtime.Time {
+// Read returns H(now), the hardware reading at real time now, floored to a
+// multiple of the tick when the clock has one.
+func (c Drifting) Read(now simtime.Time) simtime.Time {
+	h := c.smooth(now)
+	if c.tick > 0 {
+		t := float64(c.tick)
+		return simtime.Time(math.Floor(float64(h)/t) * t)
+	}
+	return h
+}
+
+// RealAt returns the real time τ ≥ after at which the smooth clock reads
+// target. It is used to convert "wake me when my clock reads h" alarms into
+// simulator events. If the clock already reads past target at time after,
+// RealAt returns after.
+func (c Drifting) RealAt(target, after simtime.Time) simtime.Time {
 	t := c.origin + simtime.Time(float64(target-c.offset)/c.slope)
 	if t < after {
 		return after
@@ -75,126 +89,8 @@ func (c *Drifting) RealAt(target, after simtime.Time) simtime.Time {
 	return t
 }
 
-// Slope returns the clock's rate dH/dτ.
-func (c *Drifting) Slope() float64 { return c.slope }
-
-// segment is one linear piece of a piecewise clock.
-type segment struct {
-	start  simtime.Time // real time the segment begins
-	offset simtime.Time // H(start)
-	slope  float64
-}
-
-// Piecewise is a hardware clock whose rate changes at given real times. It
-// models oscillators whose drift varies with temperature or age while still
-// satisfying Equation 2 piece by piece.
-type Piecewise struct {
-	segs []segment
-}
-
-// NewPiecewise returns a piecewise clock that reads offset at real time
-// origin with the given initial slope. Additional pieces are appended with
-// ChangeSlope.
-func NewPiecewise(origin, offset simtime.Time, slope float64) *Piecewise {
-	if slope <= 0 {
-		panic(fmt.Sprintf("clock: non-positive slope %v", slope))
-	}
-	return &Piecewise{segs: []segment{{start: origin, offset: offset, slope: slope}}}
-}
-
-// ChangeSlope switches the clock to a new rate at real time at, which must
-// not precede the previous change. The reading stays continuous.
-func (c *Piecewise) ChangeSlope(at simtime.Time, slope float64) {
-	if slope <= 0 {
-		panic(fmt.Sprintf("clock: non-positive slope %v", slope))
-	}
-	last := c.segs[len(c.segs)-1]
-	if at < last.start {
-		panic(fmt.Sprintf("clock: slope change at %v precedes segment start %v", at, last.start))
-	}
-	c.segs = append(c.segs, segment{
-		start:  at,
-		offset: last.offset + simtime.Time(last.slope*float64(at-last.start)),
-		slope:  slope,
-	})
-}
-
-// segmentAt returns the segment active at real time now. Reads before the
-// first segment extrapolate it backwards.
-func (c *Piecewise) segmentAt(now simtime.Time) segment {
-	i := sort.Search(len(c.segs), func(i int) bool { return c.segs[i].start > now })
-	if i == 0 {
-		return c.segs[0]
-	}
-	return c.segs[i-1]
-}
-
-// Read implements Hardware.
-func (c *Piecewise) Read(now simtime.Time) simtime.Time {
-	s := c.segmentAt(now)
-	return s.offset + simtime.Time(s.slope*float64(now-s.start))
-}
-
-// RealAt implements Hardware.
-func (c *Piecewise) RealAt(target, after simtime.Time) simtime.Time {
-	// Hardware clocks are strictly increasing, so scan segments from the one
-	// active at `after` until one contains the target reading.
-	start := after
-	if c.Read(after) >= target {
-		return after
-	}
-	i := sort.Search(len(c.segs), func(i int) bool { return c.segs[i].start > start })
-	if i > 0 {
-		i--
-	}
-	for ; i < len(c.segs); i++ {
-		s := c.segs[i]
-		t := s.start + simtime.Time(float64(target-s.offset)/s.slope)
-		if t < s.start {
-			t = s.start
-		}
-		// The candidate is valid if it falls inside this segment.
-		if i+1 == len(c.segs) || t < c.segs[i+1].start {
-			if t < after {
-				return after
-			}
-			return t
-		}
-	}
-	panic("clock: unreachable — strictly increasing clock must attain target")
-}
-
-// Quantized wraps a hardware clock whose readings are only available at a
-// finite tick granularity, as real oscillator/counter hardware provides:
-// Read returns the underlying value truncated to a multiple of Tick. This
-// adds up to one Tick of reading error on top of the network-induced ε —
-// the estimation experiments use it to model coarse clocks. RealAt inverts
-// against the underlying smooth clock (alarms fire when the true clock
-// crosses the target; only *readings* are coarse).
-type Quantized struct {
-	HW   Hardware
-	Tick simtime.Duration
-}
-
-// NewQuantized validates and wraps.
-func NewQuantized(hw Hardware, tick simtime.Duration) *Quantized {
-	if tick <= 0 {
-		panic(fmt.Sprintf("clock: non-positive tick %v", tick))
-	}
-	return &Quantized{HW: hw, Tick: tick}
-}
-
-// Read implements Hardware.
-func (q *Quantized) Read(now simtime.Time) simtime.Time {
-	raw := float64(q.HW.Read(now))
-	t := float64(q.Tick)
-	return simtime.Time(math.Floor(raw/t) * t)
-}
-
-// RealAt implements Hardware.
-func (q *Quantized) RealAt(target, after simtime.Time) simtime.Time {
-	return q.HW.RealAt(target, after)
-}
+// Tick returns the clock's reading granularity, 0 if it has none.
+func (c Drifting) Tick() simtime.Duration { return c.tick }
 
 // Local is a processor's logical clock C_p = H_p + adj_p. The only
 // operations the paper's protocol performs are reading the sum and adding to
@@ -209,9 +105,9 @@ func (q *Quantized) RealAt(target, after simtime.Time) simtime.Time {
 // Every write is logged with its real-time instant: the steps of the
 // adjustment variable (Steps) and the changes of the gain (Gains). With the
 // hardware clock, the two logs are the clock's whole trajectory, which is
-// what a run's report is measured from.
+// what a run's report is measured from, through a Cursor.
 type Local struct {
-	hw  Hardware
+	hw  Drifting
 	adj simtime.Duration
 
 	gain      float64          // logical rate = hardware rate × (1+gain)
@@ -236,7 +132,7 @@ type GainStep struct {
 }
 
 // NewLocal wraps a hardware clock with a zero adjustment.
-func NewLocal(hw Hardware) *Local {
+func NewLocal(hw Drifting) *Local {
 	l := new(Local)
 	l.Init(hw)
 	return l
@@ -244,7 +140,7 @@ func NewLocal(hw Hardware) *Local {
 
 // Init makes l the clock NewLocal returns, in place, for clocks kept in a
 // slab: zero adjustment and gain, empty logs.
-func (l *Local) Init(hw Hardware) { *l = Local{hw: hw} }
+func (l *Local) Init(hw Drifting) { *l = Local{hw: hw} }
 
 // Now returns C(now) = H(now) + adj, plus any discipline-accumulated offset.
 func (l *Local) Now(now simtime.Time) simtime.Time {
@@ -284,7 +180,7 @@ func (l *Local) Bias(now simtime.Time) simtime.Duration {
 }
 
 // Hardware returns the underlying hardware clock (for alarm scheduling).
-func (l *Local) Hardware() Hardware { return l.hw }
+func (l *Local) Hardware() Drifting { return l.hw }
 
 // SetGain changes the frequency discipline at real time now, and logs the
 // change: from here on the logical clock advances at (1+gain)× the hardware
@@ -301,3 +197,69 @@ func (l *Local) SetGain(now simtime.Time, gain float64) {
 
 // Gain returns the current frequency discipline.
 func (l *Local) Gain() float64 { return l.gain }
+
+// Cursor walks a clock's trajectory over its logs, for a run's report: after
+// the clock's first steps steps and gains gain changes, and before its next
+// write at next, its bias reads a + b·τ, less (1+g)·(h − Q(h)) when a tick Q
+// truncates its hardware reading h = h0 + hs·τ, where b = (1+g)·hs − 1. The
+// tick's truncation is of the reading Read truncates, so the two agree on
+// which tick an instant falls in. A cursor holds no clock: each method takes
+// the one it walks.
+type Cursor struct {
+	a, b         float64
+	next         simtime.Time
+	steps, gains int32
+}
+
+// Cursor returns l's trajectory before its first write.
+func (l *Local) Cursor() Cursor {
+	c := Cursor{a: float64(l.hw.smooth(0)), b: l.hw.slope - 1}
+	c.Advance(l, simtime.Time(math.Inf(-1)))
+	return c
+}
+
+// Advance makes l's writes up to t on c and moves Next on.
+func (c *Cursor) Advance(l *Local, t simtime.Time) {
+	for ; int(c.steps) < len(l.steps) && l.steps[c.steps].At <= t; c.steps++ {
+		c.a += float64(l.steps[c.steps].Delta)
+	}
+	for ; int(c.gains) < len(l.gains) && l.gains[c.gains].At <= t; c.gains++ {
+		// The clock is continuous across a gain change g → g' at the
+		// hardware reading q, so a moves by (g'−g)·(h0−q).
+		h0, hs, tick := float64(l.hw.smooth(0)), l.hw.slope, float64(l.hw.tick)
+		q := float64(l.hw.smooth(l.gains[c.gains].At))
+		if tick > 0 {
+			q = math.Floor(q/tick) * tick
+		}
+		g := l.gains[c.gains].Gain
+		c.a += (1 + g - (c.b+1)/hs) * (h0 - q)
+		c.b = (1+g)*hs - 1
+	}
+	c.next = simtime.Time(math.Inf(1))
+	if int(c.steps) < len(l.steps) {
+		c.next = l.steps[c.steps].At
+	}
+	if int(c.gains) < len(l.gains) {
+		c.next = min(c.next, l.gains[c.gains].At)
+	}
+}
+
+// Bias returns l's bias at t, which must lie between the writes c has made
+// and Next.
+func (c *Cursor) Bias(l *Local, t simtime.Time) simtime.Duration {
+	v := c.a + c.b*float64(t)
+	if tick := float64(l.hw.tick); tick > 0 {
+		h := float64(l.hw.smooth(t))
+		v -= (c.b + 1) / l.hw.slope * (h - math.Floor(h/tick)*tick)
+	}
+	return simtime.Duration(v)
+}
+
+// Next returns the instant of the clock's next write, +Inf if none is left.
+func (c *Cursor) Next() simtime.Time { return c.next }
+
+// Rate returns b, the bias's rate between the writes (a tick aside).
+func (c *Cursor) Rate() float64 { return c.b }
+
+// Made returns how many of the clock's steps c has made.
+func (c *Cursor) Made() int { return int(c.steps) }

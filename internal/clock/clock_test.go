@@ -62,109 +62,6 @@ func TestNonPositiveSlopePanics(t *testing.T) {
 			NewDrifting(0, 0, slope)
 		}()
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("piecewise zero slope must panic")
-			}
-		}()
-		NewPiecewise(0, 0, 0)
-	}()
-}
-
-func TestPiecewiseContinuity(t *testing.T) {
-	c := NewPiecewise(0, 0, 1.0)
-	c.ChangeSlope(10, 1.5)
-	c.ChangeSlope(20, 0.8)
-	// H(10) = 10; H(20) = 10 + 1.5·10 = 25; H(30) = 25 + 0.8·10 = 33.
-	cases := []struct {
-		at   simtime.Time
-		want simtime.Time
-	}{
-		{0, 0}, {5, 5}, {10, 10}, {15, 17.5}, {20, 25}, {30, 33},
-	}
-	for _, tc := range cases {
-		if got := c.Read(tc.at); math.Abs(float64(got-tc.want)) > 1e-9 {
-			t.Errorf("Read(%v): got %v, want %v", tc.at, got, tc.want)
-		}
-	}
-}
-
-func TestPiecewiseReadBeforeOriginExtrapolates(t *testing.T) {
-	c := NewPiecewise(10, 100, 2.0)
-	if got := c.Read(5); got != 90 {
-		t.Fatalf("backward extrapolation: got %v, want 90", got)
-	}
-}
-
-func TestPiecewiseChangeSlopeOutOfOrderPanics(t *testing.T) {
-	c := NewPiecewise(0, 0, 1.0)
-	c.ChangeSlope(10, 1.2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-order ChangeSlope must panic")
-		}
-	}()
-	c.ChangeSlope(5, 1.1)
-}
-
-func TestPiecewiseRealAt(t *testing.T) {
-	c := NewPiecewise(0, 0, 1.0)
-	c.ChangeSlope(10, 2.0) // H(10)=10
-	c.ChangeSlope(20, 0.5) // H(20)=30
-	cases := []struct {
-		target simtime.Time
-		want   simtime.Time
-	}{
-		{5, 5},   // first segment
-		{10, 10}, // boundary
-		{20, 15}, // second segment: 10 + (20−10)/2
-		{30, 20}, // boundary
-		{35, 30}, // third segment: 20 + (35−30)/0.5
-	}
-	for _, tc := range cases {
-		got := c.RealAt(tc.target, 0)
-		if math.Abs(float64(got-tc.want)) > 1e-9 {
-			t.Errorf("RealAt(%v): got %v, want %v", tc.target, got, tc.want)
-		}
-		// Round-trip: reading at the returned time matches the target.
-		if r := c.Read(got); math.Abs(float64(r-tc.target)) > 1e-9 {
-			t.Errorf("RealAt(%v) round trip: Read=%v", tc.target, r)
-		}
-	}
-}
-
-func TestPiecewiseRealAtRespectsAfter(t *testing.T) {
-	c := NewPiecewise(0, 0, 1.0)
-	if got := c.RealAt(5, 8); got != 8 {
-		t.Fatalf("RealAt with past target: got %v, want 8", got)
-	}
-}
-
-func TestPiecewiseMonotoneProperty(t *testing.T) {
-	// Random piecewise clocks must be strictly increasing and RealAt must
-	// invert Read, for any sequence of legal slope changes.
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		c := NewPiecewise(0, simtime.Time(rng.Float64()*100), 0.9+rng.Float64()*0.2)
-		at := simtime.Time(0)
-		for i := 0; i < 5; i++ {
-			at += simtime.Time(rng.Float64() * 50)
-			c.ChangeSlope(at, 0.9+rng.Float64()*0.2)
-		}
-		prev := c.Read(0)
-		for tau := simtime.Time(1); tau < 300; tau += 1 {
-			cur := c.Read(tau)
-			if cur <= prev {
-				t.Fatalf("trial %d: clock not strictly increasing at τ=%v", trial, tau)
-			}
-			prev = cur
-			inv := c.RealAt(cur, 0)
-			if math.Abs(float64(inv-tau)) > 1e-6 {
-				t.Fatalf("trial %d: RealAt(Read(%v)) = %v", trial, tau, inv)
-			}
-		}
-	}
 }
 
 func TestSlopeBounds(t *testing.T) {
@@ -194,7 +91,8 @@ func TestEquationTwoHolds(t *testing.T) {
 }
 
 func TestQuantized(t *testing.T) {
-	q := NewQuantized(NewDrifting(0, 0, 1.0), 0.25)
+	smooth := NewDrifting(0, 0, 1.0)
+	q := smooth.WithTick(0.25)
 	cases := []struct {
 		at   simtime.Time
 		want simtime.Time
@@ -213,13 +111,13 @@ func TestQuantized(t *testing.T) {
 		if got < prev {
 			t.Fatalf("quantized clock went backwards at %v", tau)
 		}
-		raw := q.HW.Read(tau)
+		raw := smooth.Read(tau)
 		if raw-got < 0 || raw-got >= 0.25+1e-12 {
 			t.Fatalf("quantization error out of range at %v: raw=%v got=%v", tau, raw, got)
 		}
 		prev = got
 	}
-	// RealAt delegates to the smooth clock.
+	// RealAt inverts the smooth clock.
 	if got := q.RealAt(5, 0); math.Abs(float64(got-5)) > 1e-12 {
 		t.Fatalf("RealAt: got %v", got)
 	}
@@ -228,13 +126,13 @@ func TestQuantized(t *testing.T) {
 			t.Fatal("zero tick must panic")
 		}
 	}()
-	NewQuantized(NewDrifting(0, 0, 1), 0)
+	NewDrifting(0, 0, 1).WithTick(0)
 }
 
 func TestQuantizedLocalClockStillSynchronizes(t *testing.T) {
-	// A Local over a quantized hardware clock keeps working (the tick just
+	// A Local over a ticked hardware clock keeps working (the tick just
 	// adds reading error).
-	l := NewLocal(NewQuantized(NewDrifting(0, 0, 1.0), 0.001))
+	l := NewLocal(NewDrifting(0, 0, 1.0).WithTick(0.001))
 	l.Adjust(0, 1)
 	if got := l.Now(5.0005); math.Abs(float64(got-6.0)) > 1e-9 {
 		t.Fatalf("quantized local: got %v", got)

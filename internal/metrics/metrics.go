@@ -153,7 +153,7 @@ type slabs struct {
 	biases      []simtime.Duration
 	good        []bool
 	steps       []clock.Step
-	lines       []line
+	curs        []clock.Cursor
 	bias        []simtime.Duration
 	now, spare  []bool
 	order, cand []int32
@@ -161,7 +161,7 @@ type slabs struct {
 
 // fitSweep sizes the sweep's state for n clocks.
 func (st *slabs) fitSweep(n int) {
-	st.lines, st.bias, st.order, st.cand = fit(st.lines, n), fit(st.bias, n), fit(st.order, n), fit(st.cand, n)[:0]
+	st.curs, st.bias, st.order, st.cand = fit(st.curs, n), fit(st.bias, n), fit(st.order, n), fit(st.cand, n)[:0]
 	st.now, st.spare = fit(st.now, n), fit(st.spare, n)
 }
 

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 
@@ -10,18 +9,9 @@ import (
 	"clocksync/internal/simtime"
 )
 
-// line is one clock between two of its writes: after its first step steps
-// and gain gain changes, and before its next write at next, its bias reads
-// a + b·τ, less (1+g)·(h − Q(h)) when a tick Q truncates its hardware
-// reading h = h0 + hs·τ, where b = (1+g)·hs − 1.
-type line struct {
-	a, b       float64
-	next       simtime.Time
-	step, gain int32
-}
-
 // sweep is BuildReport's working state, its slices cut from the recorder's
-// slabs. The good clocks' range is kept through candidates, not all n
+// slabs: a cursor on each clock's trajectory, and its bias at the last
+// rebuild. The good clocks' range is kept through candidates, not all n
 // clocks: a rebuild at t0 takes the range [lo, hi] and the rates [bLo, bHi]
 // of every good clock and keeps those within δ, a tenth of a second of that
 // rate spread, of either end. Every other good clock stays inside the window
@@ -31,75 +21,18 @@ type line struct {
 // the good clocks' range.
 type sweep struct {
 	*Recorder
-	lines            []line
+	curs             []clock.Cursor
 	bias             []simtime.Duration
 	good, spare      []bool
-	quantized        bool // any clock's hardware
+	ticked           bool // some clock reads through a tick
 	cands            []int32
 	lo, hi, bLo, bHi float64 // the window at t0
 	t0               simtime.Time
 }
 
-// hardware is clock i's hardware line h0 + hs·τ and its tick, 0 if none.
-func (sw *sweep) hardware(i int) (h0, hs, tick float64) {
-	hw := sw.clocks[i].Hardware()
-	if q, ok := hw.(*clock.Quantized); ok {
-		hw, tick = q.HW, float64(q.Tick)
-	}
-	d, ok := hw.(*clock.Drifting)
-	if !ok {
-		panic(fmt.Sprintf("metrics: a trajectory needs a Drifting hardware clock, got %T", hw))
-	}
-	return float64(d.Read(0)), d.Slope(), tick
-}
-
-// start is clock i's line before its first write.
-func (sw *sweep) start(i int) line {
-	h0, hs, tick := sw.hardware(i)
-	ln := line{a: h0, b: hs - 1}
-	sw.write(i, &ln, simtime.Time(math.Inf(-1)))
-	sw.quantized = sw.quantized || tick > 0
-	return ln
-}
-
-// write makes clock i's writes up to t on ln and moves ln.next on.
-func (sw *sweep) write(i int, ln *line, t simtime.Time) {
-	steps, gains := sw.clocks[i].Steps(), sw.clocks[i].Gains()
-	for ; int(ln.step) < len(steps) && steps[ln.step].At <= t; ln.step++ {
-		ln.a += float64(steps[ln.step].Delta)
-	}
-	for ; int(ln.gain) < len(gains) && gains[ln.gain].At <= t; ln.gain++ {
-		// The clock is continuous across a gain change g → g' at the
-		// hardware reading q, so a moves by (g'−g)·(h0−q).
-		h0, hs, tick := sw.hardware(i)
-		q := h0 + hs*float64(gains[ln.gain].At)
-		if tick > 0 {
-			q = math.Floor(q/tick) * tick
-		}
-		g := gains[ln.gain].Gain
-		ln.a += (1 + g - (ln.b+1)/hs) * (h0 - q)
-		ln.b = (1+g)*hs - 1
-	}
-	ln.next = simtime.Time(math.Inf(1))
-	if int(ln.step) < len(steps) {
-		ln.next = steps[ln.step].At
-	}
-	if int(ln.gain) < len(gains) {
-		ln.next = min(ln.next, gains[ln.gain].At)
-	}
-}
-
-// at is clock i's bias at t on ln.
-func (sw *sweep) at(i int, ln *line, t simtime.Time) simtime.Duration {
-	v := ln.a + ln.b*float64(t)
-	if !sw.quantized {
-		return simtime.Duration(v)
-	}
-	if h0, hs, tick := sw.hardware(i); tick > 0 {
-		h := h0 + hs*float64(t)
-		v -= (ln.b + 1) / hs * (h - math.Floor(h/tick)*tick)
-	}
-	return simtime.Duration(v)
+// at is clock i's bias at t.
+func (sw *sweep) at(i int, t simtime.Time) simtime.Duration {
+	return sw.curs[i].Bias(sw.clocks[i], t)
 }
 
 // trace walks clock i alone through [0, end]: Equation 3's envelope at both
@@ -113,8 +46,9 @@ func (sw *sweep) trace(i int, skip, end simtime.Time, opts ReportOptions, rep *R
 			rep.AccuracyDrawdown, rep.AccuracyRunup = max(rep.AccuracyDrawdown, d), max(rep.AccuracyRunup, u)
 		}
 	}
-	ln, good, from := sw.start(i), sw.goodAt(i, 0), simtime.Time(0)
-	fromBias := sw.at(i, &ln, 0)
+	c := sw.clocks[i]
+	cur, good, from := c.Cursor(), sw.goodAt(i, 0), simtime.Time(0)
+	fromBias := cur.Bias(c, 0)
 	endStretch := func(t simtime.Time, b simtime.Duration) {
 		if span := t.Sub(from); span >= opts.MinRateWindow {
 			rep.WorstRate = math.Max(rep.WorstRate, math.Abs(float64(b-fromBias+span)/float64(span)-1))
@@ -122,16 +56,16 @@ func (sw *sweep) trace(i int, skip, end simtime.Time, opts ReportOptions, rep *R
 		env.Reset()
 	}
 	for t := simtime.Time(0); ; {
-		b, gr := sw.at(i, &ln, t), sw.goodAt(i, t)
+		b, gr := cur.Bias(c, t), sw.goodAt(i, t)
 		if good && t > skip {
 			advance(t, b)
 		}
 		if good && !gr {
 			endStretch(t, b)
 		}
-		made := ln.step
-		sw.write(i, &ln, t)
-		for _, st := range sw.clocks[i].Steps()[made:ln.step] {
+		made := cur.Made()
+		cur.Advance(c, t)
+		for _, st := range c.Steps()[made:cur.Made()] {
 			// The adversary's writes are not adjustments, and Theorem
 			// 5(ii)'s ψ covers the good processors after the warm-up.
 			if d := st.Delta.Abs(); !sw.Schedule.ActiveAt(i, t) {
@@ -141,7 +75,7 @@ func (sw *sweep) trace(i int, skip, end simtime.Time, opts ReportOptions, rep *R
 				}
 			}
 		}
-		if b = sw.at(i, &ln, t); gr && !good {
+		if b = cur.Bias(c, t); gr && !good {
 			from, fromBias = t, b
 		}
 		if gr && t >= skip {
@@ -153,7 +87,7 @@ func (sw *sweep) trace(i int, skip, end simtime.Time, opts ReportOptions, rep *R
 			}
 			return
 		}
-		good, t = gr, min(ln.next, sw.nextBound(t, skip, i), end)
+		good, t = gr, min(cur.Next(), sw.nextBound(t, skip, i), end)
 	}
 }
 
@@ -164,22 +98,22 @@ func (sw *sweep) window(t simtime.Time) (lo, hi float64) {
 
 // span is the good clocks' range at t: from the candidates, or from a
 // rebuild, which evaluates every clock into bias and picks the candidates
-// anew, when full or when they no longer reach past the window. A quantized
+// anew, when full or when they no longer reach past the window. A ticked
 // clock is not affine between its writes, so a run with one always rebuilds.
 func (sw *sweep) span(t simtime.Time, full bool) (lo, hi float64, rebuilt bool) {
 	lo, hi = math.Inf(1), math.Inf(-1)
 	for _, i := range sw.cands {
-		v := float64(sw.at(int(i), &sw.lines[i], t))
+		v := float64(sw.at(int(i), t))
 		lo, hi = min(lo, v), max(hi, v)
 	}
-	if wLo, wHi := sw.window(t); !full && !sw.quantized && lo <= wLo && hi >= wHi {
+	if wLo, wHi := sw.window(t); !full && !sw.ticked && lo <= wLo && hi >= wHi {
 		return lo, hi, false
 	}
 	lo, hi, sw.bLo, sw.bHi, sw.t0 = math.Inf(1), math.Inf(-1), math.Inf(1), math.Inf(-1), t
-	for i := range sw.lines {
-		if sw.bias[i] = sw.at(i, &sw.lines[i], t); sw.good[i] {
+	for i := range sw.curs {
+		if sw.bias[i] = sw.at(i, t); sw.good[i] {
 			lo, hi = min(lo, float64(sw.bias[i])), max(hi, float64(sw.bias[i]))
-			sw.bLo, sw.bHi = min(sw.bLo, sw.lines[i].b), max(sw.bHi, sw.lines[i].b)
+			sw.bLo, sw.bHi = min(sw.bLo, sw.curs[i].Rate()), max(sw.bHi, sw.curs[i].Rate())
 		}
 	}
 	d := (sw.bHi - sw.bLo) * 0.1
@@ -195,7 +129,7 @@ func (sw *sweep) span(t simtime.Time, full bool) (lo, hi float64, rebuilt bool) 
 // admit makes good clock w, just written at t, a candidate unless it stays
 // inside the window at a rate within it.
 func (sw *sweep) admit(t simtime.Time, w int) {
-	v, b := float64(sw.at(w, &sw.lines[w], t)), sw.lines[w].b
+	v, b := float64(sw.at(w, t)), sw.curs[w].Rate()
 	if lo, hi := sw.window(t); v <= lo || v >= hi || b < sw.bLo || b > sw.bHi {
 		sw.cands = append(sw.cands, int32(w))
 	}
@@ -203,12 +137,12 @@ func (sw *sweep) admit(t simtime.Time, w int) {
 
 // down restores the heap order of clocks below j, the earliest next write
 // on top.
-func down(order []int32, lines []line, j int) {
+func down(order []int32, curs []clock.Cursor, j int) {
 	for c := 2*j + 1; c < len(order); j, c = c, 2*c+1 {
-		if c+1 < len(order) && lines[order[c+1]].next < lines[order[c]].next {
+		if c+1 < len(order) && curs[order[c+1]].Next() < curs[order[c]].Next() {
 			c++
 		}
-		if lines[order[j]].next <= lines[order[c]].next {
+		if curs[order[j]].Next() <= curs[order[c]].Next() {
 			return
 		}
 		order[j], order[c] = order[c], order[j]
@@ -242,12 +176,13 @@ func (r *Recorder) BuildReport(opts ReportOptions, visit func(s Sample, node int
 	}
 	st := r.store
 	st.fitSweep(len(r.clocks))
-	sw, order := sweep{Recorder: r, lines: st.lines, bias: st.bias, good: st.now, spare: st.spare, cands: st.cand}, st.order
-	for i := range sw.lines {
-		sw.lines[i], sw.good[i], order[i] = sw.start(i), r.goodAt(i, 0), int32(i)
+	sw, order := sweep{Recorder: r, curs: st.curs, bias: st.bias, good: st.now, spare: st.spare, cands: st.cand}, st.order
+	for i, c := range r.clocks {
+		sw.curs[i], sw.good[i], order[i] = c.Cursor(), r.goodAt(i, 0), int32(i)
+		sw.ticked = sw.ticked || c.Hardware().Tick() > 0
 	}
 	for j := len(order)/2 - 1; j >= 0; j-- {
-		down(order, sw.lines, j)
+		down(order, sw.curs, j)
 	}
 	var rep Report
 	for _, c := range r.Schedule.Corruptions {
@@ -256,7 +191,7 @@ func (r *Recorder) BuildReport(opts ReportOptions, visit func(s Sample, node int
 	slices.SortStableFunc(rep.Recoveries, func(a, b Recovery) int { return cmp.Compare(a.ReleasedAt, b.ReleasedAt) })
 	slices.SortStableFunc(r.marks, func(a, b mark) int { return cmp.Compare(a.at, b.at) })
 	end, skip := r.sim.Now(), max(opts.SkipBefore, 0)
-	for i := range sw.lines {
+	for i := range sw.curs {
 		sw.trace(i, skip, end, opts, &rep)
 	}
 
@@ -276,7 +211,7 @@ func (r *Recorder) BuildReport(opts ReportOptions, visit func(s Sample, node int
 				gr[i] = r.goodAt(i, t)
 			}
 		}
-		wrote := len(order) > 0 && sw.lines[order[0]].next <= t
+		wrote := len(order) > 0 && sw.curs[order[0]].Next() <= t
 		read := visit != nil && t >= skip && (wrote || all)
 		if t > skip && (wrote || all && !slices.Equal(sw.good, gr)) {
 			lo, hi, _ := sw.span(t, read)
@@ -288,9 +223,9 @@ func (r *Recorder) BuildReport(opts ReportOptions, visit func(s Sample, node int
 
 		// The writes of t, then the right limit; before SkipBefore only a
 		// mark or a recovery reads it.
-		for ; len(order) > 0 && sw.lines[order[0]].next <= t; down(order, sw.lines, 0) {
+		for ; len(order) > 0 && sw.curs[order[0]].Next() <= t; down(order, sw.curs, 0) {
 			w := int(order[0])
-			if sw.write(w, &sw.lines[w], t); gr[w] {
+			if sw.curs[w].Advance(r.clocks[w], t); gr[w] {
 				sw.admit(t, w)
 			}
 		}
@@ -312,9 +247,9 @@ func (r *Recorder) BuildReport(opts ReportOptions, visit func(s Sample, node int
 			rep.MaxDeviation = max(rep.MaxDeviation, right.Deviation)
 		}
 		stepped := false
-		for w := 0; read && w < len(sw.lines); w++ {
+		for w := 0; read && w < len(sw.curs); w++ {
 			steps := r.clocks[w].Steps()
-			for j := sw.lines[w].step - 1; j >= 0 && steps[j].At == t; j-- {
+			for j := sw.curs[w].Made() - 1; j >= 0 && steps[j].At == t; j-- {
 				visit(right, w, steps[j].Delta)
 				stepped = true
 			}
@@ -337,7 +272,7 @@ func (r *Recorder) BuildReport(opts ReportOptions, visit func(s Sample, node int
 			}
 			// The range is the other good clocks' too unless the node is
 			// good and at one of its ends.
-			v := float64(sw.at(rv.Node, &sw.lines[rv.Node], t))
+			v := float64(sw.at(rv.Node, t))
 			dist, ok := simtime.Duration(max(0, lo-v, v-hi)), lo <= hi
 			if sw.good[rv.Node] && (v <= lo || v >= hi) {
 				if !rebuilt {
@@ -363,7 +298,7 @@ func (r *Recorder) BuildReport(opts ReportOptions, visit func(s Sample, node int
 		}
 		next := min(bound, end)
 		if len(order) > 0 {
-			next = min(next, sw.lines[order[0]].next)
+			next = min(next, sw.curs[order[0]].Next())
 		}
 		if pi < len(r.samples) {
 			next = min(next, r.samples[pi].At)

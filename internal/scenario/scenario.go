@@ -282,11 +282,13 @@ func (s *Scenario) logSizes() (samples, steps int) {
 	return int(s.Duration/s.SamplePeriod) + 1, max(0, int(s.Duration/s.SyncInt)+1)
 }
 
-// checkLengths refuses the lengths and clock settings a run could not use:
-// a NaN or infinite duration never ends, bad slopes and biases panic inside
-// the clock or the event queue, and a negative or NaN Tick or InitSpread
-// would be silently ignored.
-func (s *Scenario) checkLengths() error {
+// checkLengths refuses the lengths and clock settings a run with parameters
+// p could not use: a NaN or infinite duration never ends, bad slopes and
+// biases panic inside the clock or the event queue, a negative or NaN Tick or
+// InitSpread would be silently ignored, and readings float64 seconds cannot
+// resolve to analysis.Resolution of ε are measured wrongly or break the
+// protocol.
+func (s *Scenario) checkLengths(p analysis.Params) error {
 	bad := func(what string, v any) error {
 		return fmt.Errorf("scenario %q: %s %v is out of range", s.Name, what, v)
 	}
@@ -303,9 +305,24 @@ func (s *Scenario) checkLengths() error {
 			return bad(fmt.Sprintf("Slopes[%d]", i), v)
 		}
 	}
+	// A clock reads at most |bias| + InitSpread/2 + (1+ρ)·Duration, which
+	// float64 seconds must resolve to a fraction of ε.
+	coarse := func(what string, v any) error {
+		return fmt.Errorf("scenario %q: %s %v puts clock readings where float64 seconds are coarser than %v·ε", s.Name, what, v, analysis.Resolution)
+	}
+	reach := (1 + s.Rho) * float64(s.Duration)
+	if !p.Resolves(reach) {
+		return coarse("Duration", s.Duration)
+	}
+	if reach += float64(s.InitSpread) / 2; !p.Resolves(reach) {
+		return coarse("InitSpread", s.InitSpread)
+	}
 	for i, b := range s.InitialBiases {
 		if math.IsNaN(float64(b)) || math.IsInf(float64(b), 0) {
 			return bad(fmt.Sprintf("InitialBiases[%d]", i), b)
+		}
+		if !p.Resolves(math.Abs(float64(b)) + reach) {
+			return coarse(fmt.Sprintf("InitialBiases[%d]", i), b)
 		}
 	}
 	return nil
@@ -319,10 +336,10 @@ func Run(s Scenario) (*Result, error) {
 	if s.N < 1 {
 		return nil, fmt.Errorf("scenario %q: need at least one processor", s.Name)
 	}
-	if err := s.checkLengths(); err != nil {
+	params := s.Params()
+	if err := s.checkLengths(params); err != nil {
 		return nil, err
 	}
-	params := s.Params()
 	s.Theta = params.Theta
 	s.MaxWait = params.MaxWait
 	s.SyncInt = params.SyncInt
@@ -405,7 +422,7 @@ func Run(s Scenario) (*Result, error) {
 	// one stream keyed by the seed alone, so both engines build the same run.
 	rng := &network.SplitMix64{State: network.Key(s.Seed, network.SetupTag)}
 
-	// The clocks are the run's, in two slabs: a Result measures them after
+	// The clocks are the run's, in a slab: a Result measures them after
 	// the engine has moved on. The processors are the queues' (processors).
 	stride := ps.Shards()
 	slots := make([][]*processor, stride)
@@ -413,7 +430,6 @@ func Run(s Scenario) (*Result, error) {
 		slots[q] = des.Owned[processors](ps.Shard(q)).fit((s.N - q + stride - 1) / stride)
 	}
 	slotOf := func(i int) *processor { return slots[i%stride][i/stride] }
-	hardware := make([]clock.Drifting, s.N)
 	locals := make([]clock.Local, s.N)
 	clocks := make([]*clock.Local, s.N)
 	harnesses := make([]*protocol.Harness, s.N)
@@ -433,10 +449,9 @@ func Run(s Scenario) (*Result, error) {
 		case s.InitSpread > 0:
 			bias = simtime.Duration((rng.Float64() - 0.5) * float64(s.InitSpread))
 		}
-		hardware[i].Init(0, simtime.Time(bias), slope)
-		var hw clock.Hardware = &hardware[i]
+		hw := clock.NewDrifting(0, simtime.Time(bias), slope)
 		if s.Tick > 0 {
-			hw = clock.NewQuantized(hw, s.Tick)
+			hw = hw.WithTick(s.Tick)
 		}
 		locals[i].Init(hw)
 		clocks[i] = &locals[i]

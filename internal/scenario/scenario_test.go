@@ -305,8 +305,10 @@ func maxf(xs []float64) float64 {
 }
 
 // TestRunRefusesBadLengths: a run length that never ends and clock settings
-// that would panic in the clock or the event queue, or be silently ignored,
-// are refused with an error naming the setting. Each case runs under a
+// that would panic in the clock or the event queue, be silently ignored, or
+// take readings float64 seconds resolve more coarsely than
+// analysis.Resolution of ε, are refused with an error naming the setting;
+// biases of 1e9 s still run. Each case runs under a
 // deadline, since a NaN or infinite Duration used to spin forever.
 func TestRunRefusesBadLengths(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
@@ -327,6 +329,11 @@ func TestRunRefusesBadLengths(t *testing.T) {
 		{"Tick", func(s *Scenario) { s.Tick = simtime.Duration(nan) }},
 		{"InitSpread", func(s *Scenario) { s.InitSpread = -simtime.Second }},
 		{"InitSpread", func(s *Scenario) { s.InitSpread = simtime.Duration(nan) }},
+		{"InitialBiases[0]", func(s *Scenario) { s.InitialBiases = []simtime.Duration{1e15} }},
+		{"InitialBiases[1]", func(s *Scenario) { s.InitialBiases = []simtime.Duration{0, -1e16} }},
+		{"InitialBiases[0]", func(s *Scenario) { s.InitialBiases = []simtime.Duration{1e300} }},
+		{"InitSpread", func(s *Scenario) { s.InitSpread = 1e16 }},
+		{"Duration", func(s *Scenario) { s.Duration = 1e16 }},
 	} {
 		s := baseScenario()
 		tc.set(&s)
@@ -348,5 +355,10 @@ func TestRunRefusesBadLengths(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Errorf("%s case: Run did not return within 10 s", tc.name)
 		}
+	}
+	s := baseScenario()
+	s.InitialBiases = []simtime.Duration{1e9, -1e9}
+	if _, err := Run(s); err != nil {
+		t.Errorf("biases of ±1e9 s: %v, want a run", err)
 	}
 }

@@ -153,27 +153,3 @@ func Spread(xs []float64) float64 {
 	}
 	return max - min
 }
-
-// LinearFit returns the least-squares slope and intercept of y over x. It is
-// used to measure logical clock rates over long windows. Requires at least
-// two points with distinct x.
-func LinearFit(x, y []float64) (slope, intercept float64) {
-	if len(x) != len(y) || len(x) < 2 {
-		panic(fmt.Sprintf("stats: bad fit input (%d, %d points)", len(x), len(y)))
-	}
-	var sx, sy, sxx, sxy float64
-	for i := range x {
-		sx += x[i]
-		sy += y[i]
-		sxx += x[i] * x[i]
-		sxy += x[i] * y[i]
-	}
-	n := float64(len(x))
-	den := n*sxx - sx*sx
-	if den == 0 {
-		panic("stats: degenerate fit (all x equal)")
-	}
-	slope = (n*sxy - sx*sy) / den
-	intercept = (sy - slope*sx) / n
-	return slope, intercept
-}

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -140,46 +139,5 @@ func TestSpreadNonNegativeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLinearFit(t *testing.T) {
-	// y = 2x + 1 exactly.
-	x := []float64{0, 1, 2, 3, 4}
-	y := []float64{1, 3, 5, 7, 9}
-	slope, intercept := LinearFit(x, y)
-	if math.Abs(slope-2) > 1e-12 || math.Abs(intercept-1) > 1e-12 {
-		t.Fatalf("fit: slope=%v intercept=%v", slope, intercept)
-	}
-}
-
-func TestLinearFitNoisy(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var x, y []float64
-	for i := 0; i < 1000; i++ {
-		xi := float64(i)
-		x = append(x, xi)
-		y = append(y, 0.5*xi-3+rng.NormFloat64()*0.01)
-	}
-	slope, intercept := LinearFit(x, y)
-	if math.Abs(slope-0.5) > 1e-3 || math.Abs(intercept+3) > 1e-1 {
-		t.Fatalf("noisy fit: slope=%v intercept=%v", slope, intercept)
-	}
-}
-
-func TestLinearFitDegeneratePanics(t *testing.T) {
-	for _, tc := range []struct{ x, y []float64 }{
-		{[]float64{1}, []float64{1}},
-		{[]float64{1, 2}, []float64{1}},
-		{[]float64{3, 3}, []float64{1, 2}},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("fit(%v, %v) must panic", tc.x, tc.y)
-				}
-			}()
-			LinearFit(tc.x, tc.y)
-		}()
 	}
 }
